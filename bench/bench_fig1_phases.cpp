@@ -102,7 +102,7 @@ struct Phases {
     for (const auto& r : bounds) {
       if (r.bound) options.loop_bounds[r.loop_id] = *r.bound;
     }
-    wcet = ipet.solve(options);
+    wcet = ipet.solve_both(options).first;
   }
 };
 

@@ -24,9 +24,7 @@ was never cancelled; phase1_pivots / phase2_pivots: simplex pivots
 spent proving feasibility vs. optimizing — network-flow crash bases
 keep phase1_pivots at 0 on fact-free workloads; crash_basis_rows:
 artificial variables replaced by spanning-tree columns at tableau
-construction; sese_regions: sub-function single-entry/single-exit
-regions split into their own sub-ILPs) are printed old -> new when
-present.
+construction) are printed old -> new when present.
 
 Validation-oracle counters (paths_explored: complete paths costed by
 the exhaustive path-exploration oracle; witness_replayed: whether the
@@ -60,7 +58,6 @@ import sys
 PHASES = ["decode_ms", "value_ms", "loop_ms", "cache_ms", "pipeline_ms", "path_ms", "ilp_ms"]
 COUNTERS = [
     "sub_ilps",
-    "sese_regions",
     "phase1_pivots",
     "phase2_pivots",
     "crash_basis_rows",

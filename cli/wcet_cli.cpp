@@ -44,7 +44,7 @@ void print_usage(std::ostream& os) {
         "  --function NAME           analyze this function symbol instead of the entry\n"
         "  --mode NAME               operating mode for mode-scoped annotations\n"
         "  --threads N               worker threads (default 1; results identical)\n"
-        "  --decomposition MODE      ipet split: monolithic | flat | recursive\n"
+        "  --decomposition MODE      ipet split: monolithic | recursive\n"
         "  --ipet-mode MODE          alias for --decomposition\n"
         "  --validate                run the independent path-exploration oracle and\n"
         "                            witness replay against the computed bounds\n"
@@ -114,13 +114,10 @@ CliArgs parse_args(int argc, char** argv) {
       const std::string mode = value_of(i, arg);
       if (mode == "monolithic") {
         args.options.decomposition = wcet::analysis::IpetDecomposition::monolithic;
-      } else if (mode == "flat") {
-        args.options.decomposition = wcet::analysis::IpetDecomposition::flat;
       } else if (mode == "recursive") {
         args.options.decomposition = wcet::analysis::IpetDecomposition::recursive;
       } else {
-        throw wcet::InputError(arg + " expects monolithic|flat|recursive, got '" + mode +
-                               "'");
+        throw wcet::InputError(arg + " expects monolithic|recursive, got '" + mode + "'");
       }
     } else if (arg == "--validate") {
       args.options.validate = true;

@@ -43,7 +43,7 @@ void print_usage(std::ostream& os) {
         "  --annotations FILE   annotation file applied to every request\n"
         "  --mode NAME          operating mode for mode-scoped annotations\n"
         "  --threads N          worker threads of the shared pool (default 1)\n"
-        "  --decomposition MODE ipet split: monolithic | flat | recursive\n"
+        "  --decomposition MODE ipet split: monolithic | recursive\n"
         "  --validate           run the independent validation oracles per request\n"
         "  --repeat N           submit each input N times (default 1); repeats are\n"
         "                       served from the fingerprint report cache\n"
@@ -111,13 +111,10 @@ CliArgs parse_args(int argc, char** argv) {
       const std::string mode = value_of(i, arg);
       if (mode == "monolithic") {
         args.serve.analysis.decomposition = wcet::analysis::IpetDecomposition::monolithic;
-      } else if (mode == "flat") {
-        args.serve.analysis.decomposition = wcet::analysis::IpetDecomposition::flat;
       } else if (mode == "recursive") {
         args.serve.analysis.decomposition = wcet::analysis::IpetDecomposition::recursive;
       } else {
-        throw wcet::InputError(arg + " expects monolithic|flat|recursive, got '" + mode +
-                               "'");
+        throw wcet::InputError(arg + " expects monolithic|recursive, got '" + mode + "'");
       }
     } else if (arg == "--validate") {
       args.serve.analysis.validate = true;

@@ -65,8 +65,9 @@ if(failures EQUAL 0)
       "wcet_serve"
       "--stats"
       "fingerprint"
-      "BM_incremental_reanalyze"
-      "dirty_instances")
+      "BM_serve_hit"
+      "dirty_instances"
+      "perfbench/run.py")
   require_content(docs/ARCHITECTURE.md
       "pass_manager.hpp"
       "AnalysisContext"
@@ -81,9 +82,7 @@ if(failures EQUAL 0)
       "set_basis_hint"
       "crash_eliminate"
       "phase1_pivots"
-      "PostDominators"
       "run_graph"
-      "SESE regions"
       "Copy-on-write abstract states"
       "cow.hpp"
       "CowPtr"

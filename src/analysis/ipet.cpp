@@ -48,12 +48,11 @@ Ipet::Ipet(const cfg::Supergraph& sg, const cfg::LoopForest& loops,
 //   opt(whole) = opt(outer with subtree collapsed to one variable y,
 //                    objective coefficient = opt(subtree | entry = 1))
 //
-// Planning re-enters each collapsed subtree (recursive mode), so a deep
-// call tree becomes a tree of small sub-ILPs instead of one monolithic
-// sub-solve. The sub-ILPs fan out across the thread pool one nesting
-// level at a time — deepest level first, ascending instance order
-// within a level — so every child objective is ready before its parent
-// region solves and the schedule is deterministic for any worker count.
+// Planning re-enters each collapsed subtree, so a deep call tree
+// becomes a tree of small sub-ILPs instead of one monolithic sub-solve.
+// The sub-ILPs run on the thread pool as a dependency-counted task
+// graph (solve_graph): every child objective is ready before its parent
+// region solves, and the result is the same for any worker count.
 //
 // Annotation-driven flow facts (caps / ratios / infeasible pairs /
 // exclusions) no longer disable decomposition wholesale: each fact pins
@@ -78,9 +77,6 @@ int Ipet::plan_stats(const std::vector<Sub>& subs, int* total_subs) {
 std::vector<Ipet::Sub> Ipet::planned_subs(const IpetOptions& options) const {
   // Copy the memoized plan: each solve fills the subs' objectives.
   std::vector<Sub> subs = decomposition_plan();
-  if (options.decomposition == IpetDecomposition::flat) {
-    for (Sub& sub : subs) sub.children.clear();
-  }
   const std::vector<char> pinned = constrained_nodes(options);
   if (!pinned.empty()) subs = prune_pinned(std::move(subs), pinned);
   return subs;
@@ -103,14 +99,14 @@ std::vector<int> Ipet::missing_loop_bounds_in(const IpetOptions& options) const 
   return missing;
 }
 
-bool Ipet::solve_graph(std::vector<Sub>& subs, const IpetOptions& options, bool both) const {
+bool Ipet::solve_graph(std::vector<Sub>& subs, const IpetOptions& options) const {
   // Flatten the sub-ILP forest in plan (preorder) order and hand it to
   // the pool as a dependency-counted task graph: a region is
   // dispatched the instant its last child publishes, instead of every
   // region at depth d waiting behind a barrier for the slowest region
   // at depth d+1. Results stay bit-identical for any worker count
-  // because each solve_sub is a pure function of its own region and
-  // its children's stored results, written to its own Sub slot; no
+  // because each solve_sub_both is a pure function of its own region
+  // and its children's stored results, written to its own Sub slot; no
   // cross-task order is observable.
   std::vector<Sub*> tasks;
   std::vector<int> parent;
@@ -130,13 +126,9 @@ bool Ipet::solve_graph(std::vector<Sub>& subs, const IpetOptions& options, bool 
     for (const Sub& child : sub.children) {
       // A failed child poisons the plan; skipping the parent leaves
       // its default (infeasible) result to report the failure below.
-      if (!child.result.ok() || (both && !child.result_bcet.ok())) return;
+      if (!child.result.ok() || !child.result_bcet.ok()) return;
     }
-    if (both) {
-      solve_sub_both(sub, options);
-    } else {
-      solve_sub(sub, options);
-    }
+    solve_sub_both(sub, options);
   };
   if (pool_ != nullptr) {
     pool_->run_graph(tasks.size(), solve_one, parent, pending);
@@ -158,8 +150,7 @@ bool Ipet::solve_graph(std::vector<Sub>& subs, const IpetOptions& options, bool 
     }
   }
   for (const Sub* sub : tasks) {
-    if (!sub->result.ok()) return false;
-    if (both && !sub->result_bcet.ok()) return false;
+    if (!sub->result.ok() || !sub->result_bcet.ok()) return false;
   }
   return true;
 }
@@ -174,11 +165,10 @@ void Ipet::merge_sub_results(IpetResult& outer, const std::vector<Sub>& subs,
     outer.constraints += sub_result.constraints;
     outer.degraded = outer.degraded || sub_result.degraded;
     // Solver telemetry aggregates bottom-up: each sub's result already
-    // carries its own children's share (solve_sub merged them).
+    // carries its own children's share (solve_sub_both merged them).
     outer.phase1_pivots += sub_result.phase1_pivots;
     outer.phase2_pivots += sub_result.phase2_pivots;
     outer.crash_basis_rows += sub_result.crash_basis_rows;
-    outer.sese_regions += sub_result.sese_regions + (sub.sese ? 1 : 0);
     const auto y = edge_counts.find(sub.call_edge);
     if (y != edge_counts.end() && y->second > 0) {
       // Entry counts are 0/1, so the subtree witness merges unscaled.
@@ -189,79 +179,7 @@ void Ipet::merge_sub_results(IpetResult& outer, const std::vector<Sub>& subs,
   }
 }
 
-IpetResult Ipet::solve(const IpetOptions& options) const {
-  // lp_dump wants the one whole-system ILP; monolithic is the reference
-  // path every decomposition mode must reproduce bit-identically.
-  if (options.decomposition == IpetDecomposition::monolithic || options.lp_dump != nullptr) {
-    return solve_monolithic(options);
-  }
-  std::vector<Sub> subs = planned_subs(options);
-  if (subs.empty()) return solve_monolithic(options);
-
-  if (options.maximize) {
-    IpetResult missing;
-    missing.loops_missing_bounds = missing_loop_bounds_in(options);
-    if (!missing.loops_missing_bounds.empty()) {
-      missing.status = IpetResult::Status::missing_loop_bounds;
-      return missing;
-    }
-  }
-
-  int total_subs = 0;
-  const int plan_depth = plan_stats(subs, &total_subs);
-  if (!solve_graph(subs, options, /*both=*/false)) {
-    // Safety/fallback ladder: a failed sub-solve (structurally, or out
-    // of pivot budget) first retries with the shallower flat plan, then
-    // gives up on decomposition entirely.
-    if (options.decomposition == IpetDecomposition::recursive) {
-      if (options.governor != nullptr) {
-        options.governor->record("path", "sub-solve failure",
-                                 "recursive decomposition fell back to flat");
-      }
-      IpetOptions flat = options;
-      flat.decomposition = IpetDecomposition::flat;
-      return solve(flat);
-    }
-    if (options.governor != nullptr) {
-      options.governor->record("path", "sub-solve failure",
-                               "decomposition fell back to monolithic");
-    }
-    return solve_monolithic(options);
-  }
-
-  // Outer problem over the remaining nodes with one variable per
-  // collapsed top-level subtree.
-  std::vector<char> outer_member(sg_.nodes().size(), 1);
-  for (const Sub& sub : subs) {
-    for (std::size_t n = 0; n < sub.member.size(); ++n) {
-      if (sub.member[n]) outer_member[n] = 0;
-    }
-  }
-  RegionSpec spec;
-  spec.member = &outer_member;
-  spec.source_node = sg_.entry_node();
-  spec.top_level = true;
-  spec.children = &subs;
-  std::map<int, std::uint64_t> edge_counts;
-  IpetResult outer = solve_region(spec, options, nullptr, &edge_counts);
-  outer.decomposed_regions = static_cast<int>(subs.size());
-  outer.sub_ilps = total_subs;
-  outer.decomposition_depth = plan_depth;
-  // Single-sense sub solves always store into sub.result (the sense
-  // lives in the objective they filled), so merge from that slot.
-  merge_sub_results(outer, subs, edge_counts, /*bcet_sense=*/false);
-  return outer;
-}
-
 std::pair<IpetResult, IpetResult> Ipet::solve_both(const IpetOptions& options) const {
-  if (options.lp_dump != nullptr) {
-    // Dump semantics belong to the single-sense reference path.
-    IpetOptions single = options;
-    single.maximize = true;
-    IpetResult wcet = solve(single);
-    single.maximize = false;
-    return {std::move(wcet), solve(single)};
-  }
   if (options.decomposition == IpetDecomposition::monolithic) {
     return solve_monolithic_both(options);
   }
@@ -281,17 +199,9 @@ std::pair<IpetResult, IpetResult> Ipet::solve_both(const IpetOptions& options) c
 
   int total_subs = 0;
   const int plan_depth = plan_stats(subs, &total_subs);
-  if (!solve_graph(subs, options, /*both=*/true)) {
-    // Same fallback ladder as solve(): recursive -> flat -> monolithic.
-    if (options.decomposition == IpetDecomposition::recursive) {
-      if (options.governor != nullptr) {
-        options.governor->record("path", "sub-solve failure",
-                                 "recursive decomposition fell back to flat");
-      }
-      IpetOptions flat = options;
-      flat.decomposition = IpetDecomposition::flat;
-      return solve_both(flat);
-    }
+  if (!solve_graph(subs, options)) {
+    // Fallback: a failed sub-solve (structurally, or out of pivot
+    // budget) gives up on decomposition and solves the reference ILP.
     if (options.governor != nullptr) {
       options.governor->record("path", "sub-solve failure",
                                "decomposition fell back to monolithic");
@@ -299,6 +209,8 @@ std::pair<IpetResult, IpetResult> Ipet::solve_both(const IpetOptions& options) c
     return solve_monolithic_both(options);
   }
 
+  // Outer problem over the remaining nodes with one variable per
+  // collapsed top-level subtree.
   std::vector<char> outer_member(sg_.nodes().size(), 1);
   for (const Sub& sub : subs) {
     for (std::size_t n = 0; n < sub.member.size(); ++n) {
@@ -340,16 +252,6 @@ Ipet::RegionSpec Ipet::sub_region_spec(Sub& sub, std::vector<char>& member) {
   spec.sink_ret_edges = &sub.ret_edges;
   if (!sub.children.empty()) spec.children = &sub.children;
   return spec;
-}
-
-void Ipet::solve_sub(Sub& sub, const IpetOptions& options) const {
-  std::vector<char> member;
-  const RegionSpec spec = sub_region_spec(sub, member);
-  std::map<int, std::uint64_t> edge_counts;
-  Rational* objective_out = options.maximize ? &sub.objective : &sub.objective_bcet;
-  sub.result = solve_region(spec, options, objective_out,
-                            sub.children.empty() ? nullptr : &edge_counts);
-  merge_sub_results(sub.result, sub.children, edge_counts, /*bcet_sense=*/false);
 }
 
 void Ipet::solve_sub_both(Sub& sub, const IpetOptions& options) const {
@@ -414,20 +316,13 @@ std::vector<Ipet::Sub> Ipet::plan_decomposition() const {
   }
 
   const std::set<int> exit_set(sg_.exit_nodes().begin(), sg_.exit_nodes().end());
-  // Dominators + post-dominators drive the sub-function SESE planning;
-  // computed once here, the whole (memoized) plan shares them.
-  const cfg::Dominators dom(sg_);
-  const cfg::PostDominators pdom(sg_);
-  return plan_region(0, total_reachable, nullptr, children, subtree_nodes, exit_set, dom, pdom);
+  return plan_region(0, total_reachable, children, subtree_nodes, exit_set);
 }
 
 std::vector<Ipet::Sub> Ipet::plan_region(int root_instance, std::size_t region_size,
-                                         const std::vector<char>* region_member,
                                          const std::vector<std::vector<int>>& children,
                                          const std::vector<std::size_t>& subtree_nodes,
-                                         const std::set<int>& exit_set,
-                                         const cfg::Dominators& dom,
-                                         const cfg::PostDominators& pdom) const {
+                                         const std::set<int>& exit_set) const {
   std::vector<Sub> subs;
   // Top-down over the instance tree, ascending ids: collapse the
   // largest eligible subtrees that still leave a meaningful region
@@ -451,174 +346,14 @@ std::vector<Ipet::Sub> Ipet::plan_region(int root_instance, std::size_t region_s
     }
     Sub sub;
     if (subtree_eligible(instance, children, exit_set, sub)) {
-      sub.children = plan_region(instance, reachable_in(sub.member), &sub.member, children,
-                                 subtree_nodes, exit_set, dom, pdom);
+      sub.children =
+          plan_region(instance, reachable_in(sub.member), children, subtree_nodes, exit_set);
       subs.push_back(std::move(sub));
     } else {
       push_children(instance);
     }
   }
-  // Decomposition below function granularity: the region nodes left
-  // after collapsing instance subtrees (the root body plus every
-  // instance planning walked past) are candidate call sites for SESE
-  // regions.
-  std::vector<char> site_mask(sg_.nodes().size(), 0);
-  for (std::size_t n = 0; n < site_mask.size(); ++n) {
-    site_mask[n] = region_member == nullptr || (*region_member)[n] != 0;
-  }
-  for (const Sub& sub : subs) {
-    for (std::size_t n = 0; n < sub.member.size(); ++n) {
-      if (sub.member[n]) site_mask[n] = 0;
-    }
-  }
-  plan_sese(site_mask, region_size, exit_set, dom, pdom, subs);
   return subs;
-}
-
-void Ipet::plan_sese(const std::vector<char>& site_mask, std::size_t region_size,
-                     const std::set<int>& exit_set, const cfg::Dominators& dom,
-                     const cfg::PostDominators& pdom, std::vector<Sub>& subs) const {
-  if (region_size < 16) return; // a split of <8 + <8 is never worth it
-  const std::size_t max_size = region_size * 3 / 5;
-  // Candidates: a loop-free site u with an intra-instance successor
-  // edge e onto a head h whose only predecessor is e. h's immediate
-  // post-dominator t closes the region; everything between collapses.
-  // u outside every loop is what caps the region's entry count at 1 —
-  // supergraph loops are interprocedural SCCs, so "loop-free" really
-  // means "executes at most once per task run".
-  std::vector<Sub> candidates;
-  for (const cfg::SgNode& node : sg_.nodes()) {
-    if (!site_mask[static_cast<std::size_t>(node.id)]) continue;
-    if (!values_.node_reachable(node.id)) continue;
-    if (loops_.innermost_loop_of(node.id) >= 0) continue;
-    for (const int eid : node.succ_edges) {
-      const cfg::SgEdge& e = sg_.edge(eid);
-      if (e.kind == cfg::EdgeKind::call || e.kind == cfg::EdgeKind::ret) continue;
-      if (!values_.edge_feasible(eid)) continue;
-      const cfg::SgNode& head = sg_.node(e.to);
-      if (head.pred_edges.size() != 1) continue;
-      Sub sub;
-      if (!sese_region(node.id, eid, max_size, exit_set, dom, pdom, sub)) continue;
-      // The collapsed region's y variable runs call site -> return
-      // site in the ENCLOSING region's flow rows, so the return site
-      // must be an available node of this planning frame. A nested
-      // region sharing its exit with the enclosing region (e.g. every
-      // rung of an if-ladder post-dominated by the same join) fails
-      // this: its join lies outside the parent region, the y head
-      // would have no balance row, and flow would leak unsoundly.
-      if (!site_mask[static_cast<std::size_t>(sub.return_site)]) continue;
-      if (reachable_in(sub.member) < 8) continue;
-      candidates.push_back(std::move(sub));
-    }
-  }
-  // Largest regions first (ties by head id), greedily keeping disjoint
-  // ones — a deterministic pure function of the graph.
-  std::sort(candidates.begin(), candidates.end(), [this](const Sub& a, const Sub& b) {
-    const std::size_t sa = reachable_in(a.member);
-    const std::size_t sb = reachable_in(b.member);
-    return sa != sb ? sa > sb : a.entry_node < b.entry_node;
-  });
-  std::vector<char> claimed(sg_.nodes().size(), 0);
-  for (Sub& cand : candidates) {
-    // The call site and return site must stay region nodes of this
-    // frame (they carry the collapsed y variable's balance rows), so a
-    // sibling selected earlier may not have absorbed either of them.
-    if (claimed[static_cast<std::size_t>(cand.call_site)] != 0) continue;
-    if (claimed[static_cast<std::size_t>(cand.return_site)] != 0) continue;
-    bool overlaps = false;
-    for (std::size_t n = 0; n < cand.member.size() && !overlaps; ++n) {
-      overlaps = cand.member[n] != 0 && claimed[n] != 0;
-    }
-    if (overlaps) continue;
-    for (std::size_t n = 0; n < cand.member.size(); ++n) {
-      if (cand.member[n]) claimed[n] = 1;
-    }
-    // Adopt the already-collapsed instance subtrees the region contains
-    // (a call site inside the region pulls its whole callee subtree in).
-    std::vector<Sub> kept;
-    for (Sub& sub : subs) {
-      if (cand.member[static_cast<std::size_t>(sub.call_site)] != 0) {
-        cand.children.push_back(std::move(sub));
-      } else {
-        kept.push_back(std::move(sub));
-      }
-    }
-    subs = std::move(kept);
-    // Nested SESE planning inside the region body (the members not
-    // owned by an adopted child).
-    std::vector<char> nested_mask = cand.member;
-    for (const Sub& child : cand.children) {
-      for (std::size_t n = 0; n < child.member.size(); ++n) {
-        if (child.member[n]) nested_mask[n] = 0;
-      }
-    }
-    plan_sese(nested_mask, reachable_in(cand.member), exit_set, dom, pdom, cand.children);
-    subs.push_back(std::move(cand));
-  }
-}
-
-bool Ipet::sese_region(int call_site, int call_edge, std::size_t max_size,
-                       const std::set<int>& exit_set, const cfg::Dominators& dom,
-                       const cfg::PostDominators& pdom, Sub& sub) const {
-  const cfg::SgEdge& entry_edge = sg_.edge(call_edge);
-  sub.instance = sg_.node(call_site).instance;
-  sub.sese = true;
-  sub.call_site = call_site;
-  sub.call_edge = call_edge;
-  sub.entry_node = entry_edge.to;
-  sub.return_site = pdom.ipdom(sub.entry_node);
-  if (sub.return_site < 0) return false; // head reaches no exit
-  // Membership: everything forward-reachable from the head before the
-  // post-dominator. Every such node must be dominated by the head
-  // (otherwise a second entry exists and the region is not
-  // single-entry); the boundary scan below re-checks this edge by edge.
-  sub.member.assign(sg_.nodes().size(), 0);
-  std::size_t member_count = 0;
-  std::vector<int> work{sub.entry_node};
-  sub.member[static_cast<std::size_t>(sub.entry_node)] = 1;
-  while (!work.empty()) {
-    const int n = work.back();
-    work.pop_back();
-    if (++member_count > max_size) return false;
-    if (exit_set.count(n) != 0) return false; // task exit inside
-    if (!dom.dominates(sub.entry_node, n)) return false;
-    for (const int eid : sg_.node(n).succ_edges) {
-      const int to = sg_.edge(eid).to;
-      if (to == sub.return_site || sub.member[static_cast<std::size_t>(to)] != 0) continue;
-      sub.member[static_cast<std::size_t>(to)] = 1;
-      work.push_back(to);
-    }
-  }
-  // Boundary and interior scan, mirroring subtree_eligible: sole
-  // inbound edge is the entry edge, every outbound edge lands on the
-  // post-dominator (the single exit), and no reachable dead end hides
-  // inside. Loops cannot cross the boundary: a loop containing a
-  // member and an outside node would give some member an outside
-  // predecessor (rejected here), and the head itself is loop-free
-  // because its only predecessor is the loop-free call site.
-  for (std::size_t n = 0; n < sub.member.size(); ++n) {
-    if (!sub.member[n]) continue;
-    const int node_id = static_cast<int>(n);
-    const cfg::SgNode& node = sg_.node(node_id);
-    bool any_feasible_out = false;
-    for (const int eid : node.succ_edges) {
-      const cfg::SgEdge& e = sg_.edge(eid);
-      if (sub.member[static_cast<std::size_t>(e.to)]) {
-        any_feasible_out = any_feasible_out || values_.edge_feasible(eid);
-        continue;
-      }
-      if (e.to != sub.return_site) return false;
-      sub.ret_edges.push_back(eid);
-      any_feasible_out = any_feasible_out || values_.edge_feasible(eid);
-    }
-    for (const int eid : node.pred_edges) {
-      if (!sub.member[static_cast<std::size_t>(sg_.edge(eid).from)] && eid != sub.call_edge) {
-        return false;
-      }
-    }
-    if (values_.node_reachable(node_id) && !any_feasible_out) return false;
-  }
-  return !sub.ret_edges.empty();
 }
 
 bool Ipet::subtree_eligible(int instance, const std::vector<std::vector<int>>& children,
@@ -1346,34 +1081,6 @@ IpetResult Ipet::extract_region(const RegionBuild& build, const RegionSpec& spec
   return result;
 }
 
-IpetResult Ipet::solve_region(const RegionSpec& spec, const IpetOptions& options,
-                              Rational* objective_out,
-                              std::map<int, std::uint64_t>* edge_counts_out) const {
-  RegionBuild build;
-  if (!build_region(spec, options, build)) return build.early;
-  if (options.maximize && !build.early.loops_missing_bounds.empty()) {
-    IpetResult result = std::move(build.early);
-    result.status = IpetResult::Status::missing_loop_bounds;
-    return result;
-  }
-  const std::vector<Rational>& objective = options.maximize ? build.obj_max : build.obj_min;
-  for (int var = 0; var < build.ilp.num_variables(); ++var) {
-    if (!objective[static_cast<std::size_t>(var)].is_zero()) {
-      build.ilp.set_objective(var, objective[static_cast<std::size_t>(var)]);
-    }
-  }
-  if (options.lp_dump != nullptr && spec.top_level) *options.lp_dump = build.ilp.to_string();
-  const LpSolution solution = build.ilp.solve_ilp(region_limits(options));
-  IpetResult result = extract_region(build, spec, options.maximize, solution, objective_out,
-                                     edge_counts_out);
-  if (result.degraded && options.governor != nullptr) {
-    options.governor->record("path", "ilp budget",
-                             "region solve truncated by pivot/node cap; bound is the best "
-                             "proven frontier bound, no path witness (bound stays sound)");
-  }
-  return result;
-}
-
 std::pair<IpetResult, IpetResult> Ipet::solve_region_both(
     const RegionSpec& spec, const IpetOptions& options, Rational* objective_max_out,
     Rational* objective_min_out, std::map<int, std::uint64_t>* edge_counts_max_out,
@@ -1409,13 +1116,6 @@ std::pair<IpetResult, IpetResult> Ipet::solve_region_both(
 // annotation-driven coupling constraint. Reference path for the
 // decomposed modes and the fallback when no subtree is eligible.
 // ---------------------------------------------------------------------------
-
-IpetResult Ipet::solve_monolithic(const IpetOptions& options) const {
-  RegionSpec spec;
-  spec.source_node = sg_.entry_node();
-  spec.top_level = true;
-  return solve_region(spec, options);
-}
 
 std::pair<IpetResult, IpetResult> Ipet::solve_monolithic_both(const IpetOptions& options) const {
   RegionSpec spec;

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <map>
 #include <set>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -27,13 +26,12 @@ class ThreadPool;
 
 namespace wcet::analysis {
 
-// How the IPET ILP is split (see Ipet::solve). The optimum is provably
-// identical in every mode; the modes differ only in how many
+// How the IPET ILP is split (see Ipet::solve_both). The optimum is
+// provably identical in both modes; they differ only in how many
 // independent sub-ILPs the solve fans out.
 enum class IpetDecomposition {
   monolithic, // whole supergraph as one ILP (reference path)
-  flat,       // top-level instance subtrees collapse, solved monolithically
-  recursive,  // collapsed subtrees re-enter planning: nested sub-ILPs
+  recursive,  // eligible call subtrees collapse into nested sub-ILPs
 };
 
 struct IpetOptions {
@@ -43,16 +41,14 @@ struct IpetOptions {
   std::vector<annot::FlowRatioFact> flow_ratios;
   std::vector<annot::InfeasiblePairFact> infeasible_pairs;
   std::set<std::uint32_t> excluded_addrs; // mode excludes + nevers
-  bool maximize = true;                   // false: BCET lower bound
   std::uint64_t infeasible_pair_big_m = 1u << 20;
-  std::string* lp_dump = nullptr;         // debug: receives the LP text (forces monolithic)
   IpetDecomposition decomposition = IpetDecomposition::recursive;
   // Optional resource governor (support/budget.hpp): every region solve
   // runs under its per-solve pivot/node caps and cancellation
   // checkpoints. A truncated solve yields a *degraded* result (status
   // ok, `degraded` set, bound = best proven bound, no path witness);
-  // a failed sub-solve walks the fallback ladder recursive -> flat ->
-  // monolithic, each step recorded in the governor's ledger.
+  // a failed sub-solve falls back from recursive to monolithic, recorded
+  // in the governor's ledger.
   const AnalysisGovernor* governor = nullptr;
 };
 
@@ -75,7 +71,6 @@ struct IpetResult {
   int decomposed_regions = 0;  // top-level collapsed subtrees (0: monolithic)
   int sub_ilps = 0;            // sub-ILPs solved across all nesting levels
   int decomposition_depth = 0; // nesting depth of the deepest sub-ILP
-  int sese_regions = 0;        // collapsed single-entry/single-exit body regions
   // Simplex pivot split summed over every region solve (see LpSolution):
   // a pure-flow workload solved off network-flow crash bases reports
   // phase1_pivots == 0.
@@ -100,23 +95,19 @@ public:
        const ValueAnalysis& values, const PipelineAnalysis& pipeline);
 
   // Optional pool: independent per-instance subproblems of a
-  // decomposed solve fan out across it, one nesting level at a time in
-  // ascending instance order. The decomposition plan and the merge
-  // order are pure functions of the graph, so results are bit-identical
-  // for any worker count.
+  // decomposed solve fan out across it as a dependency-counted task
+  // graph. The decomposition plan and the merge order are pure
+  // functions of the graph, so results are bit-identical for any worker
+  // count.
   void set_pool(ThreadPool* pool) { pool_ = pool; }
-
-  IpetResult solve(const IpetOptions& options) const;
 
   // Solve the WCET (maximize) and BCET (minimize) bounds of one
   // configuration together — {wcet, bcet} — sharing the decomposition
   // plan, every region's constraint system, and the phase-1 simplex
   // work between the two senses (the constraint systems are identical;
-  // only the objective differs). `options.maximize` is ignored. The
-  // WCET result is bit-identical to solve(maximize); the BCET bound is
-  // the same exact optimum solve(minimize) computes. When the WCET
-  // solve fails, the BCET half is returned as-is and should be ignored
-  // (matching the driver's "no BCET without a WCET" convention).
+  // only the objective differs). When the WCET solve fails, the BCET
+  // half is returned as-is and should be ignored (matching the driver's
+  // "no BCET without a WCET" convention).
   std::pair<IpetResult, IpetResult> solve_both(const IpetOptions& options) const;
 
 private:
@@ -126,26 +117,17 @@ private:
   // `children` are eligible subtrees nested inside this one — planning
   // re-enters each collapsed subtree, so deep call trees become a tree
   // of sub-ILPs instead of one monolithic sub-solve.
-  // A collapsed subtree, or (sese == true) a collapsed single-entry/
-  // single-exit region *inside* one function body: entry_node is the
-  // region head (sole successor of the loop-free call_site via
-  // call_edge), return_site its immediate post-dominator, and ret_edges
-  // every edge leaving the region onto it. Both kinds satisfy the same
-  // exactness contract, so everything downstream of planning treats
-  // them identically.
   struct Sub {
     int instance = -1;
     int call_site = -1;   // node holding the call, outside the subtree
     int call_edge = -1;   // only edge entering the subtree
     int entry_node = -1;  // callee entry (virtual source of the sub-ILP)
     int return_site = -1; // every boundary exit targets this node
-    bool sese = false;    // intra-body SESE region (not an instance subtree)
     std::vector<int> ret_edges;
     std::vector<char> member; // per-node membership bitmap (incl. children)
     std::vector<Sub> children;
     // Per-solve state: subtree optima in internal maximize sense (the
-    // WCET/maximize optimum, and the BCET/minimize one filled by
-    // single-sense minimize solves and by solve_both), plus the region
+    // WCET/maximize optimum and the BCET/minimize one), plus the region
     // solve results.
     Rational objective;
     Rational objective_bcet;
@@ -164,11 +146,7 @@ private:
   // virtual-source objective constants.
   struct RegionBuild;
 
-  IpetResult solve_monolithic(const IpetOptions& options) const;
   std::pair<IpetResult, IpetResult> solve_monolithic_both(const IpetOptions& options) const;
-  IpetResult solve_region(const RegionSpec& spec, const IpetOptions& options,
-                          Rational* objective_out = nullptr,
-                          std::map<int, std::uint64_t>* edge_counts_out = nullptr) const;
   std::pair<IpetResult, IpetResult> solve_region_both(
       const RegionSpec& spec, const IpetOptions& options, Rational* objective_max_out,
       Rational* objective_min_out, std::map<int, std::uint64_t>* edge_counts_max_out,
@@ -186,10 +164,9 @@ private:
   // virtual-source constant (1 at the region source).
   int append_in_flow(const RegionSpec& spec, const std::vector<int>& edge_var, int node_id,
                      const Rational& scale, std::vector<LinTerm>& terms) const;
-  // Solve one collapsed subtree's region (children already solved);
-  // fills the sense-matching objective and result, merging child
-  // witnesses. solve_sub_both fills both senses off one shared build.
-  void solve_sub(Sub& sub, const IpetOptions& options) const;
+  // Solve one collapsed subtree's region (children already solved) in
+  // both senses off one shared build, filling both objectives and
+  // results and merging child witnesses.
   void solve_sub_both(Sub& sub, const IpetOptions& options) const;
   // Region spec of a collapsed subtree (its nodes minus its collapsed
   // children, virtual source at the callee entry, sinks at the ret
@@ -197,47 +174,27 @@ private:
   static RegionSpec sub_region_spec(Sub& sub, std::vector<char>& member);
   // Nesting depth and total count of a sub-ILP plan (for telemetry).
   static int plan_stats(const std::vector<Sub>& subs, int* total_subs);
-  // Shared plumbing of solve()/solve_both(): the per-solve plan copy
-  // (flat stripping + fact pruning), the missing-loop-bound pre-check
-  // replicating the monolithic scan, the dependency-counted task-graph
-  // fan-out over the pool (false: some sub failed -> monolithic
-  // fallback), and the merge of sub results into the outer result.
+  // Plumbing of solve_both(): the per-solve plan copy (fact pruning),
+  // the missing-loop-bound pre-check replicating the monolithic scan,
+  // the dependency-counted task-graph fan-out over the pool (false: some
+  // sub failed -> monolithic fallback), and the merge of sub results
+  // into the outer result.
   std::vector<Sub> planned_subs(const IpetOptions& options) const;
   std::vector<int> missing_loop_bounds_in(const IpetOptions& options) const;
-  bool solve_graph(std::vector<Sub>& subs, const IpetOptions& options, bool both) const;
+  bool solve_graph(std::vector<Sub>& subs, const IpetOptions& options) const;
   static void merge_sub_results(IpetResult& outer, const std::vector<Sub>& subs,
                                 const std::map<int, std::uint64_t>& edge_counts,
                                 bool bcet_sense);
   // Memoized: the plan is a pure function of the (immutable) graph and
-  // value-analysis results; the WCET + BCET solves and every
-  // decomposition mode share it (flat drops the nested children).
+  // value-analysis results; every solve shares it.
   const std::vector<Sub>& decomposition_plan() const;
   std::vector<Sub> plan_decomposition() const;
   // Plan the eligible subtrees of one region (the whole graph, or the
-  // inside of a collapsed subtree), recursing into each collapsed sub,
-  // then plan SESE regions over the function bodies left in the region
-  // (`region_member` null: the whole graph).
+  // inside of a collapsed subtree), recursing into each collapsed sub.
   std::vector<Sub> plan_region(int root_instance, std::size_t region_size,
-                               const std::vector<char>* region_member,
                                const std::vector<std::vector<int>>& children,
                                const std::vector<std::size_t>& subtree_nodes,
-                               const std::set<int>& exit_set, const cfg::Dominators& dom,
-                               const cfg::PostDominators& pdom) const;
-  // Single-entry/single-exit regions inside function bodies: for every
-  // loop-free candidate site in `site_mask`, the nodes between one of
-  // its successors and that successor's immediate post-dominator
-  // collapse exactly like an instance subtree. Selected regions adopt
-  // the already-collapsed instance subs they contain and recurse for
-  // nested SESE regions; new subs are appended to `subs`.
-  void plan_sese(const std::vector<char>& site_mask, std::size_t region_size,
-                 const std::set<int>& exit_set, const cfg::Dominators& dom,
-                 const cfg::PostDominators& pdom, std::vector<Sub>& subs) const;
-  // Compute + validate one SESE candidate entered by `call_edge`;
-  // mirrors subtree_eligible's boundary scan with "targets the
-  // post-dominator" in place of "is a ret edge onto the return site".
-  bool sese_region(int call_site, int call_edge, std::size_t max_size,
-                   const std::set<int>& exit_set, const cfg::Dominators& dom,
-                   const cfg::PostDominators& pdom, Sub& sub) const;
+                               const std::set<int>& exit_set) const;
   // Seed the region's ILP with a network-flow crash basis (see
   // IlpProblem::set_basis_hint): a spanning forest of the balance-row
   // flow network carrying one unit of source-to-sink flow. Emitted only

@@ -100,97 +100,6 @@ bool Dominators::dominates(int a, int b) const {
   return false;
 }
 
-PostDominators::PostDominators(const Supergraph& sg) {
-  const std::size_t n = sg.nodes().size();
-  root_ = static_cast<int>(n); // virtual sink fed by every exit node
-  ipdom_.assign(n + 1, -1);
-  reachable_.assign(n + 1, false);
-  rpo_index_.assign(n + 1, -1);
-
-  // Reverse postorder of the *reversed* graph from the virtual sink.
-  // Reversed successors of the sink are the exit nodes; of a real node,
-  // the sources of its predecessor edges.
-  const auto rev_succ_count = [&](int node) {
-    return node == root_ ? sg.exit_nodes().size() : sg.node(node).pred_edges.size();
-  };
-  const auto rev_succ = [&](int node, std::size_t i) {
-    return node == root_ ? sg.exit_nodes()[i] : sg.edge(sg.node(node).pred_edges[i]).from;
-  };
-  std::vector<bool> visited(n + 1, false);
-  std::vector<int> postorder;
-  postorder.reserve(n + 1);
-  std::vector<std::pair<int, std::size_t>> stack;
-  stack.emplace_back(root_, 0);
-  visited[n] = true;
-  while (!stack.empty()) {
-    auto& [node, child] = stack.back();
-    if (child < rev_succ_count(node)) {
-      const int next = rev_succ(node, child);
-      ++child;
-      if (!visited[static_cast<std::size_t>(next)]) {
-        visited[static_cast<std::size_t>(next)] = true;
-        stack.emplace_back(next, 0);
-      }
-    } else {
-      postorder.push_back(node);
-      stack.pop_back();
-    }
-  }
-  std::vector<int> rpo(postorder.rbegin(), postorder.rend());
-  for (std::size_t i = 0; i < rpo.size(); ++i) {
-    reachable_[static_cast<std::size_t>(rpo[i])] = true;
-    rpo_index_[static_cast<std::size_t>(rpo[i])] = static_cast<int>(i);
-  }
-
-  const auto intersect = [&](int a, int b) {
-    while (a != b) {
-      while (rpo_index_[static_cast<std::size_t>(a)] > rpo_index_[static_cast<std::size_t>(b)]) {
-        a = ipdom_[static_cast<std::size_t>(a)];
-      }
-      while (rpo_index_[static_cast<std::size_t>(b)] > rpo_index_[static_cast<std::size_t>(a)]) {
-        b = ipdom_[static_cast<std::size_t>(b)];
-      }
-    }
-    return a;
-  };
-  // Whether `node` is an exit (so the virtual sink is a reversed pred).
-  std::vector<bool> is_exit(n, false);
-  for (const int e : sg.exit_nodes()) is_exit[static_cast<std::size_t>(e)] = true;
-  ipdom_[static_cast<std::size_t>(root_)] = root_;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const int node : rpo) {
-      if (node == root_) continue;
-      int new_ipdom = is_exit[static_cast<std::size_t>(node)] ? root_ : -1;
-      for (const int e : sg.node(node).succ_edges) {
-        const int succ = sg.edge(e).to;
-        if (!reachable_[static_cast<std::size_t>(succ)]) continue;
-        if (ipdom_[static_cast<std::size_t>(succ)] < 0) continue;
-        new_ipdom = new_ipdom < 0 ? succ : intersect(new_ipdom, succ);
-      }
-      if (new_ipdom >= 0 && ipdom_[static_cast<std::size_t>(node)] != new_ipdom) {
-        ipdom_[static_cast<std::size_t>(node)] = new_ipdom;
-        changed = true;
-      }
-    }
-  }
-}
-
-int PostDominators::ipdom(int node) const {
-  const int p = ipdom_[static_cast<std::size_t>(node)];
-  return p == root_ ? -1 : p;
-}
-
-bool PostDominators::dominates(int a, int b) const {
-  int walk = b;
-  while (walk >= 0 && walk != root_) {
-    if (walk == a) return true;
-    walk = ipdom_[static_cast<std::size_t>(walk)];
-  }
-  return false;
-}
-
 namespace {
 
 // Tarjan SCC restricted to a node universe and enabled edges.

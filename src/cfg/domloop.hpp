@@ -45,31 +45,6 @@ private:
   std::vector<int> rpo_index_;
 };
 
-// Post-dominators: the same Cooper–Harvey–Kennedy iteration run on the
-// reversed supergraph, rooted at a virtual sink fed by every exit node
-// (the supergraph may return from several points). `a` post-dominating
-// `b` means every path from `b` to any program exit passes through `a`
-// — together with Dominators this is what identifies single-entry/
-// single-exit regions for IPET's sub-function decomposition.
-class PostDominators {
-public:
-  explicit PostDominators(const Supergraph& sg);
-
-  // Immediate post-dominator node id; -1 when it is the virtual sink
-  // (exit nodes) or the node cannot reach any exit.
-  int ipdom(int node) const;
-  // True when the node reaches some exit node (the virtual sink).
-  bool reachable(int node) const { return reachable_[static_cast<std::size_t>(node)]; }
-  // Does `a` post-dominate `b`?
-  bool dominates(int a, int b) const;
-
-private:
-  std::vector<int> ipdom_; // internally the virtual sink is node id `n`
-  std::vector<bool> reachable_;
-  std::vector<int> rpo_index_;
-  int root_ = -1;
-};
-
 struct Loop {
   int id = -1;
   int header = -1;            // representative entry node

@@ -156,7 +156,7 @@ std::string WcetReport::to_string() const {
      << live_set_images_peak << '\n';
   os << "ILP: " << ilp_variables << " variables, " << ilp_constraints << " constraints; "
      << "decomposition: " << ipet_regions << " regions, " << ipet_sub_ilps
-     << " sub-ILPs, depth " << ipet_depth << ", " << sese_regions << " SESE regions\n";
+     << " sub-ILPs, depth " << ipet_depth << '\n';
   os << "simplex: " << phase1_pivots << " phase-1 + " << phase2_pivots
      << " phase-2 pivots, " << crash_basis_rows << " crash-basis rows\n";
   if (validated) {

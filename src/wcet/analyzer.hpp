@@ -41,10 +41,9 @@ struct AnalysisOptions {
   // bounds, obstructions and states are bit-identical for any value;
   // <= 1 runs fully sequential on the calling thread.
   int threads = 1;
-  // How path analysis splits the IPET ILP (see analysis::Ipet::solve).
-  // Every mode computes identical bounds; monolithic is the reference
-  // path, flat collapses top-level call subtrees, recursive nests
-  // sub-ILPs inside collapsed subtrees as well.
+  // How path analysis splits the IPET ILP (see analysis::Ipet::solve_both).
+  // Both modes compute identical bounds; monolithic is the reference
+  // path, recursive collapses eligible call subtrees into nested sub-ILPs.
   analysis::IpetDecomposition decomposition = analysis::IpetDecomposition::recursive;
   // Resource envelope (support/budget.hpp): wall-clock deadline,
   // per-phase step budgets, and an optional external cancel token. A
@@ -125,7 +124,6 @@ struct WcetReport {
   int ipet_regions = 0;  // top-level collapsed subtrees of the WCET solve
   int ipet_sub_ilps = 0; // sub-ILPs solved across all nesting levels
   int ipet_depth = 0;    // decomposition nesting depth
-  int sese_regions = 0;  // sub-function single-entry/single-exit sub-ILPs
   // Simplex phase split across every region of the WCET solve: crash
   // bases (network-flow spanning trees seeding the tableau) drive
   // phase1_pivots to zero on pure-flow regions; crash_basis_rows counts

@@ -355,7 +355,6 @@ bool try_reuse_path(AnalysisContext& ctx) {
   report.ipet_regions = prev_report.ipet_regions;
   report.ipet_sub_ilps = prev_report.ipet_sub_ilps;
   report.ipet_depth = prev_report.ipet_depth;
-  report.sese_regions = prev_report.sese_regions;
   report.phase1_pivots = prev_report.phase1_pivots;
   report.phase2_pivots = prev_report.phase2_pivots;
   report.crash_basis_rows = prev_report.crash_basis_rows;
@@ -403,7 +402,6 @@ public:
     report.ipet_regions = wcet_result.decomposed_regions;
     report.ipet_sub_ilps = wcet_result.sub_ilps;
     report.ipet_depth = wcet_result.decomposition_depth;
-    report.sese_regions = wcet_result.sese_regions;
     report.phase1_pivots = wcet_result.phase1_pivots;
     report.phase2_pivots = wcet_result.phase2_pivots;
     report.crash_basis_rows = wcet_result.crash_basis_rows;

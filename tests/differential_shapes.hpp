@@ -133,11 +133,10 @@ inline std::string chain_with_loop_call() {
   return os.str();
 }
 
-// A single large function, no calls at all: only sub-function SESE
-// regions can decompose it. Each outer if-arm leads with a nested
-// if/else whose arms are loop nests, so the arm head is a single-pred
-// branch block whose immediate post-dominator (the nested join) closes
-// a region big enough to collapse.
+// A single large function, no calls at all: nothing to collapse, so
+// the recursive mode must match the monolithic reference. Each outer
+// if-arm leads with a nested if/else whose arms are loop nests, so the
+// planner and the crash basis see many small diamonds.
 inline std::string single_fn_diamonds(int diamonds) {
   std::ostringstream os;
   os << k_input_preamble;
@@ -162,10 +161,8 @@ inline std::string single_fn_diamonds(int diamonds) {
   return os.str();
 }
 
-// One function dominated by sequential and nested loops: no
-// single-pred branch heads outside loops, so SESE planning should
-// find nothing and the recursive mode must gracefully match the
-// monolithic reference.
+// One function dominated by sequential and nested loops: nothing to
+// collapse, so the recursive mode must match the monolithic reference.
 inline std::string single_fn_nested_loops() {
   std::ostringstream os;
   os << k_input_preamble;
@@ -187,9 +184,8 @@ inline std::string single_fn_nested_loops() {
   return os.str();
 }
 
-// A long if/else-if ladder with loop work in every arm: each else
-// block is a fresh single-pred branch head, so SESE regions can nest
-// down the ladder.
+// A long if/else-if ladder with loop work in every arm: a deep chain
+// of nested joins inside one function body.
 inline std::string single_fn_if_ladder(int rungs) {
   std::ostringstream os;
   os << k_input_preamble;
@@ -270,11 +266,6 @@ struct Shape {
   std::string annotations; // appended after the io-region line
   std::string mode;        // AnalysisOptions::mode
   bool expect_decomposition;
-  // The flat plan can end up empty where the recursive one still finds
-  // work: pinning the one top-level subtree a fact touches leaves flat
-  // with nothing, while recursion promotes the untouched nested
-  // children (coupled_cap_on_chain below).
-  bool expect_flat_decomposition = true;
 };
 
 inline std::vector<Shape> shapes() {
@@ -300,14 +291,11 @@ inline std::vector<Shape> shapes() {
   // that helper's subtree; the unconditional helpers still decompose.
   all.push_back({"coupled_never", conditional_fan(), "never at \"h3\"\n", "", true});
   all.push_back({"coupled_cap_on_chain", deep_chain(8, 2),
-                 "flow at \"f6\" <= 1\n", "", true, /*expect_flat=*/false});
-  // Single-function shapes: decomposition below call granularity. The
-  // diamond and ladder shapes decompose through SESE regions (flat
-  // keeps them too — they are top-level subs, not nested children);
-  // the loop-nest shape has no eligible region and must fall back to
-  // the monolithic reference cleanly.
-  all.push_back({"single_fn_diamonds", single_fn_diamonds(5), "", "", true});
-  all.push_back({"single_fn_if_ladder", single_fn_if_ladder(8), "", "", true});
+                 "flow at \"f6\" <= 1\n", "", true});
+  // Single-function shapes: no call subtree to collapse, so the
+  // recursive mode must fall back to the monolithic reference cleanly.
+  all.push_back({"single_fn_diamonds", single_fn_diamonds(5), "", "", false});
+  all.push_back({"single_fn_if_ladder", single_fn_if_ladder(8), "", "", false});
   all.push_back({"single_fn_nested_loops", single_fn_nested_loops(), "", "", false});
   return all;
 }
@@ -350,7 +338,6 @@ inline void expect_identical_reports(const WcetReport& a, const WcetReport& b,
   EXPECT_EQ(a.ipet_depth, b.ipet_depth) << what;
   // Solver telemetry is part of the determinism contract too: the same
   // plan must run the same pivots regardless of worker count.
-  EXPECT_EQ(a.sese_regions, b.sese_regions) << what;
   EXPECT_EQ(a.phase1_pivots, b.phase1_pivots) << what;
   EXPECT_EQ(a.phase2_pivots, b.phase2_pivots) << what;
   EXPECT_EQ(a.crash_basis_rows, b.crash_basis_rows) << what;

@@ -108,7 +108,6 @@ TEST(Budgets, ValueVisitLadderIsSoundAndMonotone) {
   const std::vector<std::uint64_t> ladder{100000, 2000, 500, 100, 20, 4, 1};
   for (const int threads : {1, 8}) {
     for (const auto mode : {analysis::IpetDecomposition::monolithic,
-                            analysis::IpetDecomposition::flat,
                             analysis::IpetDecomposition::recursive}) {
       const int bounded = check_ladder(&AnalysisBudget::max_value_visits, ladder, threads,
                                        mode, "value visits");
@@ -121,7 +120,6 @@ TEST(Budgets, CacheVisitLadderIsSoundAndMonotone) {
   const std::vector<std::uint64_t> ladder{100000, 2000, 500, 100, 20, 4, 1};
   for (const int threads : {1, 8}) {
     for (const auto mode : {analysis::IpetDecomposition::monolithic,
-                            analysis::IpetDecomposition::flat,
                             analysis::IpetDecomposition::recursive}) {
       const int bounded = check_ladder(&AnalysisBudget::max_cache_visits, ladder, threads,
                                        mode, "cache visits");
@@ -134,7 +132,6 @@ TEST(Budgets, PivotLadderIsSoundAndMonotone) {
   const std::vector<std::uint64_t> ladder{100000, 500, 100, 30, 10, 3};
   for (const int threads : {1, 8}) {
     for (const auto mode : {analysis::IpetDecomposition::monolithic,
-                            analysis::IpetDecomposition::flat,
                             analysis::IpetDecomposition::recursive}) {
       check_ladder(&AnalysisBudget::max_pivots, ladder, threads, mode, "pivots");
     }
@@ -145,7 +142,6 @@ TEST(Budgets, IlpNodeLadderIsSoundAndMonotone) {
   const std::vector<std::uint64_t> ladder{10000, 100, 10, 1};
   for (const int threads : {1, 8}) {
     for (const auto mode : {analysis::IpetDecomposition::monolithic,
-                            analysis::IpetDecomposition::flat,
                             analysis::IpetDecomposition::recursive}) {
       const int bounded = check_ladder(&AnalysisBudget::max_ilp_nodes, ladder, threads,
                                        mode, "ilp nodes");

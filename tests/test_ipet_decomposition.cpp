@@ -1,8 +1,8 @@
 // Differential path-analysis suite for the recursive IPET
 // decomposition: for a battery of generated call-tree shapes (deep
 // chains, wide fans, loop-nested and annotation-coupled calls), the
-// recursive-decomposed, flat-decomposed, and monolithic ILP solves must
-// agree bit-identically on every computed bound, and each mode must be
+// recursive-decomposed and monolithic ILP solves must agree
+// bit-identically on every computed bound, and each mode must be
 // bit-identical with itself across worker counts 1/2/4/8.
 //
 // The bounds are exact rational optima of the same polytope, so "agree"
@@ -29,7 +29,6 @@ using testshapes::conditional_fan;
 using testshapes::deep_chain;
 using testshapes::expect_identical_reports;
 using testshapes::shapes;
-using testshapes::single_fn_diamonds;
 using testshapes::single_fn_irreducible;
 
 TEST(IpetDecompositionDifferential, AllModesAgreeOnEveryShape) {
@@ -37,18 +36,13 @@ TEST(IpetDecompositionDifferential, AllModesAgreeOnEveryShape) {
     SCOPED_TRACE(shape.name);
     const WcetReport monolithic =
         analyze_shape(shape, 1, analysis::IpetDecomposition::monolithic);
-    const WcetReport flat = analyze_shape(shape, 1, analysis::IpetDecomposition::flat);
     const WcetReport recursive =
         analyze_shape(shape, 1, analysis::IpetDecomposition::recursive);
     ASSERT_TRUE(monolithic.ok) << shape.name << "\n" << monolithic.to_string();
-    ASSERT_TRUE(flat.ok) << shape.name << "\n" << flat.to_string();
     ASSERT_TRUE(recursive.ok) << shape.name << "\n" << recursive.to_string();
 
-    EXPECT_EQ(flat.wcet_cycles, monolithic.wcet_cycles) << shape.name;
     EXPECT_EQ(recursive.wcet_cycles, monolithic.wcet_cycles) << shape.name;
-    EXPECT_EQ(flat.bcet_cycles, monolithic.bcet_cycles) << shape.name;
     EXPECT_EQ(recursive.bcet_cycles, monolithic.bcet_cycles) << shape.name;
-    EXPECT_EQ(flat.obstructions, monolithic.obstructions) << shape.name;
     EXPECT_EQ(recursive.obstructions, monolithic.obstructions) << shape.name;
 
     EXPECT_EQ(monolithic.ipet_regions, 0) << shape.name;
@@ -56,26 +50,25 @@ TEST(IpetDecompositionDifferential, AllModesAgreeOnEveryShape) {
     if (shape.expect_decomposition) {
       EXPECT_GT(recursive.ipet_regions, 0)
           << shape.name << ": decomposition did not trigger";
-      EXPECT_LE(flat.ipet_depth, 1) << shape.name;
-      if (shape.expect_flat_decomposition) EXPECT_GT(flat.ipet_regions, 0) << shape.name;
     }
   }
 }
 
 TEST(IpetDecompositionDifferential, DeepChainsActuallyNest) {
   // The whole point of recursive planning: a deep chain must produce
-  // nested sub-ILPs (depth > 1) and more sub-ILPs than the flat plan.
+  // nested sub-ILPs (depth > 1) with the monolithic reference's bounds.
   for (const int depth : {8, 12}) {
     SCOPED_TRACE(depth);
     Shape shape{"chain", deep_chain(depth, 3), "", "", true};
-    const WcetReport flat = analyze_shape(shape, 1, analysis::IpetDecomposition::flat);
+    const WcetReport monolithic =
+        analyze_shape(shape, 1, analysis::IpetDecomposition::monolithic);
     const WcetReport recursive =
         analyze_shape(shape, 1, analysis::IpetDecomposition::recursive);
-    ASSERT_TRUE(flat.ok);
+    ASSERT_TRUE(monolithic.ok);
     ASSERT_TRUE(recursive.ok);
     EXPECT_GT(recursive.ipet_depth, 1) << "recursive planning did not re-enter";
-    EXPECT_GT(recursive.ipet_sub_ilps, flat.ipet_sub_ilps);
-    EXPECT_EQ(recursive.wcet_cycles, flat.wcet_cycles);
+    EXPECT_EQ(recursive.wcet_cycles, monolithic.wcet_cycles);
+    EXPECT_EQ(recursive.bcet_cycles, monolithic.bcet_cycles);
   }
 }
 
@@ -110,8 +103,7 @@ TEST(IpetDecompositionDifferential, CrashBasisSkipsPhaseOneWithoutFacts) {
     if (!shape.annotations.empty()) continue; // fact rows may need phase 1
     SCOPED_TRACE(shape.name);
     for (const auto mode :
-         {analysis::IpetDecomposition::monolithic, analysis::IpetDecomposition::flat,
-          analysis::IpetDecomposition::recursive}) {
+         {analysis::IpetDecomposition::monolithic, analysis::IpetDecomposition::recursive}) {
       const WcetReport report = analyze_shape(shape, 1, mode);
       ASSERT_TRUE(report.ok) << report.to_string();
       EXPECT_EQ(report.phase1_pivots, 0u)
@@ -119,26 +111,6 @@ TEST(IpetDecompositionDifferential, CrashBasisSkipsPhaseOneWithoutFacts) {
       EXPECT_GT(report.crash_basis_rows, 0u) << "mode " << static_cast<int>(mode);
     }
   }
-}
-
-TEST(IpetDecompositionDifferential, SingleFunctionSeseDecomposition) {
-  // A call-free function can only decompose through SESE regions: the
-  // diamond shape must produce at least one, with the bound identical
-  // to the monolithic reference.
-  const Shape shape{"diamonds", single_fn_diamonds(5), "", "", true};
-  const WcetReport monolithic =
-      analyze_shape(shape, 1, analysis::IpetDecomposition::monolithic);
-  const WcetReport recursive =
-      analyze_shape(shape, 1, analysis::IpetDecomposition::recursive);
-  ASSERT_TRUE(monolithic.ok) << monolithic.to_string();
-  ASSERT_TRUE(recursive.ok) << recursive.to_string();
-  EXPECT_EQ(recursive.wcet_cycles, monolithic.wcet_cycles);
-  EXPECT_EQ(recursive.bcet_cycles, monolithic.bcet_cycles);
-  EXPECT_GT(recursive.sese_regions, 0)
-      << "no SESE region found in a shape built to have them:\n"
-      << recursive.to_string();
-  EXPECT_GT(recursive.ipet_regions, 0);
-  EXPECT_EQ(monolithic.sese_regions, 0);
 }
 
 TEST(IpetDecompositionDifferential, IrreducibleRegionDegradesIdentically) {
@@ -149,16 +121,12 @@ TEST(IpetDecompositionDifferential, IrreducibleRegionDegradesIdentically) {
   const Shape shape{"irreducible", single_fn_irreducible(), "", "", false};
   const WcetReport monolithic =
       analyze_shape(shape, 1, analysis::IpetDecomposition::monolithic);
-  const WcetReport flat = analyze_shape(shape, 1, analysis::IpetDecomposition::flat);
   const WcetReport recursive =
       analyze_shape(shape, 1, analysis::IpetDecomposition::recursive);
   EXPECT_FALSE(monolithic.ok);
   EXPECT_FALSE(monolithic.obstructions.empty());
-  EXPECT_EQ(flat.ok, monolithic.ok);
   EXPECT_EQ(recursive.ok, monolithic.ok);
-  EXPECT_EQ(flat.obstructions, monolithic.obstructions);
   EXPECT_EQ(recursive.obstructions, monolithic.obstructions);
-  EXPECT_EQ(flat.wcet_cycles, monolithic.wcet_cycles);
   EXPECT_EQ(recursive.wcet_cycles, monolithic.wcet_cycles);
   EXPECT_GT(monolithic.irreducible_loops, 0);
 }
@@ -167,7 +135,7 @@ TEST(IpetDecompositionDifferential, BitIdenticalAcrossThreadCounts) {
   for (const Shape& shape : shapes()) {
     SCOPED_TRACE(shape.name);
     for (const auto mode :
-         {analysis::IpetDecomposition::flat, analysis::IpetDecomposition::recursive}) {
+         {analysis::IpetDecomposition::monolithic, analysis::IpetDecomposition::recursive}) {
       const WcetReport sequential = analyze_shape(shape, 1, mode);
       for (const int threads : {2, 4, 8}) {
         std::ostringstream what;

@@ -46,8 +46,7 @@ TEST(ParallelOracle, Arg16BitIdenticalAtEightThreadsAcrossModes) {
   const Analyzer analyzer(built.image, mem::typical_hw());
 
   for (const auto mode :
-       {analysis::IpetDecomposition::monolithic, analysis::IpetDecomposition::flat,
-        analysis::IpetDecomposition::recursive}) {
+       {analysis::IpetDecomposition::monolithic, analysis::IpetDecomposition::recursive}) {
     AnalysisOptions options;
     options.decomposition = mode;
     options.threads = 1;

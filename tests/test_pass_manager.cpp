@@ -277,26 +277,20 @@ TEST(IpetDecomposition, MatchesMonolithicSolve) {
   }
 
   analysis::Ipet ipet(p.sg, p.loops, p.values, pipeline);
-  for (const bool maximize : {true, false}) {
-    options.maximize = maximize;
-    options.decomposition = analysis::IpetDecomposition::recursive;
-    const analysis::IpetResult recursive = ipet.solve(options);
-    options.decomposition = analysis::IpetDecomposition::flat;
-    const analysis::IpetResult flat = ipet.solve(options);
-    options.decomposition = analysis::IpetDecomposition::monolithic;
-    const analysis::IpetResult monolithic = ipet.solve(options);
-    ASSERT_TRUE(recursive.ok());
-    ASSERT_TRUE(flat.ok());
-    ASSERT_TRUE(monolithic.ok());
-    EXPECT_GT(recursive.decomposed_regions, 0) << "decomposition did not trigger";
-    EXPECT_GT(flat.decomposed_regions, 0) << "decomposition did not trigger";
-    EXPECT_EQ(recursive.bound, monolithic.bound)
-        << (maximize ? "WCET" : "BCET") << " bound diverged";
-    EXPECT_EQ(flat.bound, monolithic.bound)
-        << (maximize ? "WCET" : "BCET") << " bound diverged";
-    EXPECT_EQ(monolithic.decomposed_regions, 0);
-    EXPECT_EQ(monolithic.sub_ilps, 0);
-  }
+  options.decomposition = analysis::IpetDecomposition::recursive;
+  const auto [recursive_wcet, recursive_bcet] = ipet.solve_both(options);
+  options.decomposition = analysis::IpetDecomposition::monolithic;
+  const auto [monolithic_wcet, monolithic_bcet] = ipet.solve_both(options);
+  ASSERT_TRUE(recursive_wcet.ok());
+  ASSERT_TRUE(recursive_bcet.ok());
+  ASSERT_TRUE(monolithic_wcet.ok());
+  ASSERT_TRUE(monolithic_bcet.ok());
+  EXPECT_GT(recursive_wcet.decomposed_regions, 0) << "decomposition did not trigger";
+  EXPECT_EQ(recursive_wcet.bound, monolithic_wcet.bound) << "WCET bound diverged";
+  EXPECT_EQ(recursive_bcet.bound, monolithic_bcet.bound) << "BCET bound diverged";
+  EXPECT_LT(monolithic_bcet.bound, monolithic_wcet.bound);
+  EXPECT_EQ(monolithic_wcet.decomposed_regions, 0);
+  EXPECT_EQ(monolithic_wcet.sub_ilps, 0);
 }
 
 TEST(TransferCache, OutStatesMatchRecomputedTransfers) {

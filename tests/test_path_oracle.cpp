@@ -63,8 +63,7 @@ TEST(PathOracleDifferential, BracketsEveryShapeAcrossModesAndThreads) {
   for (const Shape& shape : shapes()) {
     SCOPED_TRACE(shape.name);
     for (const auto mode :
-         {analysis::IpetDecomposition::monolithic, analysis::IpetDecomposition::flat,
-          analysis::IpetDecomposition::recursive}) {
+         {analysis::IpetDecomposition::monolithic, analysis::IpetDecomposition::recursive}) {
       for (const int threads : {1, 8}) {
         std::ostringstream what;
         what << shape.name << " mode " << static_cast<int>(mode) << " threads "

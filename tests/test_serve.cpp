@@ -70,8 +70,7 @@ TEST(Serve, EditOneFunctionWarmEqualsCold) {
   const isa::Image base = compile(calls_program(6));
   const isa::Image edited = compile(calls_program(9));
   for (const analysis::IpetDecomposition mode :
-       {analysis::IpetDecomposition::monolithic, analysis::IpetDecomposition::flat,
-        analysis::IpetDecomposition::recursive}) {
+       {analysis::IpetDecomposition::monolithic, analysis::IpetDecomposition::recursive}) {
     for (const int threads : {1, 2, 4, 8}) {
       std::ostringstream label;
       label << "mode=" << static_cast<int>(mode) << " threads=" << threads;

@@ -141,7 +141,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomProgramSoundness, ::testing::Range(0, 25))
 
 // Randomized flow caps drive the per-subtree eligibility path: each cap
 // pins only the call subtrees it touches, the rest still decompose, and
-// the decomposed solves must agree bit-identically with the monolithic
+// the recursive solve must agree bit-identically with the monolithic
 // reference — WCET, BCET, status and obstructions. Seeded and
 // deterministic; programs are generated large enough for the
 // decomposition planner to engage, with helpers called behind
@@ -228,18 +228,12 @@ TEST_P(RandomFlowCaps, DecomposedMatchesMonolithic) {
   AnalysisOptions options;
   options.decomposition = analysis::IpetDecomposition::monolithic;
   const WcetReport monolithic = analyzer.analyze(options);
-  for (const auto mode :
-       {analysis::IpetDecomposition::flat, analysis::IpetDecomposition::recursive}) {
-    options.decomposition = mode;
-    const WcetReport decomposed = analyzer.analyze(options);
-    EXPECT_EQ(decomposed.ok, monolithic.ok) << "mode " << static_cast<int>(mode);
-    EXPECT_EQ(decomposed.wcet_cycles, monolithic.wcet_cycles)
-        << "mode " << static_cast<int>(mode);
-    EXPECT_EQ(decomposed.bcet_cycles, monolithic.bcet_cycles)
-        << "mode " << static_cast<int>(mode);
-    EXPECT_EQ(decomposed.obstructions, monolithic.obstructions)
-        << "mode " << static_cast<int>(mode);
-  }
+  options.decomposition = analysis::IpetDecomposition::recursive;
+  const WcetReport decomposed = analyzer.analyze(options);
+  EXPECT_EQ(decomposed.ok, monolithic.ok);
+  EXPECT_EQ(decomposed.wcet_cycles, monolithic.wcet_cycles);
+  EXPECT_EQ(decomposed.bcet_cycles, monolithic.bcet_cycles);
+  EXPECT_EQ(decomposed.obstructions, monolithic.obstructions);
 
   // No simulation leg here on purpose: flow caps are *trusted* facts,
   // and a random input assignment may violate one (making the computed
