@@ -69,7 +69,7 @@ if(failures EQUAL 0)
       "dirty_instances"
       "perfbench/run.py")
   require_content(docs/ARCHITECTURE.md
-      "pass_manager.hpp"
+      "run_figure1"
       "AnalysisContext"
       "TransferCache"
       "instance_rounds.hpp"

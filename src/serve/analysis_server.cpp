@@ -116,18 +116,26 @@ std::vector<std::uint64_t> instance_fingerprints(const cfg::Supergraph& sg,
   return out;
 }
 
-// Word-exact comparison of an instance's code between two images. Run
-// after the fingerprints matched: a clean verdict feeds positional
-// recipe reuse, so it must rest on real bytes, never on a 64-bit hash.
-bool instance_bytes_equal(const cfg::Supergraph& sg, int instance, const isa::Image& a,
-                          const isa::Image& b) {
+// Per-instance clean verdicts for a structurally identical re-decode:
+// an instance is clean when its fingerprint matches the previous run's
+// and every code word compares equal. One sweep over the nodes
+// word-compares only fingerprint-matched instances and demotes an
+// instance on its first differing word. A clean verdict feeds
+// positional recipe reuse, so it must rest on real bytes, never on a
+// 64-bit hash alone.
+std::vector<char> clean_instances(const cfg::Supergraph& sg, const isa::Image& image,
+                                  const std::vector<std::uint64_t>& fps,
+                                  const isa::Image& prev_image,
+                                  const std::vector<std::uint64_t>& prev_fps) {
+  std::vector<char> clean(fps.size(), 0);
+  for (std::size_t i = 0; i < fps.size(); ++i) clean[i] = fps[i] == prev_fps[i] ? 1 : 0;
   for (const cfg::SgNode& n : sg.nodes()) {
-    if (n.instance != instance) continue;
-    for (std::uint32_t pc = n.block->begin; pc < n.block->end; pc += 4) {
-      if (a.read_word(pc) != b.read_word(pc)) return false;
+    char& flag = clean[static_cast<std::size_t>(n.instance)];
+    for (std::uint32_t pc = n.block->begin; flag != 0 && pc < n.block->end; pc += 4) {
+      if (image.read_word(pc) != prev_image.read_word(pc)) flag = 0;
     }
   }
-  return true;
+  return clean;
 }
 
 } // namespace
@@ -233,77 +241,33 @@ WcetReport AnalysisServer::submit_request(const isa::Image& image,
 
 WcetReport AnalysisServer::run_pipeline(std::unique_ptr<Converged> next) {
   const auto t_total = std::chrono::steady_clock::now();
-  const AnalysisOptions& options = options_.analysis;
   const isa::Image& image = *next->image;
-  const std::uint32_t entry = image.entry();
-
-  if (!image.read_word(entry)) {
-    std::ostringstream os;
-    os << "entry point 0x" << std::hex << entry
-       << " has no complete instruction word (outside every section, or the image is "
-          "truncated)";
-    throw InputError(os.str());
-  }
-
-  next->ctx =
-      std::make_unique<AnalysisContext>(image, next->hw, next->annotations, options, entry);
+  next->ctx = std::make_unique<AnalysisContext>(image, next->hw, next->annotations,
+                                                options_.analysis, image.entry());
   AnalysisContext& ctx = *next->ctx;
-  if (options.use_annotations) {
-    ctx.hints.indirect_targets = next->annotations.indirect_targets;
-    ctx.sg_options.recursion_depths = next->annotations.recursion_depths;
-  }
-  ctx.pool = pool_->workers() > 1 ? pool_.get() : nullptr;
-
-  AnalysisGovernor governor(options.budget);
-  ctx.governor = &governor;
-  pool_->set_governor(&governor);
-
-  AnalysisPassManager manager;
-  const std::size_t back_half = register_figure1_passes(manager);
 
   // Incremental gate: warm reuse is only attempted against a previous
   // run that converged cleanly under the same annotations (the options
-  // are fixed per server, so they are identical by construction).
-  const bool can_warm = options_.enable_incremental && current_ != nullptr &&
-                        current_->ok && !current_->degraded && current_->ctx != nullptr &&
-                        current_->annotation_text == next->annotation_text;
-
-  try {
-    for (int round = 0; round < std::max(1, options.max_decode_rounds); ++round) {
-      manager.run_pass(ctx, 0); // decode
-      if (round == 0 && can_warm && current_->instance_fp.size() ==
-                                        ctx.supergraph->instances().size() &&
-          structure_identical(*current_->ctx->supergraph, *ctx.supergraph)) {
-        auto warm = std::make_unique<AnalysisContext::WarmHandoff>();
-        warm->prev = current_->ctx.get();
-        const std::vector<std::uint64_t> fps = instance_fingerprints(*ctx.supergraph, image);
-        warm->instance_clean.assign(fps.size(), 0);
-        for (std::size_t i = 0; i < fps.size(); ++i) {
-          const bool clean =
-              fps[i] == current_->instance_fp[i] &&
-              instance_bytes_equal(*ctx.supergraph, static_cast<int>(i), image,
-                                   *current_->image);
-          warm->instance_clean[i] = clean ? 1 : 0;
-          if (!clean) ++warm->dirty_instances;
-        }
-        ctx.warm = std::move(warm);
-      }
-      for (std::size_t i = 1; i < back_half; ++i) manager.run_pass(ctx, i);
-      if (ctx.program->fully_resolved()) break;
-      if (!ctx.absorb_resolved_indirect_targets()) break;
-      // A re-decode rebuilds the supergraph: every positional warm
-      // verdict is void. Continue cold.
-      ctx.warm.reset();
+  // are fixed per server, so they are identical by construction), and
+  // only when the fresh round-0 supergraph matches it structurally.
+  const Converged* prev = current_.get();
+  const bool can_warm = prev != nullptr && prev->ok && !prev->degraded &&
+                        prev->ctx != nullptr && prev->annotation_text == next->annotation_text;
+  const auto install_warm = [&](AnalysisContext& c) {
+    if (!can_warm || prev->instance_fp.size() != c.supergraph->instances().size() ||
+        !structure_identical(*prev->ctx->supergraph, *c.supergraph)) {
+      return;
     }
-    for (std::size_t i = back_half; i < manager.size(); ++i) manager.run_pass(ctx, i);
-  } catch (const std::bad_alloc&) {
-    pool_->set_governor(nullptr);
-    throw AnalysisError("analysis ran out of memory");
-  } catch (...) {
-    pool_->set_governor(nullptr);
-    throw;
-  }
-  pool_->set_governor(nullptr);
+    auto warm = std::make_unique<AnalysisContext::WarmHandoff>();
+    warm->prev = prev->ctx.get();
+    warm->instance_clean = clean_instances(*c.supergraph, image,
+                                           instance_fingerprints(*c.supergraph, image),
+                                           *prev->image, prev->instance_fp);
+    warm->dirty_instances = static_cast<int>(
+        std::count(warm->instance_clean.begin(), warm->instance_clean.end(), 0));
+    c.warm = std::move(warm);
+  };
+  run_figure1(ctx, *pool_, install_warm);
 
   std::uint64_t dirty = ctx.supergraph->instances().size();
   if (ctx.warm != nullptr) {
@@ -316,20 +280,7 @@ WcetReport AnalysisServer::run_pipeline(std::unique_ptr<Converged> next) {
     ++stats_.cold_runs;
   }
 
-  // Copy (not move) the report out: ctx keeps its own copy because the
-  // next request's whole-ILP reuse audits it (try_reuse_path).
-  WcetReport report = ctx.report;
-  report.degradations = governor.degradations();
-  report.degraded = !report.degradations.empty();
-  report.budget_checks = governor.budget_checks();
-  report.cancel_latency_us = governor.cancel_latency_us();
-  report.timings.decode_ms = manager.timing_ms("decode");
-  report.timings.value_ms = manager.timing_ms("value");
-  report.timings.loop_ms = manager.timing_ms("loop");
-  report.timings.cache_ms = manager.timing_ms("cache");
-  report.timings.pipeline_ms = manager.timing_ms("pipeline");
-  report.timings.path_ms = manager.timing_ms("path");
-  report.timings.validate_ms = manager.timing_ms("validate");
+  WcetReport report = std::move(ctx.report);
   report.timings.total_ms = ms_since(t_total);
   stats_.degradations += report.degradations.size();
   stats_.last_timings = report.timings;

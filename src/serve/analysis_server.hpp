@@ -10,7 +10,7 @@
 // actually invalidated — clean instances keep their published value
 // out-states, cache recipes and sub-ILP results. Every reuse is
 // *verified, never trusted*: a warm bound is bit-identical to the cold
-// bound by construction (the passes demote any verdict the fresh run
+// bound by construction (the phases demote any verdict the fresh run
 // contradicts and fall back to a full cold re-run on any divergence).
 //
 // On top of the incremental path sits a request-level cache: an FNV
@@ -56,8 +56,6 @@ struct ServeOptions {
   // Capacity of the request-level report LRU (fingerprint + exact byte
   // match -> cached WcetReport).
   std::size_t report_cache_capacity = 8;
-  // Gate for the incremental warm path; off forces every miss cold.
-  bool enable_incremental = true;
   // Test seam: post-processes the computed request fingerprint. Forcing
   // collisions here exercises the exact-byte-compare guard.
   std::function<std::uint64_t(std::uint64_t)> fingerprint_hook;

@@ -1,9 +1,8 @@
 #include "wcet/analyzer.hpp"
 
-#include <algorithm>
 #include <chrono>
-#include <new>
 #include <sstream>
+#include <utility>
 
 #include "support/diag.hpp"
 #include "support/thread_pool.hpp"
@@ -45,67 +44,12 @@ WcetReport Analyzer::analyze_function(const std::string& name,
 WcetReport Analyzer::analyze_entry(std::uint32_t entry,
                                    const AnalysisOptions& options) const {
   const auto t_total = std::chrono::steady_clock::now();
-
-  // Reject a malformed entry up front: an entry point outside every
-  // section (or past a truncated section's end) is an input defect,
-  // not an analysis obstruction.
-  if (!image_.read_word(entry)) {
-    std::ostringstream os;
-    os << "entry point 0x" << std::hex << entry
-       << " has no complete instruction word (outside every section, or the image is "
-          "truncated)";
-    throw InputError(os.str());
-  }
-
   AnalysisContext ctx(image_, hw_, annotations_, options, entry);
-  if (options.use_annotations) {
-    ctx.hints.indirect_targets = annotations_.indirect_targets;
-    ctx.sg_options.recursion_depths = annotations_.recursion_depths;
-  }
-
-  // One pool per analysis; every parallel schedule in the passes is
+  // One pool per analysis; every parallel schedule in the phases is
   // deterministic, so the worker count never changes computed bounds.
   ThreadPool pool(options.threads > 1 ? static_cast<unsigned>(options.threads) : 1);
-  ctx.pool = pool.workers() > 1 ? &pool : nullptr;
-
-  // One governor per analysis: the budget tracker / cancellation hub
-  // every phase and pool worker consults (support/budget.hpp).
-  AnalysisGovernor governor(options.budget);
-  ctx.governor = &governor;
-  pool.set_governor(&governor);
-
-  AnalysisPassManager manager;
-  const std::size_t back_half = register_figure1_passes(manager);
-
-  try {
-    // Front half (decode + value) with the Figure-1 feedback edge: value
-    // analysis resolves indirect branches and triggers a re-decode,
-    // bounded by max_decode_rounds.
-    for (int round = 0; round < std::max(1, options.max_decode_rounds); ++round) {
-      for (std::size_t i = 0; i < back_half; ++i) manager.run_pass(ctx, i);
-      if (ctx.program->fully_resolved()) break;
-      if (!ctx.absorb_resolved_indirect_targets()) break;
-    }
-    for (std::size_t i = back_half; i < manager.size(); ++i) manager.run_pass(ctx, i);
-  } catch (const std::bad_alloc&) {
-    // Classify allocation failure as an analysis-level outcome: the
-    // caller (and the CLI error boundary) must never see a raw
-    // bad_alloc escape the analyzer.
-    throw AnalysisError("analysis ran out of memory");
-  }
-
+  run_figure1(ctx, pool);
   WcetReport report = std::move(ctx.report);
-  report.degradations = governor.degradations();
-  report.degraded = !report.degradations.empty();
-  report.budget_checks = governor.budget_checks();
-  report.cancel_latency_us = governor.cancel_latency_us();
-  report.timings.decode_ms = manager.timing_ms("decode");
-  report.timings.value_ms = manager.timing_ms("value");
-  report.timings.loop_ms = manager.timing_ms("loop");
-  report.timings.cache_ms = manager.timing_ms("cache");
-  report.timings.pipeline_ms = manager.timing_ms("pipeline");
-  report.timings.path_ms = manager.timing_ms("path");
-  report.timings.validate_ms = manager.timing_ms("validate");
   report.timings.total_ms = ms_since(t_total);
   return report;
 }

@@ -1,21 +1,20 @@
-// The Figure-1 pipeline as explicit passes over a shared context.
+// The Figure-1 pipeline: one fixed phase sequence over a shared context.
 //
 // `AnalysisContext` owns every per-decode-round artifact (Program,
 // Supergraph, LoopForest, Dominators, RPO schedule, value states,
 // transfer cache) plus the later-phase results, and collects
-// obstructions into the report under construction. The six passes —
-// decode, value, loop-bounds, cache, pipeline, path — declare their
-// inputs/outputs for registration-time validation and are driven by the
-// generic PassManager (support/pass_manager.hpp), which also owns the
-// per-phase timing that `WcetReport::timings` reports.
+// obstructions into the report under construction.
 //
-// `Analyzer::analyze_entry` (wcet/analyzer.cpp) is now just pass
-// registration plus the decode-feedback loop of Figure 1: the decode
-// and value passes re-run while value analysis keeps resolving new
-// indirect-branch targets.
+// `run_figure1` is the one driver both front ends call
+// (`Analyzer::analyze_entry` and `serve::AnalysisServer`): decode and
+// value re-run while value analysis keeps resolving new indirect-branch
+// targets, then loop bounds, cache, pipeline, path (and, on request,
+// validation) run once. Each phase is timed into its
+// `WcetReport::timings` bucket; re-run phases accumulate across rounds.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
@@ -29,7 +28,6 @@
 #include "cfg/domloop.hpp"
 #include "cfg/program.hpp"
 #include "cfg/supergraph.hpp"
-#include "support/pass_manager.hpp"
 #include "wcet/analyzer.hpp"
 
 namespace wcet {
@@ -48,12 +46,11 @@ struct AnalysisContext {
   const annot::AnnotationDb& annotations;
   const AnalysisOptions& options;
   std::uint32_t entry = 0;
-  // Optional worker pool shared by every pass (null: sequential). All
-  // parallel schedules are deterministic, so results do not depend on
-  // it.
+  // Worker pool shared by every phase (null: sequential). All parallel
+  // schedules are deterministic, so results do not depend on it.
   ThreadPool* pool = nullptr;
-  // Per-analysis resource governor (owned by Analyzer::analyze_entry);
-  // passes consult it for cancellation and step budgets.
+  // Per-analysis resource governor, set by run_figure1 for the duration
+  // of the run; phases consult it for cancellation and step budgets.
   const AnalysisGovernor* governor = nullptr;
 
   // Decode-round artifacts (rebuilt each round of the feedback loop).
@@ -73,15 +70,16 @@ struct AnalysisContext {
   std::unique_ptr<analysis::CacheAnalysis> caches;
   std::unique_ptr<analysis::PipelineAnalysis> pipeline;
   analysis::IpetResult wcet_result;
+  analysis::IpetResult bcet_result;
 
   // Incremental re-analysis handoff (src/serve): installed by the
   // analysis server when a re-submitted image is structurally identical
   // to the previous converged run, carrying per-instance fingerprint
   // verdicts. Every reuse below is verified, never trusted: the value
-  // pass always re-runs cold and demotes any fingerprint-clean instance
-  // whose states differ; the cache pass warm-starts only under those
+  // phase always re-runs cold and demotes any fingerprint-clean instance
+  // whose states differ; the cache phase warm-starts only under those
   // verified verdicts and falls back to a cold fixpoint on any boundary
-  // divergence; the path pass reuses the previous ILP result only when
+  // divergence; the path phase reuses the previous ILP results only when
   // every timing input compares equal. A warm run is therefore
   // bit-identical to a cold run by construction.
   struct WarmHandoff {
@@ -89,14 +87,14 @@ struct AnalysisContext {
     std::vector<char> instance_clean;      // per-instance: code fingerprint unchanged
     std::vector<char> node_clean;          // per-node: instance verified value-clean
     int dirty_instances = 0;               // fingerprint-dirty instance count
-    bool value_verified = false;           // value pass confirmed instance_clean
+    bool value_verified = false;           // value phase confirmed instance_clean
     bool cache_warm = false;               // cache fixpoint warm-start committed
     bool cache_fallback = false;           // warm attempt diverged -> cold rerun
     bool path_reused = false;              // previous ILP result reused wholesale
   };
   std::unique_ptr<WarmHandoff> warm; // null: cold request
 
-  // Report under construction; passes append obstructions here.
+  // Report under construction; phases append obstructions here.
   WcetReport report;
 
   // Feedback edge of Figure 1: merge value-analysis-resolved indirect
@@ -104,27 +102,16 @@ struct AnalysisContext {
   bool absorb_resolved_indirect_targets();
 };
 
-// Artifact keys used by the pass declarations.
-namespace artifact {
-inline constexpr const char* image = "image";
-inline constexpr const char* program = "program";
-inline constexpr const char* supergraph = "supergraph";
-inline constexpr const char* value_states = "value-states";
-inline constexpr const char* transfer_cache = "transfer-cache";
-inline constexpr const char* loop_bounds = "loop-bounds";
-inline constexpr const char* cache_classes = "cache-classes";
-inline constexpr const char* block_timings = "block-timings";
-inline constexpr const char* path_bounds = "path-bounds";
-inline constexpr const char* validation = "validation";
-} // namespace artifact
-
-using AnalysisPass = Pass<AnalysisContext>;
-using AnalysisPassManager = PassManager<AnalysisContext>;
-
-// Registers the six Figure-1 passes in order, plus the validation pass
-// (a no-op unless AnalysisOptions::validate is set). Returns the index
-// of the first pass that runs *after* the decode-feedback loop
-// (loop-bounds).
-std::size_t register_figure1_passes(AnalysisPassManager& manager);
+// Runs the Figure-1 phases over `ctx` on `pool` (a one-worker pool runs
+// sequentially). Rejects an entry point with no instruction word
+// (InputError), seeds the decode hints from the annotations, owns the
+// run's AnalysisGovernor and copies its degradation ledger into
+// `ctx.report`, and maps allocation failure to AnalysisError.
+// `after_first_decode` runs once, between the round-0 decode and value
+// phases (the analysis server installs its WarmHandoff there); a
+// re-decode voids the handoff, so the remaining rounds run cold.
+// `timings.total_ms` is left to the caller.
+void run_figure1(AnalysisContext& ctx, ThreadPool& pool,
+                 const std::function<void(AnalysisContext&)>& after_first_decode = {});
 
 } // namespace wcet

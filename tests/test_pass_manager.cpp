@@ -1,6 +1,7 @@
-// The pass-manager pipeline (wcet/pipeline.hpp): registration-time
-// input/output validation, per-phase timing, and — most importantly —
-// bit-identical results across ANY worker count of the thread pool:
+// The Figure-1 driver (wcet/pipeline.hpp, `run_figure1`): per-phase
+// timing and the entry check through both front ends, and — most
+// importantly — bit-identical results across ANY worker count of the
+// thread pool:
 // the per-instance value-analysis rounds, the decomposed IPET solve,
 // and the classification sweeps all use deterministic schedules, so
 // parallel and sequential runs must agree on every computed bound,
@@ -15,7 +16,7 @@
 
 #include "core/toolkit.hpp"
 #include "mcc/runtime.hpp"
-#include "support/pass_manager.hpp"
+#include "serve/analysis_server.hpp"
 #include "support/thread_pool.hpp"
 #include "wcet/pipeline.hpp"
 
@@ -63,59 +64,56 @@ TEST(ThreadPool, PropagatesExceptions) {
 }
 
 // ---------------------------------------------------------------------------
-// PassManager scaffolding.
+// The Figure-1 driver, through both of its callers.
 
-struct ToyContext {
-  std::vector<std::string> trace;
-};
+// A constant function pointer: round-0 decode cannot resolve the jalr,
+// value analysis collapses the target, and the driver re-decodes — so
+// the decode and value buckets accumulate over two rounds.
+const char* feedback_program = R"(
+int buf[8] = {3, 1, 4, 1, 5, 9, 2, 6};
+int inc(int x) { return x + buf[x & 7]; }
+int main(void) {
+  int (*op)(int);
+  int i;
+  int s = 0;
+  op = inc;
+  for (i = 0; i < 5; i++) {
+    s = op(s);
+  }
+  return s;
+}
+)";
 
-class ToyPass : public Pass<ToyContext> {
-public:
-  ToyPass(const char* name, std::vector<const char*> in, std::vector<const char*> out)
-      : name_(name), in_(std::move(in)), out_(std::move(out)) {}
-  const char* name() const override { return name_; }
-  std::vector<const char*> inputs() const override { return in_; }
-  std::vector<const char*> outputs() const override { return out_; }
-  void run(ToyContext& ctx) override { ctx.trace.push_back(name_); }
-
-private:
-  const char* name_;
-  std::vector<const char*> in_;
-  std::vector<const char*> out_;
-};
-
-TEST(PassManager, RunsInOrderAndAccumulatesTimings) {
-  PassManager<ToyContext> manager;
-  manager.seed({"seed"});
-  manager.add(std::make_unique<ToyPass>("a", std::vector<const char*>{"seed"},
-                                        std::vector<const char*>{"x"}));
-  manager.add(std::make_unique<ToyPass>("b", std::vector<const char*>{"x"},
-                                        std::vector<const char*>{"y"}));
-  ToyContext ctx;
-  manager.run_all(ctx);
-  manager.run_pass(ctx, 0); // decode-feedback style re-run accumulates
-  ASSERT_EQ(ctx.trace, (std::vector<std::string>{"a", "b", "a"}));
-  EXPECT_GE(manager.timing_ms("a"), 0.0);
-  EXPECT_EQ(manager.timings_ms().size(), 2u);
+void expect_driver_timings(const PhaseTimings& t, const std::string& what) {
+  EXPECT_GT(t.decode_ms, 0.0) << what;
+  EXPECT_GT(t.value_ms, 0.0) << what;
+  EXPECT_EQ(t.validate_ms, 0.0) << what << ": validate must not run without the option";
+  const double phases = t.decode_ms + t.value_ms + t.loop_ms + t.cache_ms + t.pipeline_ms +
+                        t.path_ms + t.validate_ms;
+  EXPECT_LE(phases, t.total_ms) << what;
 }
 
-TEST(PassManager, RejectsUnsatisfiedInputsAtRegistration) {
-  PassManager<ToyContext> manager;
-  manager.seed({"seed"});
-  EXPECT_THROW(manager.add(std::make_unique<ToyPass>(
-                   "needs-missing", std::vector<const char*>{"not-produced"},
-                   std::vector<const char*>{})),
-               AnalysisError);
+TEST(Figure1Driver, AnalyzerAndServerAgreeOnFeedbackProgram) {
+  const auto built = mcc::compile_program(feedback_program);
+  const Analyzer analyzer(built.image, mem::typical_hw());
+  const WcetReport direct = analyzer.analyze();
+  ASSERT_TRUE(direct.ok) << direct.to_string();
+  expect_driver_timings(direct.timings, "Analyzer::analyze");
+
+  serve::AnalysisServer server(mem::typical_hw());
+  const WcetReport served = server.submit(built.image);
+  ASSERT_TRUE(served.ok) << served.to_string();
+  expect_driver_timings(served.timings, "AnalysisServer::submit");
+  EXPECT_EQ(served.wcet_cycles, direct.wcet_cycles);
+  EXPECT_EQ(served.bcet_cycles, direct.bcet_cycles);
+  EXPECT_EQ(served.wcet_block_counts, direct.wcet_block_counts);
+  EXPECT_EQ(served.obstructions, direct.obstructions);
 }
 
-TEST(PassManager, Figure1RegistrationIsWellFormed) {
-  AnalysisPassManager manager;
-  const std::size_t back_half = register_figure1_passes(manager);
-  EXPECT_EQ(manager.size(), 7u);
-  EXPECT_EQ(back_half, 2u); // decode + value run inside the feedback loop
-  EXPECT_STREQ(manager.pass(0).name(), "decode");
-  EXPECT_STREQ(manager.pass(5).name(), "path");
-  EXPECT_STREQ(manager.pass(6).name(), "validate");
+TEST(Figure1Driver, ServerRejectsImageWithoutEntryWord) {
+  serve::AnalysisServer server(mem::typical_hw());
+  EXPECT_THROW(server.submit(isa::Image{}), InputError);
+  EXPECT_EQ(server.stats().cold_runs, 0u);
 }
 
 // ---------------------------------------------------------------------------

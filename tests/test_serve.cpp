@@ -23,8 +23,9 @@ namespace {
 // `g_bound` changes one comparison immediate only: the code layout
 // (function addresses, block boundaries, instruction counts) is
 // identical across variants, which is exactly the shape the
-// per-instance fingerprint path is built for.
-std::string calls_program(int g_bound) {
+// per-instance fingerprint path is built for. `extra_g_statement` adds
+// one statement to g, shifting every later block address instead.
+std::string calls_program(int g_bound, bool extra_g_statement = false) {
   std::ostringstream os;
   os << "int data[16] = {3,1,4,1,5,9,2,6,5,3,5,8,9,7,9,3};\n";
   os << "int f(int x) { int i; int s = x;\n"
@@ -34,7 +35,7 @@ std::string calls_program(int g_bound) {
         "  for (i = 0; i < "
      << g_bound
      << "; i++) { s += data[(s + 2 * i) & 15]; }\n"
-        "  return s; }\n";
+     << (extra_g_statement ? "  s += data[s & 15];\n" : "") << "  return s; }\n";
   os << "int h(int x) { int i; int s = x;\n"
         "  for (i = 0; i < 4; i++) { s += data[(s ^ i) & 15]; }\n"
         "  return s; }\n";
@@ -99,22 +100,21 @@ TEST(Serve, EditOneFunctionWarmEqualsCold) {
   }
 }
 
-// An identical edit with incremental reuse disabled must still agree —
-// the ServeOptions gate forces the miss path cold.
-TEST(Serve, IncrementalDisabledStaysCold) {
-  serve::ServeOptions options;
-  options.enable_incremental = false;
-  serve::AnalysisServer server(mem::typical_hw(), options);
+// An edit that shifts code layout (one extra statement in g moves the
+// addresses of everything after it) fails the structural-identity gate:
+// the request runs cold and still matches a fresh analysis exactly.
+TEST(Serve, LayoutEditRunsCold) {
+  serve::AnalysisServer server(mem::typical_hw());
   const isa::Image base = compile(calls_program(6));
-  const isa::Image edited = compile(calls_program(9));
+  const isa::Image shifted = compile(calls_program(6, /*extra_g_statement=*/true));
   const WcetReport first = server.submit(base);
-  const WcetReport second = server.submit(edited);
+  const WcetReport second = server.submit(shifted);
   ASSERT_TRUE(first.ok);
   ASSERT_TRUE(second.ok);
   EXPECT_EQ(server.stats().warm_runs, 0u);
   EXPECT_EQ(server.stats().cold_runs, 2u);
-  const Analyzer cold(edited, mem::typical_hw());
-  EXPECT_EQ(second.wcet_cycles, cold.analyze(options.analysis).wcet_cycles);
+  const Analyzer cold_analyzer(shifted, mem::typical_hw());
+  expect_same_bounds(second, cold_analyzer.analyze(), "layout edit");
 }
 
 // With the report cache disabled, a byte-identical resubmission takes
