@@ -171,11 +171,11 @@ BENCHMARK(BM_path_decomposition)->Arg(0)->Arg(2);
 // alternate a base image and a 1-function edit of it. The priming
 // submissions outside the timed loop pay the cold run and the warm
 // 1-dirty-instance re-analysis; both images then sit in the report
-// LRU, so every timed request is a fingerprint hit (fingerprint_hits
-// == serve_requests - 2): request hashing plus a report copy, no
-// analysis. The cost of a warm one-function edit is perfbench's
+// LRU, so every timed request is a report-cache hit (fingerprint_hits
+// == serve_requests - 2): an exact request compare plus a report copy,
+// no analysis. The cost of a warm one-function edit is perfbench's
 // serve_edit_mix warm_ms_p50. dirty_instances records the primed warm
-// edit's fingerprint verdict — exactly one instance (work0) may be
+// edit's clean-check verdict — exactly one instance (work0) may be
 // dirty.
 void BM_serve_hit(benchmark::State& state) {
   const int functions = static_cast<int>(state.range(0));

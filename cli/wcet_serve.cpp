@@ -9,7 +9,7 @@
 //
 // One server instance is constructed per process invocation and fed
 // every request: `--repeat N` resubmits each input N times (the
-// steady-state requests are served from the fingerprint report cache),
+// steady-state requests are served from the exact-match report cache),
 // `--batch` shards the inputs as one independent fleet across the
 // worker pool, and `--stats` dumps the server counters after the last
 // request — the text endpoint CI smoke-tests grep.
@@ -46,7 +46,7 @@ void print_usage(std::ostream& os) {
         "  --decomposition MODE ipet split: monolithic | recursive\n"
         "  --validate           run the independent validation oracles per request\n"
         "  --repeat N           submit each input N times (default 1); repeats are\n"
-        "                       served from the fingerprint report cache\n"
+        "                       served from the exact-match report cache\n"
         "  --batch              analyze the inputs as one independent fleet sharded\n"
         "                       across the pool (one worker per job)\n"
         "  --cache-capacity N   report-cache LRU capacity (default 8)\n"

@@ -269,8 +269,8 @@ public:
 
   // Incremental warm-start (src/serve): `prev` is the previous
   // converged analysis of a structurally identical supergraph and
-  // `instance_clean` flags instances whose code fingerprints AND value
-  // states are verified unchanged. Clean instances start frozen at
+  // `instance_clean` flags instances whose code words AND value states
+  // are verified unchanged. Clean instances start frozen at
   // `prev`'s converged in-states; only dirty instances iterate from
   // cold. The must/may domain has no widening — its least fixpoint is
   // schedule-independent — so warm exactness reduces to three checks,

@@ -10,6 +10,10 @@ namespace wcet::analysis {
 
 namespace {
 
+// Big-M of the infeasible-pair disjunction: assumed to exceed the summed
+// block count at either address of a pair.
+constexpr std::int64_t infeasible_pair_big_m = std::int64_t{1} << 20;
+
 // Per-region resource envelope. The governor's node cap can only
 // tighten the built-in 20000-node safety limit, never raise it.
 SolveLimits region_limits(const IpetOptions& options) {
@@ -783,7 +787,7 @@ bool Ipet::build_region(const RegionSpec& spec, const IpetOptions& options,
     }
 
     // Infeasible pairs: big-M disjunction with a binary selector.
-    const auto big_m = Rational(static_cast<std::int64_t>(options.infeasible_pair_big_m));
+    const auto big_m = Rational(infeasible_pair_big_m);
     int pair_index = 0;
     for (const annot::InfeasiblePairFact& pair : options.infeasible_pairs) {
       const int sel = ilp.add_variable("excl" + std::to_string(pair_index++));

@@ -41,7 +41,6 @@ struct IpetOptions {
   std::vector<annot::FlowRatioFact> flow_ratios;
   std::vector<annot::InfeasiblePairFact> infeasible_pairs;
   std::set<std::uint32_t> excluded_addrs; // mode excludes + nevers
-  std::uint64_t infeasible_pair_big_m = 1u << 20;
   IpetDecomposition decomposition = IpetDecomposition::recursive;
   // Optional resource governor (support/budget.hpp): every region solve
   // runs under its per-solve pivot/node caps and cancellation

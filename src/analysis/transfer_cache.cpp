@@ -93,9 +93,7 @@ void TransferCache::build_data_lines(const mem::CacheConfig& config, ThreadPool*
 
 void TransferCache::build_cache_recipes(const mem::MemoryMap& memmap,
                                         const mem::CacheConfig& icache,
-                                        const mem::CacheConfig& dcache, ThreadPool* pool,
-                                        const TransferCache* reuse_from,
-                                        const std::vector<char>* node_clean) {
+                                        const mem::CacheConfig& dcache, ThreadPool* pool) {
   WCET_CHECK(values_ != nullptr, "TransferCache::build_cache_recipes before attach()");
   build_data_lines(dcache, pool);
   if (recipes_ready_) {
@@ -111,15 +109,7 @@ void TransferCache::build_cache_recipes(const mem::MemoryMap& memmap,
   recipes_iconfig_ = icache;
   recipes_memmap_ = &memmap;
   recipes_.resize(sg_.nodes().size());
-  const bool can_reuse = reuse_from != nullptr && node_clean != nullptr &&
-                         reuse_from->recipes_ready_ &&
-                         reuse_from->recipes_.size() == recipes_.size() &&
-                         node_clean->size() == recipes_.size();
   const auto build_node = [&](std::size_t ni) {
-    if (can_reuse && (*node_clean)[ni] != 0) {
-      recipes_[ni] = reuse_from->recipes_[ni];
-      return;
-    }
     const int node = static_cast<int>(ni);
     const cfg::SgNode& n = sg_.node(node);
     const auto& accesses = values_->accesses(node);

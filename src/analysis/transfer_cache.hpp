@@ -171,19 +171,8 @@ public:
   // build_data_lines for `dcache`). Built once per decode round;
   // rebuilding under different geometry is a contract violation and is
   // checked.
-  //
-  // Incremental reuse (src/serve): when `reuse_from`/`node_clean` are
-  // given, nodes flagged clean copy their recipe and candidate-line
-  // rows from the previous round's cache instead of re-deriving them.
-  // A recipe is a pure function of the node's code bytes, its value
-  // states, the memory map, and the cache geometries — the caller
-  // guarantees all four are unchanged for flagged nodes (verified
-  // fingerprints + state equality + identical map/geometry), so the
-  // copy is exact, not approximate.
   void build_cache_recipes(const mem::MemoryMap& memmap, const mem::CacheConfig& icache,
-                           const mem::CacheConfig& dcache, ThreadPool* pool,
-                           const TransferCache* reuse_from = nullptr,
-                           const std::vector<char>* node_clean = nullptr);
+                           const mem::CacheConfig& dcache, ThreadPool* pool);
   bool cache_recipes_ready() const { return recipes_ready_; }
   const CacheRecipe& cache_recipe(int node) const {
     return recipes_[static_cast<std::size_t>(node)];

@@ -18,6 +18,18 @@ using isa::Opcode;
 
 namespace {
 
+// Memory words tracked per state before the table collapses to the
+// region hull.
+constexpr std::size_t max_tracked_words = 8192;
+// Visits of a widening point before widening kicks in.
+constexpr unsigned widen_delay = 3;
+// Visits of any node before forced coarsening stops the fixpoint.
+constexpr std::size_t max_node_visits = 64;
+// Width cap on per-address enumeration of imprecise memory accesses:
+// an access whose address interval spans more than this many words
+// widens to the region hull (TOP) instead of being enumerated.
+constexpr std::size_t max_enum_words = 64;
+
 // Mix an interval as two words (bottom tag + packed bounds): an
 // in-band sentinel for bottom could collide with a real interval and
 // make two distinct states hash identically.
@@ -278,7 +290,7 @@ Interval ValueAnalysis::read_mem(const AbsState& state, const Interval& addr, in
     // widens straight to the region hull — enumerating it would make
     // analysis time explode for zero precision (every word joins to TOP
     // anyway).
-    if (addr.size() <= options_.max_enum_words * 4) {
+    if (addr.size() <= max_enum_words * 4) {
       Interval result = Interval::bottom();
       const std::int64_t first = (addr.umin() + 3) & ~std::int64_t{3};
       for (std::int64_t a = first; a <= addr.umax(); a += 4) {
@@ -345,7 +357,7 @@ void ValueAnalysis::write_mem(AbsState& state, const Interval& addr, int size,
         state.mem.mut().erase(word_addr);
       }
     }
-  } else if (confined.size() <= options_.max_enum_words * 4) {
+  } else if (confined.size() <= max_enum_words * 4) {
     // Weak update on every word the store may touch (width-capped, see
     // read_mem; wider stores take the hull path below). Detach the COW
     // table only when some tracked word is actually hit.
@@ -383,7 +395,7 @@ void ValueAnalysis::write_mem(AbsState& state, const Interval& addr, int size,
           [&](std::uint32_t key, Interval&) { return !doomed(key); });
     }
   }
-  if (state.mem->size() > options_.max_tracked_words) {
+  if (state.mem->size() > max_tracked_words) {
     state.mem.reset(); // sound: hull covers every tracked key
   }
 }
@@ -598,9 +610,9 @@ void ValueAnalysis::run(ThreadPool* pool, TransferCache* transfers,
   const auto join_into = [&](const int target, const AbsState& along) -> bool {
     AbsState& tin = in_[static_cast<std::size_t>(target)];
     const bool widen_now = is_widen_point_[static_cast<std::size_t>(target)] &&
-                           visits[static_cast<std::size_t>(target)] >= options_.widen_delay;
+                           visits[static_cast<std::size_t>(target)] >= widen_delay;
     const bool coarse_now =
-        force_coarse || visits[static_cast<std::size_t>(target)] >= options_.max_node_visits;
+        force_coarse || visits[static_cast<std::size_t>(target)] >= max_node_visits;
     if (!widen_now && !coarse_now) {
       // Hot path: join in place; join_with reports changes exactly, so
       // no state copy or deep equality check is needed.

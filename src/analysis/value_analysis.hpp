@@ -79,13 +79,6 @@ public:
     Options() {}
     // Confinement of imprecise accesses per function entry (annotation).
     std::map<std::uint32_t, std::vector<annot::AccessRange>> access_facts;
-    std::size_t max_tracked_words = 8192;
-    unsigned widen_delay = 3;
-    std::size_t max_node_visits = 64; // per node before forced widening stop
-    // Width cap on per-address enumeration of imprecise memory accesses:
-    // an access whose address interval spans more than this many words
-    // widens to the region hull (TOP) instead of being enumerated.
-    std::size_t max_enum_words = 64;
   };
 
   // `schedule_priorities` is the per-node fixpoint scheduling priority

@@ -22,6 +22,7 @@ struct Section {
 
   std::uint32_t end() const { return vaddr + static_cast<std::uint32_t>(bytes.size()); }
   bool contains(std::uint32_t addr) const { return addr >= vaddr && addr < end(); }
+  bool operator==(const Section&) const = default;
 };
 
 struct Symbol {
@@ -30,6 +31,7 @@ struct Symbol {
   std::uint32_t addr = 0;
   std::uint32_t size = 0;
   Kind kind = Kind::label;
+  bool operator==(const Symbol&) const = default;
 };
 
 class Image {
@@ -51,6 +53,10 @@ public:
 
   std::optional<std::uint32_t> read_word(std::uint32_t addr) const;
   std::optional<std::uint8_t> read_byte(std::uint32_t addr) const;
+
+  // Exact structural equality: entry, every section (name, placement,
+  // flags, bytes) and every symbol, in order.
+  bool operator==(const Image&) const = default;
 
 private:
   std::vector<Section> sections_;

@@ -8,7 +8,6 @@
 
 #include "support/diag.hpp"
 #include "support/fault_inject.hpp"
-#include "support/fixpoint.hpp"
 #include "support/thread_pool.hpp"
 #include "wcet/pipeline.hpp"
 
@@ -19,44 +18,6 @@ namespace {
 double ms_since(std::chrono::steady_clock::time_point start) {
   const auto end = std::chrono::steady_clock::now();
   return std::chrono::duration<double, std::milli>(end - start).count();
-}
-
-void put_u32(std::vector<std::uint8_t>& key, std::uint32_t v) {
-  key.push_back(static_cast<std::uint8_t>(v));
-  key.push_back(static_cast<std::uint8_t>(v >> 8));
-  key.push_back(static_cast<std::uint8_t>(v >> 16));
-  key.push_back(static_cast<std::uint8_t>(v >> 24));
-}
-
-// Canonical byte serialization of one request: everything the analysis
-// result can depend on (entry, sections with flags and contents,
-// symbols, annotation text). The FNV hash over it keys the report LRU;
-// the bytes themselves back the exact comparison a hit must pass — a
-// hash match alone is never trusted (support/fixpoint.hpp).
-std::pair<std::uint64_t, std::vector<std::uint8_t>>
-request_fingerprint(const isa::Image& image, const std::string& annotation_text) {
-  std::vector<std::uint8_t> key;
-  put_u32(key, image.entry());
-  for (const isa::Section& s : image.sections()) {
-    key.insert(key.end(), s.name.begin(), s.name.end());
-    key.push_back(0);
-    put_u32(key, s.vaddr);
-    key.push_back(s.writable ? 1 : 0);
-    key.push_back(s.executable ? 1 : 0);
-    put_u32(key, static_cast<std::uint32_t>(s.bytes.size()));
-    key.insert(key.end(), s.bytes.begin(), s.bytes.end());
-  }
-  for (const isa::Symbol& sym : image.symbols()) {
-    key.insert(key.end(), sym.name.begin(), sym.name.end());
-    key.push_back(0);
-    put_u32(key, sym.addr);
-    put_u32(key, sym.size);
-    key.push_back(static_cast<std::uint8_t>(sym.kind));
-  }
-  key.insert(key.end(), annotation_text.begin(), annotation_text.end());
-  StateHash h;
-  for (const std::uint8_t byte : key) h.mix(byte);
-  return {h.value(), std::move(key)};
 }
 
 // The warm handoff carries per-instance verdicts between two supergraph
@@ -96,39 +57,13 @@ bool structure_identical(const cfg::Supergraph& a, const cfg::Supergraph& b) {
   return true;
 }
 
-// FNV fingerprint of one instance's code: the entry plus every covered
-// block's address range and raw instruction words.
-std::vector<std::uint64_t> instance_fingerprints(const cfg::Supergraph& sg,
-                                                 const isa::Image& image) {
-  std::vector<StateHash> h(sg.instances().size());
-  for (std::size_t i = 0; i < sg.instances().size(); ++i) {
-    h[i].mix(sg.instances()[i].fn_entry);
-  }
-  for (const cfg::SgNode& n : sg.nodes()) {
-    StateHash& hi = h[static_cast<std::size_t>(n.instance)];
-    hi.mix_pair(n.block->begin, n.block->end);
-    for (std::uint32_t pc = n.block->begin; pc < n.block->end; pc += 4) {
-      hi.mix(image.read_word(pc).value_or(0xdeadbeefu));
-    }
-  }
-  std::vector<std::uint64_t> out(h.size());
-  for (std::size_t i = 0; i < h.size(); ++i) out[i] = h[i].value();
-  return out;
-}
-
-// Per-instance clean verdicts for a structurally identical re-decode:
-// an instance is clean when its fingerprint matches the previous run's
-// and every code word compares equal. One sweep over the nodes
-// word-compares only fingerprint-matched instances and demotes an
-// instance on its first differing word. A clean verdict feeds
-// positional recipe reuse, so it must rest on real bytes, never on a
-// 64-bit hash alone.
+// Per-instance clean verdicts for a structurally identical re-decode
+// (same blocks on both sides): an instance is clean when every code
+// word of its blocks compares equal to the previous image's. A clean
+// verdict feeds the warm cache fixpoint, so it rests on the real words.
 std::vector<char> clean_instances(const cfg::Supergraph& sg, const isa::Image& image,
-                                  const std::vector<std::uint64_t>& fps,
-                                  const isa::Image& prev_image,
-                                  const std::vector<std::uint64_t>& prev_fps) {
-  std::vector<char> clean(fps.size(), 0);
-  for (std::size_t i = 0; i < fps.size(); ++i) clean[i] = fps[i] == prev_fps[i] ? 1 : 0;
+                                  const isa::Image& prev_image) {
+  std::vector<char> clean(sg.instances().size(), 1);
   for (const cfg::SgNode& n : sg.nodes()) {
     char& flag = clean[static_cast<std::size_t>(n.instance)];
     for (std::uint32_t pc = n.block->begin; flag != 0 && pc < n.block->end; pc += 4) {
@@ -143,8 +78,7 @@ std::vector<char> clean_instances(const cfg::Supergraph& sg, const isa::Image& i
 std::string ServeStats::to_string() const {
   std::ostringstream os;
   os << "=== wcet_serve stats ===\n";
-  os << "requests: " << requests << " (fingerprint hits " << fingerprint_hits
-     << ", collisions " << fingerprint_collisions << ")\n";
+  os << "requests: " << requests << " (fingerprint hits " << fingerprint_hits << ")\n";
   os << "pipeline: " << warm_runs << " warm / " << cold_runs << " cold runs, "
      << warm_fallbacks << " warm fallbacks, " << path_reuses << " path reuses, "
      << dirty_instances << " dirty instances\n";
@@ -169,14 +103,13 @@ struct AnalysisServer::Converged {
   mem::HwConfig hw; // base map + annotation region overrides
   annot::AnnotationDb annotations;
   std::unique_ptr<AnalysisContext> ctx;
-  std::vector<std::uint64_t> instance_fp;
   bool ok = false;
   bool degraded = false;
 };
 
 struct AnalysisServer::CacheEntry {
-  std::uint64_t fp = 0;
-  std::vector<std::uint8_t> key; // exact-compare backing of the fingerprint
+  isa::Image image;
+  std::string annotation_text;
   WcetReport report;
 };
 
@@ -206,23 +139,15 @@ WcetReport AnalysisServer::submit_request(const isa::Image& image,
   WCET_FAULT_POINT("serve:admit");
   ++stats_.requests;
 
-  auto [fp, key] = request_fingerprint(image, annotation_text);
-  if (options_.fingerprint_hook) fp = options_.fingerprint_hook(fp);
   for (auto it = report_cache_.begin(); it != report_cache_.end(); ++it) {
-    if (it->fp != fp) continue;
-    if (it->key == key) {
-      ++stats_.fingerprint_hits;
-      report_cache_.splice(report_cache_.begin(), report_cache_, it);
-      WcetReport report = report_cache_.front().report;
-      report.serve_requests = stats_.requests;
-      report.serve_fingerprint_hits = stats_.fingerprint_hits;
-      report.serve_dirty_instances = 0; // nothing re-analyzed
-      return report;
-    }
-    // Same hash, different bytes: a real collision. Count it and fall
-    // through to a full analysis — the colliding entry is replaced.
-    ++stats_.fingerprint_collisions;
-    break;
+    if (it->annotation_text != annotation_text || !(it->image == image)) continue;
+    ++stats_.fingerprint_hits;
+    report_cache_.splice(report_cache_.begin(), report_cache_, it);
+    WcetReport report = report_cache_.front().report;
+    report.serve_requests = stats_.requests;
+    report.serve_fingerprint_hits = stats_.fingerprint_hits;
+    report.serve_dirty_instances = 0; // nothing re-analyzed
+    return report;
   }
 
   auto next = std::make_unique<Converged>();
@@ -235,7 +160,7 @@ WcetReport AnalysisServer::submit_request(const isa::Image& image,
   }
 
   const WcetReport report = run_pipeline(std::move(next));
-  cache_insert(fp, std::move(key), report);
+  cache_insert(image, annotation_text, report);
   return report;
 }
 
@@ -254,15 +179,12 @@ WcetReport AnalysisServer::run_pipeline(std::unique_ptr<Converged> next) {
   const bool can_warm = prev != nullptr && prev->ok && !prev->degraded &&
                         prev->ctx != nullptr && prev->annotation_text == next->annotation_text;
   const auto install_warm = [&](AnalysisContext& c) {
-    if (!can_warm || prev->instance_fp.size() != c.supergraph->instances().size() ||
-        !structure_identical(*prev->ctx->supergraph, *c.supergraph)) {
+    if (!can_warm || !structure_identical(*prev->ctx->supergraph, *c.supergraph)) {
       return;
     }
     auto warm = std::make_unique<AnalysisContext::WarmHandoff>();
     warm->prev = prev->ctx.get();
-    warm->instance_clean = clean_instances(*c.supergraph, image,
-                                           instance_fingerprints(*c.supergraph, image),
-                                           *prev->image, prev->instance_fp);
+    warm->instance_clean = clean_instances(*c.supergraph, image, *prev->image);
     warm->dirty_instances = static_cast<int>(
         std::count(warm->instance_clean.begin(), warm->instance_clean.end(), 0));
     c.warm = std::move(warm);
@@ -285,9 +207,7 @@ WcetReport AnalysisServer::run_pipeline(std::unique_ptr<Converged> next) {
   stats_.degradations += report.degradations.size();
   stats_.last_timings = report.timings;
 
-  // Promote this run to the reuse anchor. The fingerprints come from
-  // the *converged* supergraph (after any decode feedback rounds).
-  next->instance_fp = instance_fingerprints(*ctx.supergraph, image);
+  // Promote this run to the reuse anchor.
   next->ok = report.ok;
   next->degraded = report.degraded;
   // Drop the borrowed pointer into the old context before destroying it.
@@ -300,21 +220,15 @@ WcetReport AnalysisServer::run_pipeline(std::unique_ptr<Converged> next) {
   return report;
 }
 
-void AnalysisServer::cache_insert(std::uint64_t fp, std::vector<std::uint8_t> key,
+void AnalysisServer::cache_insert(const isa::Image& image, const std::string& annotation_text,
                                   const WcetReport& report) {
   if (options_.report_cache_capacity == 0) return;
-  for (auto it = report_cache_.begin(); it != report_cache_.end(); ++it) {
-    if (it->fp == fp) { // collision casualty (same-key hits never get here)
-      report_cache_.erase(it);
-      break;
-    }
-  }
   while (report_cache_.size() >= options_.report_cache_capacity) {
     WCET_FAULT_POINT("serve:evict");
     report_cache_.pop_back();
     ++stats_.evictions;
   }
-  report_cache_.push_front(CacheEntry{fp, std::move(key), report});
+  report_cache_.push_front(CacheEntry{image, annotation_text, report});
 }
 
 std::vector<WcetReport> AnalysisServer::submit_batch(const std::vector<BatchJob>& jobs) {

@@ -2,22 +2,22 @@
 // service instead of a one-shot Analyzer call.
 //
 // The server keeps the converged artifacts of the last successful run
-// (AnalysisContext, TransferCache recipes, per-instance code
-// fingerprints) alive across requests. A re-submitted image is
-// fingerprinted per function instance; when the decoded supergraph is
-// structurally identical to the previous run's, the pipeline receives a
-// WarmHandoff (wcet/pipeline.hpp) and re-derives only what the edit
-// actually invalidated — clean instances keep their published value
-// out-states, cache recipes and sub-ILP results. Every reuse is
-// *verified, never trusted*: a warm bound is bit-identical to the cold
-// bound by construction (the phases demote any verdict the fresh run
-// contradicts and fall back to a full cold re-run on any divergence).
+// (image, AnalysisContext) alive across requests. When a re-submitted
+// image decodes to a supergraph structurally identical to the previous
+// run's, each function instance is compared word by word against the
+// previous image, and the pipeline receives a WarmHandoff
+// (wcet/pipeline.hpp) with the per-instance clean verdicts: the cache
+// fixpoint warm-starts from the previous states of clean instances, and
+// the path phase adopts the previous ILP results when every timing
+// input compares equal. Every reuse is *verified, never trusted*: a
+// warm bound is bit-identical to the cold bound by construction (the
+// phases demote any verdict the fresh run contradicts and fall back to
+// a full cold re-run on any divergence).
 //
-// On top of the incremental path sits a request-level cache: an FNV
-// fingerprint over the image bytes + annotation text, confirmed by an
-// exact byte comparison (a hash match alone is never trusted — see
-// support/fixpoint.hpp), serves a repeat submission from the report LRU
-// without touching the pipeline at all.
+// On top of the incremental path sits a request-level report LRU keyed
+// by exact equality: a repeat submission whose image (isa::Image
+// operator==) and annotation text both equal a cached request's is
+// served without touching the pipeline at all.
 //
 // Batch fleet mode (`submit_batch`) shards N independent images across
 // the server's ThreadPool: each job runs sequentially inside one worker
@@ -28,7 +28,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <memory>
 #include <string>
@@ -53,12 +52,9 @@ struct ServeOptions {
   // runs with identical options, and the request cache never has to
   // key on them.
   AnalysisOptions analysis;
-  // Capacity of the request-level report LRU (fingerprint + exact byte
+  // Capacity of the request-level report LRU (exact image + annotation
   // match -> cached WcetReport).
   std::size_t report_cache_capacity = 8;
-  // Test seam: post-processes the computed request fingerprint. Forcing
-  // collisions here exercises the exact-byte-compare guard.
-  std::function<std::uint64_t(std::uint64_t)> fingerprint_hook;
 };
 
 // Cumulative server telemetry, exported per request into
@@ -67,12 +63,11 @@ struct ServeOptions {
 struct ServeStats {
   std::uint64_t requests = 0;           // interactive submissions handled
   std::uint64_t fingerprint_hits = 0;   // served from the report cache
-  std::uint64_t fingerprint_collisions = 0; // hash matched, bytes differed
   std::uint64_t warm_runs = 0;          // pipeline ran with a WarmHandoff
   std::uint64_t cold_runs = 0;          // pipeline ran cold
   std::uint64_t warm_fallbacks = 0;     // warm cache attempt diverged -> cold fixpoint
   std::uint64_t path_reuses = 0;        // previous ILP result adopted wholesale
-  std::uint64_t dirty_instances = 0;    // cumulative fingerprint-dirty instances
+  std::uint64_t dirty_instances = 0;    // cumulative code-dirty instances
   std::uint64_t evictions = 0;          // report-cache LRU evictions
   std::uint64_t batch_jobs = 0;         // jobs accepted by submit_batch
   std::uint64_t batch_errors = 0;       // ... that ended in a classified error
@@ -119,7 +114,7 @@ private:
 
   WcetReport submit_request(const isa::Image& image, const std::string& annotation_text);
   WcetReport run_pipeline(std::unique_ptr<Converged> next);
-  void cache_insert(std::uint64_t fp, std::vector<std::uint8_t> key,
+  void cache_insert(const isa::Image& image, const std::string& annotation_text,
                     const WcetReport& report);
 
   mem::HwConfig base_hw_;

@@ -82,15 +82,14 @@ void decode_phase(AnalysisContext& ctx) {
 }
 
 // ----------------------------------------------------------------- value
-// Incremental verification (src/serve): demote fingerprint-clean
-// instances whose fresh value-analysis results differ from the previous
-// run's — per-node in-states must compare equal and every edge whose
-// source lies in the instance must keep its feasibility verdict.
-// Downstream reuse (cache recipes, warm cache fixpoint, whole-ILP
-// reuse) keys on these *verified* verdicts, never on fingerprints
-// alone: value analysis itself always re-runs cold because its
-// widening/coarsening policy is trajectory-dependent and cannot be
-// warm-started exactly.
+// Incremental verification (src/serve): demote code-clean instances
+// whose fresh value-analysis results differ from the previous run's —
+// per-node in-states must compare equal and every edge whose source
+// lies in the instance must keep its feasibility verdict. Downstream
+// reuse (warm cache fixpoint, whole-ILP reuse) keys on these *verified*
+// verdicts, never on code equality alone: value analysis itself always
+// re-runs cold because its widening/coarsening policy is
+// trajectory-dependent and cannot be warm-started exactly.
 void verify_warm_value(AnalysisContext& ctx) {
   AnalysisContext::WarmHandoff& warm = *ctx.warm;
   const AnalysisContext& prev = *warm.prev;
@@ -105,12 +104,6 @@ void verify_warm_value(AnalysisContext& ctx) {
     if (flag == 0) continue;
     if (ctx.values->edge_feasible(e.id) != prev.values->edge_feasible(e.id)) flag = 0;
   }
-  warm.node_clean.assign(sg.nodes().size(), 0);
-  for (const cfg::SgNode& n : sg.nodes()) {
-    warm.node_clean[static_cast<std::size_t>(n.id)] =
-        warm.instance_clean[static_cast<std::size_t>(n.instance)];
-  }
-  warm.value_verified = true;
 }
 
 void value_phase(AnalysisContext& ctx) {
@@ -210,18 +203,11 @@ void cache_phase(AnalysisContext& ctx) {
   // this phase alone (telemetry only — results never read them).
   analysis::reset_cache_join_stats();
   cow_leaf_stats().reset_window();
+  // A handoff that reached this phase had its clean verdicts verified
+  // by value_phase (a re-decode drops the handoff).
   const bool warm_ready = ctx.warm != nullptr && ctx.warm->prev != nullptr &&
-                          ctx.warm->value_verified && ctx.warm->prev->caches != nullptr &&
-                          ctx.warm->prev->transfers != nullptr;
-  if (warm_ready) {
-    // Copy recipes of verified-clean nodes from the previous run
-    // before the analysis builds them itself (the memoized build then
-    // short-circuits). Exact, not approximate: a recipe is a pure
-    // function of inputs the verification proved unchanged.
-    ctx.transfers->build_cache_recipes(ctx.hw.memory, ctx.hw.icache, ctx.hw.dcache,
-                                       ctx.pool, ctx.warm->prev->transfers.get(),
-                                       &ctx.warm->node_clean);
-  }
+                          ctx.warm->prev->values != nullptr &&
+                          ctx.warm->prev->caches != nullptr;
   ctx.caches = std::make_unique<analysis::CacheAnalysis>(
       *ctx.supergraph, *ctx.forest, *ctx.values, ctx.hw.memory, ctx.hw.icache,
       ctx.hw.dcache, analysis::CacheAnalysis::Schedule::priority, ctx.schedule,

@@ -74,20 +74,20 @@ struct AnalysisContext {
 
   // Incremental re-analysis handoff (src/serve): installed by the
   // analysis server when a re-submitted image is structurally identical
-  // to the previous converged run, carrying per-instance fingerprint
+  // to the previous converged run, carrying per-instance code-equality
   // verdicts. Every reuse below is verified, never trusted: the value
-  // phase always re-runs cold and demotes any fingerprint-clean instance
-  // whose states differ; the cache phase warm-starts only under those
+  // phase always re-runs cold and demotes any code-clean instance whose
+  // states differ; the cache phase warm-starts only under those
   // verified verdicts and falls back to a cold fixpoint on any boundary
   // divergence; the path phase reuses the previous ILP results only when
   // every timing input compares equal. A warm run is therefore
   // bit-identical to a cold run by construction.
   struct WarmHandoff {
     const AnalysisContext* prev = nullptr; // previous converged context
-    std::vector<char> instance_clean;      // per-instance: code fingerprint unchanged
-    std::vector<char> node_clean;          // per-node: instance verified value-clean
-    int dirty_instances = 0;               // fingerprint-dirty instance count
-    bool value_verified = false;           // value phase confirmed instance_clean
+    // Per-instance: code words equal to the previous image's; the value
+    // phase narrows it to instances whose value results are unchanged.
+    std::vector<char> instance_clean;
+    int dirty_instances = 0;               // code-dirty instance count
     bool cache_warm = false;               // cache fixpoint warm-start committed
     bool cache_fallback = false;           // warm attempt diverged -> cold rerun
     bool path_reused = false;              // previous ILP result reused wholesale

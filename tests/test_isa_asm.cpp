@@ -2,6 +2,8 @@
 // and symbol handling.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "isa/assembler.hpp"
 #include "isa/disasm.hpp"
 #include "isa/tiny32.hpp"
@@ -222,6 +224,39 @@ TEST(Image, OverlappingSectionsRejected) {
   EXPECT_THROW(
       image.add_section({"b", 0x1008, std::vector<std::uint8_t>(16), false, true}),
       InputError);
+}
+
+TEST(Image, EqualityIsExact) {
+  constexpr const char* source = R"(
+        .text 0x2000
+        .global f
+f:      addi a0, a0, 1
+        ret
+        .data 0x11000
+buf:    .word 7
+)";
+  const Image a = assemble(source);
+  ASSERT_EQ(assemble(source), a);
+
+  // Rebuilds `a` with an optional edit to one section byte, one symbol
+  // or the entry point.
+  const auto rebuilt = [&a](bool flip_byte, bool rename_symbol, bool move_entry) {
+    Image out;
+    for (Section section : a.sections()) {
+      if (flip_byte && section.executable) section.bytes[0] ^= 1;
+      out.add_section(std::move(section));
+    }
+    for (Symbol symbol : a.symbols()) {
+      if (rename_symbol && symbol.name == "buf") symbol.name = "bug";
+      out.add_symbol(std::move(symbol));
+    }
+    out.set_entry(move_entry ? a.entry() + 4 : a.entry());
+    return out;
+  };
+  EXPECT_EQ(rebuilt(false, false, false), a);
+  EXPECT_NE(rebuilt(true, false, false), a);
+  EXPECT_NE(rebuilt(false, true, false), a);
+  EXPECT_NE(rebuilt(false, false, true), a);
 }
 
 } // namespace

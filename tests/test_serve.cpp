@@ -1,8 +1,8 @@
 // Analysis-server contract (src/serve): incremental warm re-analysis
-// must be bit-identical to a cold run of the edited image, the request
-// fingerprint cache must never trust a hash match without an exact byte
-// comparison, and batch fleet jobs must stay isolated from each other's
-// failures and budgets.
+// must be bit-identical to a cold run of the edited image, the report
+// cache must serve a request only when its image and annotation text
+// both equal a cached request's, and batch fleet jobs must stay
+// isolated from each other's failures and budgets.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -23,7 +23,7 @@ namespace {
 // `g_bound` changes one comparison immediate only: the code layout
 // (function addresses, block boundaries, instruction counts) is
 // identical across variants, which is exactly the shape the
-// per-instance fingerprint path is built for. `extra_g_statement` adds
+// per-instance clean check is built for. `extra_g_statement` adds
 // one statement to g, shifting every later block address instead.
 std::string calls_program(int g_bound, bool extra_g_statement = false) {
   std::ostringstream os;
@@ -156,26 +156,37 @@ TEST(Serve, RepeatSubmissionHitsFingerprintCache) {
   EXPECT_EQ(third.serve_dirty_instances, 0u); // nothing re-analyzed
 }
 
-// A forced fingerprint collision (constant hash hook) must never serve
-// the wrong report: the exact byte comparison catches it and both
-// programs get their own analysis.
-TEST(Serve, FingerprintCollisionNeverServesWrongReport) {
-  serve::ServeOptions options;
-  options.fingerprint_hook = [](std::uint64_t) { return 0x42ull; };
-  serve::AnalysisServer server(mem::typical_hw(), options);
+// The report cache keys on the whole request, not on a flattening of
+// it: `b` is `a` minus its last symbol, and the annotation text is that
+// symbol's bytes in the order a flat image + text concatenation would
+// emit them (name, NUL, LE addr, LE size, kind), so both requests
+// flatten to the same byte string. The second request must be analyzed
+// on its own — and its annotation text is malformed, so it fails
+// exactly like a fresh Analyzer instead of returning `a`'s report.
+TEST(Serve, ReportCacheMatchesWholeRequest) {
+  serve::AnalysisServer server(mem::typical_hw());
   const isa::Image a = compile(calls_program(6));
-  const isa::Image b = compile(calls_program(9));
-  const WcetReport ra = server.submit(a);
-  const WcetReport rb = server.submit(b);
-  ASSERT_TRUE(ra.ok);
-  ASSERT_TRUE(rb.ok);
-  EXPECT_NE(ra.wcet_cycles, rb.wcet_cycles);
-  EXPECT_GE(server.stats().fingerprint_collisions, 1u);
+  ASSERT_FALSE(a.symbols().empty());
+
+  isa::Image b;
+  for (const isa::Section& section : a.sections()) b.add_section(section);
+  for (std::size_t i = 0; i + 1 < a.symbols().size(); ++i) b.add_symbol(a.symbols()[i]);
+  b.set_entry(a.entry());
+
+  const isa::Symbol& last = a.symbols().back();
+  std::string text = last.name;
+  text.push_back('\0');
+  for (const std::uint32_t word : {last.addr, last.size}) {
+    for (int shift = 0; shift < 32; shift += 8) {
+      text.push_back(static_cast<char>((word >> shift) & 0xFFu));
+    }
+  }
+  text.push_back(static_cast<char>(last.kind));
+
+  ASSERT_TRUE(server.submit(a).ok);
+  EXPECT_THROW((void)Analyzer(b, mem::typical_hw(), text), InputError);
+  EXPECT_THROW((void)server.submit(b, text), InputError);
   EXPECT_EQ(server.stats().fingerprint_hits, 0u);
-  // Same bytes + same (colliding) hash is still a legitimate hit.
-  const WcetReport rb2 = server.submit(b);
-  EXPECT_EQ(rb2.wcet_cycles, rb.wcet_cycles);
-  EXPECT_EQ(server.stats().fingerprint_hits, 1u);
 }
 
 // Capacity-1 LRU: alternating two images evicts on every insert and
