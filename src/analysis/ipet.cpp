@@ -672,8 +672,7 @@ bool Ipet::build_region(const RegionSpec& spec, const IpetOptions& options,
       return false;
     }
     ilp.add_constraint(std::move(sink_sum), Cmp::eq, Rational(1));
-    emit_crash_basis(spec, options, build, balance_row, sink_var_node,
-                     ilp.num_constraints() - 1);
+    emit_crash_basis(spec, build, balance_row, sink_var_node, ilp.num_constraints() - 1);
   }
 
   // Loop entry terms of a region loop, substituting a collapsed child's
@@ -858,19 +857,10 @@ bool Ipet::build_region(const RegionSpec& spec, const IpetOptions& options,
   return true;
 }
 
-void Ipet::emit_crash_basis(const RegionSpec& spec, const IpetOptions& options,
-                            RegionBuild& build, const std::vector<int>& balance_row,
+void Ipet::emit_crash_basis(const RegionSpec& spec, RegionBuild& build,
+                            const std::vector<int>& balance_row,
                             const std::vector<std::pair<int, int>>& sink_var_node,
                             int sum_row) const {
-  // Design-level fact rows (emitted after the flow rows, top level
-  // only) may cut the crash solution off; such regions keep the
-  // ordinary shared phase 1 — exactly the fallback the decomposition
-  // already uses for fact-pinned subtrees.
-  if (spec.top_level &&
-      !(options.excluded_addrs.empty() && options.flow_caps.empty() &&
-        options.flow_ratios.empty() && options.infeasible_pairs.empty())) {
-    return;
-  }
   if (spec.source_node < 0 || balance_row[static_cast<std::size_t>(spec.source_node)] < 0) {
     return;
   }
@@ -882,9 +872,13 @@ void Ipet::emit_crash_basis(const RegionSpec& spec, const IpetOptions& options,
   // spanning forest of the network is a basis of the row space
   // (uncovered rows are each component's redundant row), and routing
   // the unit source flow down a back-edge-free tree path makes the
-  // implied basic solution feasible: flow rows hold exactly, and every
-  // loop-bound slack stays nonnegative because no back edge carries
-  // flow. The solver then starts phase 2 immediately.
+  // implied basic solution feasible for the flow rows: they hold
+  // exactly, and every loop-bound slack stays nonnegative because no
+  // back edge carries flow. Design-level fact rows (top level only) may
+  // still cut the crash solution off; the solver gives each violated
+  // inequality an artificial, so phase 1 repairs only those rows and a
+  // region whose facts the unit path satisfies starts phase 2
+  // immediately.
   struct Arc {
     int var = -1;
     int tail = -1;

@@ -71,8 +71,9 @@ struct IpetResult {
   int sub_ilps = 0;            // sub-ILPs solved across all nesting levels
   int decomposition_depth = 0; // nesting depth of the deepest sub-ILP
   // Simplex pivot split summed over every region solve (see LpSolution):
-  // a pure-flow workload solved off network-flow crash bases reports
-  // phase1_pivots == 0.
+  // a workload solved off network-flow crash bases reports
+  // phase1_pivots == 0 unless the crash solution violates a fact or
+  // other inequality row, and then pays phase 1 for those rows only.
   std::uint64_t phase1_pivots = 0;
   std::uint64_t phase2_pivots = 0;
   std::uint64_t crash_basis_rows = 0;
@@ -196,11 +197,13 @@ private:
                                const std::set<int>& exit_set) const;
   // Seed the region's ILP with a network-flow crash basis (see
   // IlpProblem::set_basis_hint): a spanning forest of the balance-row
-  // flow network carrying one unit of source-to-sink flow. Emitted only
-  // for pure-flow systems (no design-level fact rows) whose every
-  // equality-row variable is a well-formed arc; otherwise a no-op and
-  // the solver runs its ordinary phase 1.
-  void emit_crash_basis(const RegionSpec& spec, const IpetOptions& options, RegionBuild& build,
+  // flow network carrying one unit of source-to-sink flow. Emitted
+  // whenever every equality-row variable is a well-formed arc and a
+  // back-edge-free source-to-sink path exists, with or without
+  // design-level fact rows (a fact the crash solution violates costs
+  // phase-1 pivots on that row only); otherwise a no-op and the solver
+  // runs its ordinary phase 1.
+  void emit_crash_basis(const RegionSpec& spec, RegionBuild& build,
                         const std::vector<int>& balance_row,
                         const std::vector<std::pair<int, int>>& sink_var_node,
                         int sum_row) const;

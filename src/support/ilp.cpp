@@ -84,8 +84,10 @@ public:
   // without an artificial; after the row pass the tableau is reduced to
   // the hinted basis by one elimination per hint (in hint order, so a
   // children-before-parents tree order keeps each pivot cell at its
-  // original +-1 coefficient). Only valid without `extra` rows: branch
-  // rows may be violated by the crash solution.
+  // original +-1 coefficient); inequality rows the crash solution
+  // leaves at a negative rhs are then repaired in place. Only valid
+  // without `extra` rows: branch & bound re-solves run the ordinary
+  // two-phase method.
   Simplex(std::size_t num_vars, const std::vector<IlpProblem::Row>& base,
           const std::vector<IlpProblem::Row>& extra, const std::vector<Rational>& objective,
           const std::vector<std::pair<int, int>>* hint = nullptr)
@@ -193,14 +195,37 @@ public:
         crash_eliminate(static_cast<std::size_t>(row), static_cast<std::size_t>(var));
       }
       crash_rows_ = hint->size();
+      // The eliminations only subtracted slack-free equality rows, so
+      // every slack (and artificial) column is still a unit vector, and
+      // an inequality row whose rhs went negative is repaired in place
+      // by negating it. The flow rows keep their tree basis.
+      const auto is_slack = [&](std::size_t c) { return c >= n_ && c < n_ + num_slack; };
       for (std::size_t r = 0; r < m_; ++r) {
-        // The caller promised a feasible start: slack- and crash-basic
-        // rows must come out with a nonnegative right-hand side (rows
-        // still owning an artificial are phase 1's business and start
-        // at rhs >= 0 by the flip normalization, which the eliminations
-        // preserve only for rows they leave untouched — so check them
-        // too; a redundant row reduces to exactly zero).
-        WCET_CHECK(!rhs_[r].is_negative(), "crash basis start is primal-infeasible");
+        SparseRow& sr = mat_[r];
+        // A `>=` row keeps its surplus, then its artificial, last.
+        const bool ge_row = is_artificial_[basis_[r]] && sr.size() >= 2 &&
+                            is_slack(sr[sr.size() - 2].col);
+        if (ge_row ? rhs_[r].is_positive() : !rhs_[r].is_negative()) continue;
+        WCET_CHECK(ge_row || is_slack(basis_[r]), "crash basis start is primal-infeasible");
+        for (Ent& e : sr) e.val = -e.val;
+        rhs_[r] = -rhs_[r];
+        if (ge_row) {
+          // The crash solution satisfies the `>=` row: its surplus, now
+          // +1, becomes basic, and the artificial is fixed at zero by
+          // dropping its only entry.
+          sr.pop_back();
+          basis_[r] = sr.back().col;
+          --num_art_;
+          continue;
+        }
+        // A `<=` row (fact, loop bound, persistence) the crash solution
+        // violates: hand it to phase 1 on a fresh artificial, so phase
+        // 1 repairs only such rows.
+        sr.push_back({cols_, Rational(1)});
+        is_artificial_.push_back(true);
+        obj_.emplace_back(0);
+        basis_[r] = cols_++;
+        ++num_art_;
       }
     }
   }

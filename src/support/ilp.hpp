@@ -65,7 +65,8 @@ struct LpSolution {
   // cold branch-and-bound fallback), `phase2_pivots` the rest (phase-2
   // optimization plus all warm-start dual pivots). A solve that starts
   // from a crash basis (see IlpProblem::set_basis_hint) reports
-  // phase1_pivots == 0 on a pure-flow system.
+  // phase1_pivots == 0 unless the crash solution violates an
+  // inequality row.
   std::uint64_t phase1_pivots = 0;
   std::uint64_t phase2_pivots = 0;
   // Number of rows whose basic column came from the caller's crash
@@ -106,15 +107,21 @@ public:
   // for the equality rows — for IPET regions, the arcs of a spanning
   // tree of the flow network plus a unit source-to-sink path. Hinted
   // rows start basic on their structural column instead of an
-  // artificial variable, so a system whose every artificial-needing row
-  // is hinted enters phase 2 directly (phase1_pivots == 0).
+  // artificial variable. Every inequality row then starts on its slack
+  // when the implied basic solution (the "crash solution") satisfies
+  // it; a violated inequality gets an artificial, so phase 1 repairs
+  // only those rows. A system whose every equality row is hinted (or
+  // redundant) and whose inequalities the crash solution satisfies
+  // enters phase 2 directly (phase1_pivots == 0).
   //
   // Caller contract (checked, violations are fatal):
   //   - every hinted row is an equality with a nonzero coefficient on
   //     its hinted column (after eliminating earlier hints in order),
   //   - each row and each column is hinted at most once,
-  //   - the implied basic solution is feasible: after reducing the
-  //     tableau to the hinted basis every right-hand side is >= 0.
+  //   - the crash solution is nonnegative and satisfies every
+  //     equality row: after reducing the tableau to the hinted basis,
+  //     every hinted or equality row has a right-hand side >= 0 (a
+  //     redundant row reduces to exactly zero).
   // The hint is consulted by solve_lp / solve_ilp / solve_ilp_pair for
   // the root (no extra branch rows); branch-and-bound re-solves carry
   // branch rows the crash solution may violate and run the ordinary

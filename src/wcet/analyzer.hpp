@@ -126,8 +126,10 @@ struct WcetReport {
   int ipet_depth = 0;    // decomposition nesting depth
   // Simplex phase split across every region of the WCET solve: crash
   // bases (network-flow spanning trees seeding the tableau) drive
-  // phase1_pivots to zero on pure-flow regions; crash_basis_rows counts
-  // eliminations that replaced artificial variables.
+  // phase1_pivots to zero on every region whose fact and loop-bound
+  // rows the crash solution satisfies (a violated row is repaired by
+  // phase 1 alone); crash_basis_rows counts eliminations that replaced
+  // artificial variables.
   std::uint64_t phase1_pivots = 0;
   std::uint64_t phase2_pivots = 0;
   std::uint64_t crash_basis_rows = 0;

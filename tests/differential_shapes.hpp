@@ -260,6 +260,34 @@ inline std::string conditional_fan() {
   return os.str();
 }
 
+// The benchmark's deep program with fixed parameters: a depth-5 call
+// tree (main -> f1 -> f2 -> f3 -> f4, two calls per level) whose f4
+// branches between a heavy `leaf` and a `lite` helper. A cap on `leaf`
+// pins every subtree, so the whole tree is one fact-constrained ILP.
+inline std::string deep_facts_tree() {
+  std::ostringstream os;
+  os << k_input_preamble;
+  os << "int leaf(int x) {\n  int s = x;\n";
+  os << "  { int a; for (a = 0; a < 6; a++) { s += data[(s + a) & 15]; } }\n";
+  os << "  { int b; for (b = 0; b < 6; b++) { s += data[(s + b) & 15]; } }\n";
+  os << "  return s;\n}\n";
+  os << "int lite(int x) {\n  int s = x;\n";
+  os << "  { int c; for (c = 0; c < 2; c++) { s += data[(s + c) & 15]; } }\n";
+  os << "  return s;\n}\n";
+  os << "int f4(int x) {\n  int s = x;\n";
+  os << "  { int j; for (j = 0; j < 3; j++) { s += data[(s + j) & 15]; } }\n";
+  os << "  if (input[s & 7] > 5) { s += leaf(s); } else { s += lite(s); }\n";
+  os << "  return s;\n}\n";
+  for (int level = 3; level >= 1; --level) {
+    os << "int f" << level << "(int x) {\n  int s = x;\n";
+    os << "  s += f" << level + 1 << "(s);\n  s += f" << level + 1 << "(s + 1);\n";
+    os << "  return s;\n}\n";
+  }
+  os << "int main(void) {\n  int v = input[0];\n  v += f1(v);\n  v += f1(v + 2);\n"
+     << "  return v;\n}\n";
+  return os.str();
+}
+
 struct Shape {
   const char* name;
   std::string source;
@@ -292,6 +320,9 @@ inline std::vector<Shape> shapes() {
   all.push_back({"coupled_never", conditional_fan(), "never at \"h3\"\n", "", true});
   all.push_back({"coupled_cap_on_chain", deep_chain(8, 2),
                  "flow at \"f6\" <= 1\n", "", true});
+  // The cap on `leaf` reaches every f4 instance, so nothing decomposes.
+  all.push_back({"coupled_cap_on_deep_tree", deep_facts_tree(),
+                 "flow at \"leaf\" <= 20\n", "", false});
   // Single-function shapes: no call subtree to collapse, so the
   // recursive mode must fall back to the monolithic reference cleanly.
   all.push_back({"single_fn_diamonds", single_fn_diamonds(5), "", "", false});

@@ -96,11 +96,12 @@ TEST(IpetDecompositionDifferential, FlowFactsOnlyPinTouchedSubtrees) {
       << "the capped subtree must be pinned out of the plan";
 }
 
-TEST(IpetDecompositionDifferential, CrashBasisSkipsPhaseOneWithoutFacts) {
-  // Every region of a fact-free system is a pure flow network, so the
-  // crash basis must start phase 2 immediately — in every mode.
+TEST(IpetDecompositionDifferential, CrashBasisCoversFactRegions) {
+  // Every region gets the network-flow crash basis, fact-pinned top
+  // levels included: the facts of these shapes hold on the crash path,
+  // so no row needs an artificial and every solve starts phase 2
+  // immediately — in every mode.
   for (const Shape& shape : shapes()) {
-    if (!shape.annotations.empty()) continue; // fact rows may need phase 1
     SCOPED_TRACE(shape.name);
     for (const auto mode :
          {analysis::IpetDecomposition::monolithic, analysis::IpetDecomposition::recursive}) {
@@ -110,6 +111,29 @@ TEST(IpetDecompositionDifferential, CrashBasisSkipsPhaseOneWithoutFacts) {
           << "mode " << static_cast<int>(mode) << ": " << report.to_string();
       EXPECT_GT(report.crash_basis_rows, 0u) << "mode " << static_cast<int>(mode);
     }
+  }
+}
+
+TEST(IpetDecompositionDifferential, CrashBasisKeepsFactsOnTheEntry) {
+  // A ratio fact whose left side covers the task entry carries the
+  // entry's unit of flow as a constant, so its row has a negative rhs
+  // and is stored as a `>=` row. The crash path satisfies it (h2 runs
+  // once), so the crash basis must absorb the row on its surplus — no
+  // phase 1, and the same bounds as the fact-free solve.
+  const Shape plain{"fan", conditional_fan(), "", "", true};
+  const Shape entry_ratio{"fan_entry_ratio", conditional_fan(),
+                          "flow at \"_start\" <= 1 * at \"h2\"\n", "", true};
+  const WcetReport reference =
+      analyze_shape(plain, 1, analysis::IpetDecomposition::monolithic);
+  ASSERT_TRUE(reference.ok);
+  for (const auto mode :
+       {analysis::IpetDecomposition::monolithic, analysis::IpetDecomposition::recursive}) {
+    const WcetReport report = analyze_shape(entry_ratio, 1, mode);
+    ASSERT_TRUE(report.ok) << report.to_string();
+    EXPECT_EQ(report.wcet_cycles, reference.wcet_cycles);
+    EXPECT_EQ(report.bcet_cycles, reference.bcet_cycles);
+    EXPECT_EQ(report.phase1_pivots, 0u) << "mode " << static_cast<int>(mode);
+    EXPECT_GT(report.crash_basis_rows, 0u) << "mode " << static_cast<int>(mode);
   }
 }
 

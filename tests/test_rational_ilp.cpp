@@ -460,6 +460,86 @@ TEST(Ilp, CrashBasisPairSharesPhaseTwoEntry) {
   EXPECT_EQ(wcet.crash_basis_rows, 4u);
 }
 
+TEST(Ilp, CrashBasisRepairsViolatedInequality) {
+  // The crash path a->b->d->sink puts one unit on a_b, so a fact row
+  // `a_b <= 0` starts violated: its slack would be -1. The solver must
+  // hand that row (and only that row) to phase 1 on an artificial,
+  // keep the tree basis for the flow rows, and reach the cold optimum.
+  std::vector<std::pair<int, int>> hint;
+  IlpProblem hinted = diamond_flow(&hint);
+  hinted.add_constraint({{0, Rational(1)}}, Cmp::le, Rational(0));
+  hinted.set_basis_hint(hint);
+  IlpProblem cold = diamond_flow(nullptr);
+  cold.add_constraint({{0, Rational(1)}}, Cmp::le, Rational(0));
+
+  const LpSolution fast = hinted.solve_ilp();
+  const LpSolution slow = cold.solve_ilp();
+  ASSERT_TRUE(fast.ok());
+  ASSERT_TRUE(slow.ok());
+  EXPECT_EQ(fast.objective, Rational(13)); // ac + cd + dx: the cap does not bind
+  EXPECT_EQ(fast.objective, slow.objective);
+  EXPECT_EQ(fast.crash_basis_rows, 4u);
+  EXPECT_GT(fast.phase1_pivots, 0u);
+
+  // Through the pair path the repaired basis is shared by both senses;
+  // with a_b pinned to zero the only route left is a->c->d->sink.
+  const std::vector<Rational> negated = {Rational(-3), Rational(-7), Rational(-2), Rational(-1),
+                                         Rational(-5)};
+  IlpProblem cold_min = diamond_flow(nullptr);
+  cold_min.add_constraint({{0, Rational(1)}}, Cmp::le, Rational(0));
+  for (int j = 0; j < cold_min.num_variables(); ++j) {
+    cold_min.set_objective(j, negated[static_cast<std::size_t>(j)]);
+  }
+  const LpSolution bcet_cold = cold_min.solve_ilp();
+  const auto [wcet, bcet] = hinted.solve_ilp_pair(negated);
+  ASSERT_TRUE(wcet.ok());
+  ASSERT_TRUE(bcet.ok());
+  ASSERT_TRUE(bcet_cold.ok());
+  EXPECT_EQ(wcet.objective, Rational(13));
+  EXPECT_EQ(bcet.objective, bcet_cold.objective);
+  EXPECT_EQ(bcet.objective, Rational(-13));
+  EXPECT_EQ(wcet.crash_basis_rows, 4u);
+  EXPECT_GT(wcet.phase1_pivots, 0u);
+}
+
+TEST(Ilp, CrashBasisKeepsSatisfiedInequality) {
+  // `a_c <= 0` holds on the crash path (a_c carries no flow there), so
+  // its slack stays basic and the solve still skips phase 1. The cap
+  // binds: the optimum drops from 13 to the a->b->d->sink route's 10.
+  std::vector<std::pair<int, int>> hint;
+  IlpProblem hinted = diamond_flow(&hint);
+  hinted.add_constraint({{1, Rational(1)}}, Cmp::le, Rational(0));
+  hinted.set_basis_hint(hint);
+  const LpSolution s = hinted.solve_ilp();
+  ASSERT_TRUE(s.ok());
+  EXPECT_EQ(s.objective, Rational(10));
+  EXPECT_EQ(s.phase1_pivots, 0u);
+  EXPECT_EQ(s.crash_basis_rows, 4u);
+}
+
+TEST(Ilp, CrashBasisKeepsSatisfiedLowerBound) {
+  // A lower bound written as `-terms <= -1` needs an artificial before
+  // the crash. The crash path satisfies both variants below, once with
+  // room to spare (a_b + b_d == 2) and once exactly (a_b == 1), so the
+  // surplus must start basic instead: no phase 1, and the lower bound
+  // forces the b route.
+  const std::vector<std::vector<LinTerm>> lower_bounds = {
+      {{0, Rational(-1)}, {2, Rational(-1)}}, // a_b + b_d >= 1
+      {{0, Rational(-1)}},                    // a_b >= 1
+  };
+  for (const std::vector<LinTerm>& terms : lower_bounds) {
+    std::vector<std::pair<int, int>> hint;
+    IlpProblem hinted = diamond_flow(&hint);
+    hinted.add_constraint(terms, Cmp::le, Rational(-1));
+    hinted.set_basis_hint(hint);
+    const LpSolution s = hinted.solve_ilp();
+    ASSERT_TRUE(s.ok());
+    EXPECT_EQ(s.objective, Rational(10));
+    EXPECT_EQ(s.phase1_pivots, 0u);
+    EXPECT_EQ(s.crash_basis_rows, 4u);
+  }
+}
+
 TEST(Ilp, CrashBasisIgnoredUnderBranchRows) {
   // Branch & bound cold fallbacks carry extra rows the crash solution
   // may violate; they must run the ordinary two-phase method. Forcing a
