@@ -1,41 +1,24 @@
 // wcet_cli: command-line front end of the analyzer with a hardened
 // error boundary.
 //
-// Every failure leaves through exactly one of four classified exits —
-// the contract daemons and CI wrappers script against:
-//
-//   0  analysis completed, bound stated (possibly DEGRADED, see report)
-//   1  analysis completed, no bound (obstructions listed in the report)
-//   2  input error: malformed image/source/annotations/flags (InputError)
-//   3  analysis error: classified analysis-level failure, including
-//      cancellation and memory exhaustion (AnalysisError)
-//   4  internal error: an analyzer invariant broke (InternalError) or an
-//      unclassified exception escaped — always a bug worth reporting
+// Every failure leaves through exactly one of four classified exits
+// (cli_common.hpp) — the contract daemons and CI wrappers script
+// against.
 //
 // Inputs: a tiny32 assembly file (.s, isa::assemble) or an mcc C
 // translation unit (any other extension, mcc::compile_program).
-#include <cstdint>
 #include <cstdlib>
-#include <exception>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 
-#include "isa/assembler.hpp"
-#include "mcc/runtime.hpp"
+#include "cli_common.hpp"
 #include "mem/hwmodel.hpp"
 #include "support/budget.hpp"
-#include "support/diag.hpp"
 #include "wcet/analyzer.hpp"
 
 namespace {
 
-constexpr int kExitOk = 0;
-constexpr int kExitNoBound = 1;
-constexpr int kExitInputError = 2;
-constexpr int kExitAnalysisError = 3;
-constexpr int kExitInternalError = 4;
+using namespace wcet::cli;
 
 void print_usage(std::ostream& os) {
   os << "usage: wcet_cli [options] <program.s | program.c>\n"
@@ -43,7 +26,7 @@ void print_usage(std::ostream& os) {
         "  --annotations FILE        annotation file (loop bounds, flow facts, ...)\n"
         "  --function NAME           analyze this function symbol instead of the entry\n"
         "  --mode NAME               operating mode for mode-scoped annotations\n"
-        "  --threads N               worker threads (default 1; results identical)\n"
+        "  --threads N               worker threads, <= 256 (default 1; results identical)\n"
         "  --decomposition MODE      ipet split: monolithic | recursive\n"
         "  --ipet-mode MODE          alias for --decomposition\n"
         "  --validate                run the independent path-exploration oracle and\n"
@@ -57,31 +40,6 @@ void print_usage(std::ostream& os) {
         "\n"
         "exit codes: 0 bound stated, 1 no bound (obstructions), 2 input error,\n"
         "            3 analysis error (incl. cancellation), 4 internal error\n";
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw wcet::InputError("cannot open input file: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) throw wcet::InputError("cannot read input file: " + path);
-  return buffer.str();
-}
-
-std::uint64_t parse_u64(const std::string& flag, const std::string& text) {
-  try {
-    std::size_t used = 0;
-    const unsigned long long value = std::stoull(text, &used);
-    if (used != text.size()) throw std::invalid_argument(text);
-    return static_cast<std::uint64_t>(value);
-  } catch (const std::exception&) {
-    throw wcet::InputError(flag + " expects a non-negative integer, got '" + text + "'");
-  }
-}
-
-bool ends_with(const std::string& text, const std::string& suffix) {
-  return text.size() >= suffix.size() &&
-         text.compare(text.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
 struct CliArgs {
@@ -109,16 +67,9 @@ CliArgs parse_args(int argc, char** argv) {
     } else if (arg == "--mode") {
       args.options.mode = value_of(i, arg);
     } else if (arg == "--threads") {
-      args.options.threads = static_cast<int>(parse_u64(arg, value_of(i, arg)));
+      args.options.threads = parse_threads(arg, value_of(i, arg));
     } else if (arg == "--decomposition" || arg == "--ipet-mode") {
-      const std::string mode = value_of(i, arg);
-      if (mode == "monolithic") {
-        args.options.decomposition = wcet::analysis::IpetDecomposition::monolithic;
-      } else if (mode == "recursive") {
-        args.options.decomposition = wcet::analysis::IpetDecomposition::recursive;
-      } else {
-        throw wcet::InputError(arg + " expects monolithic|recursive, got '" + mode + "'");
-      }
+      args.options.decomposition = parse_decomposition(arg, value_of(i, arg));
     } else if (arg == "--validate") {
       args.options.validate = true;
     } else if (arg == "--deadline-ms") {
@@ -148,10 +99,7 @@ CliArgs parse_args(int argc, char** argv) {
 
 int run(int argc, char** argv) {
   const CliArgs args = parse_args(argc, argv);
-  const std::string source = read_file(args.input_path);
-  const wcet::isa::Image image = ends_with(args.input_path, ".s")
-                                     ? wcet::isa::assemble(source)
-                                     : wcet::mcc::compile_program(source).image;
+  const wcet::isa::Image image = load_image(args.input_path);
   std::string annotations;
   if (!args.annotations_path.empty()) annotations = read_file(args.annotations_path);
 
@@ -180,29 +128,5 @@ int run(int argc, char** argv) {
 } // namespace
 
 int main(int argc, char** argv) {
-  // The error boundary: exactly one classified exit per failure class.
-  // Order matters — InternalError derives from logic_error and the
-  // others from runtime_error, but catch the most specific first anyway
-  // so a future hierarchy change cannot silently reroute a class.
-  try {
-    return run(argc, argv);
-  } catch (const wcet::InputError& e) {
-    std::cerr << "error(input): " << e.what() << '\n';
-    return kExitInputError;
-  } catch (const wcet::AnalysisError& e) {
-    std::cerr << "error(analysis): " << e.what() << '\n';
-    return kExitAnalysisError;
-  } catch (const wcet::InternalError& e) {
-    std::cerr << "error(internal): " << e.what() << '\n';
-    return kExitInternalError;
-  } catch (const std::bad_alloc&) {
-    std::cerr << "error(analysis): out of memory\n";
-    return kExitAnalysisError;
-  } catch (const std::exception& e) {
-    std::cerr << "error(internal): unclassified exception: " << e.what() << '\n';
-    return kExitInternalError;
-  } catch (...) {
-    std::cerr << "error(internal): unknown exception\n";
-    return kExitInternalError;
-  }
+  return run_classified([&] { return run(argc, argv); });
 }

@@ -1,48 +1,35 @@
 // wcet_serve: persistent analysis-server front end (src/serve) with the
-// same hardened error boundary and exit codes as wcet_cli:
-//
-//   0  every analysis completed with a bound stated
-//   1  analysis completed, no bound (obstructions listed)
-//   2  input error (InputError)
-//   3  analysis error, including cancellation and memory exhaustion
-//   4  internal error / unclassified exception
+// same hardened error boundary and exit codes as wcet_cli
+// (cli_common.hpp); exit 0 means every analysis stated a bound.
 //
 // One server instance is constructed per process invocation and fed
 // every request: `--repeat N` resubmits each input N times (the
 // steady-state requests are served from the exact-match report cache),
 // `--batch` shards the inputs as one independent fleet across the
 // worker pool, and `--stats` dumps the server counters after the last
-// request — the text endpoint CI smoke-tests grep.
+// request — the text endpoint the `serve_repeat_hits` ctest greps.
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
-#include <exception>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "isa/assembler.hpp"
-#include "mcc/runtime.hpp"
+#include "cli_common.hpp"
 #include "mem/hwmodel.hpp"
 #include "serve/analysis_server.hpp"
-#include "support/diag.hpp"
 #include "wcet/analyzer.hpp"
 
 namespace {
 
-constexpr int kExitOk = 0;
-constexpr int kExitNoBound = 1;
-constexpr int kExitInputError = 2;
-constexpr int kExitAnalysisError = 3;
-constexpr int kExitInternalError = 4;
+using namespace wcet::cli;
 
 void print_usage(std::ostream& os) {
   os << "usage: wcet_serve [options] <program.s | program.c> [more programs...]\n"
         "\n"
         "  --annotations FILE   annotation file applied to every request\n"
         "  --mode NAME          operating mode for mode-scoped annotations\n"
-        "  --threads N          worker threads of the shared pool (default 1)\n"
+        "  --threads N          shared-pool worker threads, <= 256 (default 1)\n"
         "  --decomposition MODE ipet split: monolithic | recursive\n"
         "  --validate           run the independent validation oracles per request\n"
         "  --repeat N           submit each input N times (default 1); repeats are\n"
@@ -54,31 +41,6 @@ void print_usage(std::ostream& os) {
         "\n"
         "exit codes: 0 all bounds stated, 1 some input got no bound, 2 input error,\n"
         "            3 analysis error, 4 internal error\n";
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw wcet::InputError("cannot open input file: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) throw wcet::InputError("cannot read input file: " + path);
-  return buffer.str();
-}
-
-std::uint64_t parse_u64(const std::string& flag, const std::string& text) {
-  try {
-    std::size_t used = 0;
-    const unsigned long long value = std::stoull(text, &used);
-    if (used != text.size()) throw std::invalid_argument(text);
-    return static_cast<std::uint64_t>(value);
-  } catch (const std::exception&) {
-    throw wcet::InputError(flag + " expects a non-negative integer, got '" + text + "'");
-  }
-}
-
-bool ends_with(const std::string& text, const std::string& suffix) {
-  return text.size() >= suffix.size() &&
-         text.compare(text.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
 struct CliArgs {
@@ -106,16 +68,9 @@ CliArgs parse_args(int argc, char** argv) {
     } else if (arg == "--mode") {
       args.serve.analysis.mode = value_of(i, arg);
     } else if (arg == "--threads") {
-      args.serve.analysis.threads = static_cast<int>(parse_u64(arg, value_of(i, arg)));
+      args.serve.analysis.threads = parse_threads(arg, value_of(i, arg));
     } else if (arg == "--decomposition" || arg == "--ipet-mode") {
-      const std::string mode = value_of(i, arg);
-      if (mode == "monolithic") {
-        args.serve.analysis.decomposition = wcet::analysis::IpetDecomposition::monolithic;
-      } else if (mode == "recursive") {
-        args.serve.analysis.decomposition = wcet::analysis::IpetDecomposition::recursive;
-      } else {
-        throw wcet::InputError(arg + " expects monolithic|recursive, got '" + mode + "'");
-      }
+      args.serve.analysis.decomposition = parse_decomposition(arg, value_of(i, arg));
     } else if (arg == "--validate") {
       args.serve.analysis.validate = true;
     } else if (arg == "--repeat") {
@@ -137,12 +92,6 @@ CliArgs parse_args(int argc, char** argv) {
     throw wcet::InputError("no input file given (try --help)");
   }
   return args;
-}
-
-wcet::isa::Image load_image(const std::string& path) {
-  const std::string source = read_file(path);
-  return ends_with(path, ".s") ? wcet::isa::assemble(source)
-                               : wcet::mcc::compile_program(source).image;
 }
 
 int run(int argc, char** argv) {
@@ -194,25 +143,5 @@ int run(int argc, char** argv) {
 } // namespace
 
 int main(int argc, char** argv) {
-  try {
-    return run(argc, argv);
-  } catch (const wcet::InputError& e) {
-    std::cerr << "error(input): " << e.what() << '\n';
-    return kExitInputError;
-  } catch (const wcet::AnalysisError& e) {
-    std::cerr << "error(analysis): " << e.what() << '\n';
-    return kExitAnalysisError;
-  } catch (const wcet::InternalError& e) {
-    std::cerr << "error(internal): " << e.what() << '\n';
-    return kExitInternalError;
-  } catch (const std::bad_alloc&) {
-    std::cerr << "error(analysis): out of memory\n";
-    return kExitAnalysisError;
-  } catch (const std::exception& e) {
-    std::cerr << "error(internal): unclassified exception: " << e.what() << '\n';
-    return kExitInternalError;
-  } catch (...) {
-    std::cerr << "error(internal): unknown exception\n";
-    return kExitInternalError;
-  }
+  return run_classified([&] { return run(argc, argv); });
 }

@@ -42,9 +42,6 @@ if(failures EQUAL 0)
       "cmake -B build -S ."
       "cmake --build build -j"
       "ctest --output-on-failure"
-      "bench/run_bench.sh"
-      "BENCH_analysis.json"
-      "diff_bench.py"
       "wcet_cycles"
       "-L tier1"
       "WCET_SANITIZE"
@@ -62,10 +59,10 @@ if(failures EQUAL 0)
       "cancel_latency_us"
       "--validate"
       "tightness_x1000"
+      "ParallelOracle.ScalingShapeBoundsPinned"
       "wcet_serve"
       "--stats"
       "fingerprint"
-      "BM_serve_hit"
       "dirty_instances"
       "perfbench/run.py")
   require_content(docs/ARCHITECTURE.md
@@ -105,9 +102,6 @@ if(failures EQUAL 0)
       "verified, never trusted"
       "warm_guard_ok"
       "submit_batch")
-  # The bench entry points docs refer to must exist.
-  require_file(bench/run_bench.sh)
-  require_file(bench/diff_bench.py)
 endif()
 
 if(failures GREATER 0)

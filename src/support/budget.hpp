@@ -166,8 +166,11 @@ public:
     if (deadline_probe_.fetch_add(1, std::memory_order_relaxed) % kDeadlineStride != 0) {
       return false;
     }
-    const std::int64_t elapsed_ms = (CancelToken::now_ns() - start_ns_) / 1000000;
-    if (elapsed_ms >= static_cast<std::int64_t>(budget_.deadline_ms)) {
+    // Unsigned compare: deadline_ms may exceed INT64_MAX. Elapsed time
+    // is never negative (the clock is steady).
+    const auto elapsed_ms =
+        static_cast<std::uint64_t>((CancelToken::now_ns() - start_ns_) / 1000000);
+    if (elapsed_ms >= budget_.deadline_ms) {
       deadline_hit_.store(true, std::memory_order_relaxed);
       return true;
     }

@@ -12,6 +12,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -25,8 +27,9 @@
 namespace wcet {
 namespace {
 
-// Same shape as the bench generator: a call tree of `functions`
-// workers, each with a few counted loops over a shared table.
+// The synthetic call-tree shape of tests/test_parallel_oracle.cpp: a
+// call tree of `functions` workers, each with a few counted loops over
+// a shared table.
 std::string synthetic_program(int functions, int loops_per_function) {
   std::ostringstream os;
   os << "int data[16] = {1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16};\n";
@@ -171,6 +174,19 @@ TEST(Budgets, DeadlineNeverBreaksSoundness) {
   EXPECT_GE(report.wcet_cycles, exact_report().wcet_cycles);
   EXPECT_LE(report.bcet_cycles, exact_report().bcet_cycles);
   EXPECT_EQ(report.degraded, !report.degradations.empty());
+}
+
+// The largest deadline is as good as none: it must never trip, so the
+// run is the exact analysis with an empty ledger.
+TEST(Budgets, HugeDeadlineNeverTrips) {
+  AnalysisBudget budget;
+  budget.deadline_ms = std::numeric_limits<std::uint64_t>::max();
+  const WcetReport report = run_with(budget);
+  ASSERT_TRUE(report.ok);
+  EXPECT_TRUE(report.degradations.empty());
+  EXPECT_FALSE(report.degraded);
+  EXPECT_EQ(report.wcet_cycles, exact_report().wcet_cycles);
+  EXPECT_EQ(report.bcet_cycles, exact_report().bcet_cycles);
 }
 
 // Same budget => same bound and same ledger, independent of worker

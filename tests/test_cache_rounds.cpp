@@ -214,11 +214,12 @@ std::uint64_t classification_fingerprint(const cfg::Supergraph& sg,
 }
 
 TEST(CacheRounds, Arg32FingerprintsIdenticalAndLeavesShared) {
-  // The BM_analyze_scaling/32 workload: classification fingerprints
-  // must be bit-identical for every worker count, and the COW states
-  // must actually share — a fixpoint whose pointer-equality join gate
-  // never fires would mean every leaf is cloned and the structural
-  // sharing regressed to deep copies.
+  // The 32-function synthetic call tree (a shape
+  // ParallelOracle.ScalingShapeBoundsPinned pins): classification
+  // fingerprints must be bit-identical for every worker count, and the
+  // COW states must actually share — a fixpoint whose pointer-equality
+  // join gate never fires would mean every leaf is cloned and the
+  // structural sharing regressed to deep copies.
   Pipeline p(call_tree_program(32, 3));
   analysis::reset_cache_join_stats();
   CacheAnalysis baseline(p.sg, p.loops, p.values, p.hw.memory, p.hw.icache, p.hw.dcache);

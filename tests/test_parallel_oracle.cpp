@@ -1,8 +1,12 @@
-// The Arg(16) bench workload as a tier-1 oracle under maximum
-// parallelism: the 16-function call tree of BM_analyze_scaling/16
-// analyzed at threads=8 (more workers than the pool ever gets from the
-// bench) must produce bit-identical bounds, obstructions and cache
-// stats against the sequential run, for every IPET decomposition mode.
+// The synthetic call-tree shape (N leaf functions x 3 counted loops) as
+// a tier-1 oracle. Two cases:
+//   * ScalingShapeBoundsPinned pins the exact WCET/BCET, tightness and
+//     IPET structure of the shape at N = 1..64, at 1 and 4 threads and
+//     across both IPET decomposition modes. N = 64 is the `unseeded64`
+//     program of perfbench's `wide_cold` workload, which times it.
+//   * Arg16BitIdenticalAtEightThreadsAcrossModes analyzes N = 16 at
+//     threads=8 and requires bit-identical bounds, obstructions and
+//     cache stats against the sequential run, for every IPET mode.
 //
 // This is the test the sanitizer jobs lean on: built with
 // -DWCET_SANITIZE=thread it drives the copy-on-write abstract states
@@ -12,6 +16,7 @@
 // for lifetime bugs.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 
@@ -21,8 +26,8 @@
 namespace wcet {
 namespace {
 
-// Identical generator to bench_analysis_perf.cpp's synthetic_program —
-// this test IS the Arg(16) bench point.
+// N functions with `loops_per_function` counted loops over a shared
+// table, called in sequence from main (call depth 1).
 std::string synthetic_program(int functions, int loops_per_function) {
   std::ostringstream os;
   os << "int data[16] = {1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16};\n";
@@ -39,6 +44,68 @@ std::string synthetic_program(int functions, int loops_per_function) {
   for (int f = 0; f < functions; ++f) os << "  total += work" << f << "(total);\n";
   os << "  return total;\n}\n";
   return os.str();
+}
+
+struct ScalingPoint {
+  int functions;
+  std::uint64_t wcet;
+  std::uint64_t bcet;
+  std::uint64_t tightness_x1000; // validated run, threads 4
+  int sub_ilps;                  // recursive IPET
+};
+
+// Any change to these values changes a stated bound or its tightness
+// against the deterministic simulator replay; perf work keeps them
+// bit-identical.
+constexpr ScalingPoint kScalingPoints[] = {
+    {1, 1356, 217, 1018, 0},     {4, 5180, 626, 1025, 4},
+    {8, 10277, 1173, 1026, 8},   {16, 20470, 2265, 1026, 16},
+    {32, 40858, 4449, 1026, 32}, {64, 85672, 10918, 1034, 64},
+};
+
+TEST(ParallelOracle, ScalingShapeBoundsPinned) {
+  for (const ScalingPoint& point : kScalingPoints) {
+    const auto built = mcc::compile_program(synthetic_program(point.functions, 3));
+    const Analyzer analyzer(built.image, mem::typical_hw());
+    const std::string label = "functions " + std::to_string(point.functions);
+
+    for (const int threads : {1, 4}) {
+      AnalysisOptions options;
+      options.threads = threads;
+      const WcetReport report = analyzer.analyze(options);
+      ASSERT_TRUE(report.ok) << label << '\n' << report.to_string();
+      EXPECT_EQ(report.wcet_cycles, point.wcet) << label << " threads " << threads;
+      EXPECT_EQ(report.bcet_cycles, point.bcet) << label << " threads " << threads;
+      // An unlimited-budget run is the exact analysis: the governor
+      // never trips, so the pinned numbers are never degraded ones.
+      EXPECT_TRUE(report.degradations.empty()) << label << " threads " << threads;
+      // The shape is fact-free: every region starts off the network-flow
+      // crash basis.
+      EXPECT_EQ(report.phase1_pivots, 0u) << label << " threads " << threads;
+      EXPECT_EQ(report.ipet_sub_ilps, point.sub_ilps) << label << " threads " << threads;
+    }
+
+    AnalysisOptions validated;
+    validated.threads = 4;
+    validated.validate = true;
+    validated.validate_max_paths = 4000;
+    validated.validate_max_steps = 400'000;
+    const WcetReport vr = analyzer.analyze(validated);
+    EXPECT_TRUE(vr.witness_replayed) << label;
+    EXPECT_EQ(vr.tightness_x1000, point.tightness_x1000) << label;
+  }
+
+  // Cross-mode oracle on the largest point: one monolithic ILP states
+  // the same bounds as the recursive decomposition.
+  const auto built = mcc::compile_program(synthetic_program(64, 3));
+  AnalysisOptions monolithic;
+  monolithic.threads = 4;
+  monolithic.decomposition = analysis::IpetDecomposition::monolithic;
+  const WcetReport mono = Analyzer(built.image, mem::typical_hw()).analyze(monolithic);
+  ASSERT_TRUE(mono.ok) << mono.to_string();
+  EXPECT_EQ(mono.wcet_cycles, 85672u);
+  EXPECT_EQ(mono.bcet_cycles, 10918u);
+  EXPECT_TRUE(mono.degradations.empty());
 }
 
 TEST(ParallelOracle, Arg16BitIdenticalAtEightThreadsAcrossModes) {
