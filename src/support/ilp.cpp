@@ -53,7 +53,10 @@ constexpr int k_bland_switch = 128;
 // sparse (sorted column/value entries, no stored zeros; the rhs held
 // separately), so tableau memory scales with the nonzero count and the
 // warm start can append branch rows and their slack columns in place —
-// existing rows never materialize the new columns.
+// existing rows never materialize the new columns. A column index
+// (column -> rows that may store an entry there) lets a pivot visit
+// only the rows holding its column, and a pricing list lets column
+// selection scan only the columns with a positive reduced cost.
 class Simplex {
 public:
   // `pivot_limit`: the per-solve pivot budget ran out mid-iteration; no
@@ -186,6 +189,12 @@ public:
       }
     }
 
+    col_rows_.resize(cols_);
+    for (std::size_t r = 0; r < m_; ++r) {
+      for (const Ent& e : mat_[r]) col_rows_[e.col].push_back(r);
+    }
+    row_seen_.assign(m_, 0);
+
     if (!hint_col.empty()) {
       // Reduce to the hinted basis: one targeted elimination per hint.
       // This is the whole price of the crash start — there is no column
@@ -224,6 +233,7 @@ public:
         sr.push_back({cols_, Rational(1)});
         is_artificial_.push_back(true);
         obj_.emplace_back(0);
+        col_rows_.push_back({r});
         basis_[r] = cols_++;
         ++num_art_;
       }
@@ -336,6 +346,7 @@ public:
     // structural zero there, so only the bookkeeping vectors grow.
     obj_.emplace_back(0);
     is_artificial_.push_back(false);
+    col_rows_.emplace_back();
     const std::size_t slack_col = cols_++;
 
     std::vector<Rational> new_row(cols_); // dense scratch for the one new row
@@ -357,11 +368,14 @@ public:
     }
     SparseRow compressed;
     for (std::size_t c = 0; c < cols_; ++c) {
-      if (!new_row[c].is_zero()) compressed.push_back({c, std::move(new_row[c])});
+      if (new_row[c].is_zero()) continue;
+      compressed.push_back({c, std::move(new_row[c])});
+      col_rows_[c].push_back(m_);
     }
     mat_.push_back(std::move(compressed));
     rhs_.push_back(std::move(new_rhs));
     basis_.push_back(slack_col);
+    row_seen_.push_back(0);
     ++m_;
     return dual();
   }
@@ -385,44 +399,56 @@ public:
 
 private:
   Status primal(bool allow_artificials) {
+    // Pricing list: every allowed column with a positive reduced cost
+    // (plus stale entries, dropped as the scan meets them). A pivot
+    // changes reduced costs only at the pivot row's columns, so only
+    // those are rechecked after it.
+    const auto allowed = [&](std::size_t c) { return allow_artificials || !is_artificial_[c]; };
+    std::vector<std::size_t> priced;
+    std::vector<char> in_priced(cols_, 0);
+    const auto offer = [&](std::size_t c) {
+      if (in_priced[c] || !allowed(c) || !obj_[c].is_positive()) return;
+      in_priced[c] = 1;
+      priced.push_back(c);
+    };
+    for (std::size_t c = 0; c < cols_; ++c) offer(c);
+
     int degenerate_streak = 0;
     for (;;) {
       if (pivots_exhausted()) return Status::pivot_limit;
       // Entering column: Dantzig's rule (largest reduced cost) while
       // progress is healthy, Bland's rule (first eligible) after a
       // degenerate streak — Bland cannot cycle, so termination holds.
+      // Ties go to the lowest column index under both rules, as in an
+      // ascending scan over every column.
+      const bool dantzig = degenerate_streak < k_bland_switch;
       std::size_t enter = cols_;
-      if (degenerate_streak < k_bland_switch) {
-        for (std::size_t c = 0; c < cols_; ++c) {
-          if (!allow_artificials && is_artificial_[c]) continue;
-          if (!obj_[c].is_positive()) continue;
-          if (enter == cols_ || obj_[enter] < obj_[c]) enter = c;
+      std::size_t kept = 0;
+      for (const std::size_t c : priced) {
+        if (!obj_[c].is_positive()) {
+          in_priced[c] = 0;
+          continue;
         }
-      } else {
-        for (std::size_t c = 0; c < cols_; ++c) {
-          if (!allow_artificials && is_artificial_[c]) continue;
-          if (obj_[c].is_positive()) {
-            enter = c;
-            break;
-          }
+        priced[kept++] = c;
+        if (enter == cols_) {
+          enter = c;
+        } else if (dantzig ? obj_[enter] < obj_[c] || (obj_[c] == obj_[enter] && c < enter)
+                           : c < enter) {
+          enter = c;
         }
       }
+      priced.resize(kept);
       if (enter == cols_) return Status::optimal;
 
-      // One sweep serves both the ratio test (row with the smallest
-      // rhs/coefficient ratio leaves; ties break towards the smallest
-      // basic variable, Bland) and the pivot's candidate-row collection
-      // — every row with a nonzero entering-column entry is remembered
-      // with its coefficient so the pivot does not search them again.
+      // Ratio test over the rows holding the entering column: the row
+      // with the smallest rhs/coefficient ratio leaves, ties break
+      // towards the smallest basic variable (Bland). That minimum is
+      // unique, so the order of the gathered rows cannot change it.
+      collect(enter);
       std::size_t leave = m_;
       Rational best_ratio;
-      cand_.clear();
-      for (std::size_t r = 0; r < m_; ++r) {
-        const Rational* ap = find_coeff(mat_[r], enter);
-        if (ap == nullptr || ap->is_zero()) continue;
-        cand_.push_back({r, *ap});
-        if (!ap->is_positive()) continue;
-        const Rational& a = *ap;
+      for (const auto& [r, a] : cand_) {
+        if (!a.is_positive()) continue;
         // 0/a == 0 exactly; degenerate rows dominate flow systems, so
         // skipping the rational division there is a real saving.
         const Rational ratio = rhs_[r].is_zero() ? Rational(0) : rhs_[r] / a;
@@ -434,7 +460,9 @@ private:
       }
       if (leave == m_) return Status::unbounded;
       degenerate_streak = best_ratio.is_zero() ? degenerate_streak + 1 : 0;
-      pivot_collected(leave, enter);
+      eliminate(leave, enter);
+      finish_pivot(leave, enter);
+      for (const Ent& e : mat_[leave]) offer(e.col);
     }
   }
 
@@ -495,6 +523,28 @@ private:
     return (it != row.end() && it->col == col) ? &it->val : nullptr;
   }
 
+  // Gathers into cand_ every row with a nonzero entry in `col`, paired
+  // with that entry, and compacts the column's row list on the way: a
+  // row whose entry is absent (scrubbed by a splice or by the artificial
+  // purge) is dropped, and so is a repeat. A stored zero keeps its row
+  // listed, because an in-place row update can make it nonzero again
+  // without touching the index.
+  void collect(std::size_t col) {
+    cand_.clear();
+    ++epoch_;
+    std::vector<std::size_t>& rows = col_rows_[col];
+    std::size_t kept = 0;
+    for (const std::size_t r : rows) {
+      if (row_seen_[r] == epoch_) continue;
+      const Rational* a = find_coeff(mat_[r], col);
+      if (a == nullptr) continue;
+      row_seen_[r] = epoch_;
+      rows[kept++] = r;
+      if (!a->is_zero()) cand_.push_back({r, *a});
+    }
+    rows.resize(kept);
+  }
+
   // row -= factor * prow. When every pivot-row column is already stored
   // in the row (the common case once fill-in stabilizes), the update is
   // in place: nnz(prow) galloping lookups and sub_muls, no copying —
@@ -537,7 +587,10 @@ private:
       } else if (i == row.size() || prow[j].col < row[i].col) {
         Rational v(0);
         v.sub_mul(factor, prow[j].val);
-        if (!v.is_zero()) scratch_.push_back({prow[j].col, std::move(v)});
+        if (!v.is_zero()) {
+          scratch_.push_back({prow[j].col, std::move(v)});
+          col_rows_[prow[j].col].push_back(r); // fill-in
+        }
         ++j;
       } else {
         if (!row[i].val.is_zero()) scratch_.push_back(std::move(row[i]));
@@ -548,65 +601,38 @@ private:
     row.swap(scratch_); // scratch_ keeps the old storage for reuse
   }
 
-  // Constructor-time basis installation: identical row arithmetic to
-  // pivot(), but no objective-row update (nothing is priced yet), no
-  // pivot counter charge, and no candidate sweep — the pivot cell is
-  // named by the crash-basis hint, not searched for.
-  void crash_eliminate(std::size_t pr, std::size_t pc) {
+  // The row arithmetic of a pivot on (pr, pc), over the rows collect(pc)
+  // gathered: scale the pivot row to a unit pivot cell, then clear the
+  // column from every other gathered row. Each row update reads only the
+  // pivot row, so the gathering order does not matter.
+  void eliminate(std::size_t pr, std::size_t pc) {
+    const auto self = std::find_if(cand_.begin(), cand_.end(),
+                                   [&](const auto& cand) { return cand.first == pr; });
+    WCET_CHECK(self != cand_.end(), "pivot on a zero tableau cell");
+    const Rational inv = Rational(1) / self->second;
     SparseRow& prow = mat_[pr];
-    const Rational* pv = find_coeff(prow, pc);
-    WCET_CHECK(pv != nullptr && !pv->is_zero(), "crash-basis hint names a zero tableau cell");
-    const Rational inv = Rational(1) / *pv;
     for (Ent& e : prow) e.val *= inv;
     rhs_[pr] *= inv;
-    for (std::size_t r = 0; r < m_; ++r) {
+    for (const auto& [r, factor] : cand_) {
       if (r == pr) continue;
-      const Rational* fp = find_coeff(mat_[r], pc);
-      if (fp == nullptr || fp->is_zero()) continue;
-      const Rational factor = *fp; // copy: the row update invalidates fp
       row_sub_scaled(r, factor, prow);
       rhs_[r].sub_mul(factor, rhs_[pr]);
     }
     basis_[pr] = pc;
   }
 
-  void pivot(std::size_t pr, std::size_t pc) {
-    SparseRow& prow = mat_[pr];
-    const Rational inv = Rational(1) / *find_coeff(prow, pc);
-    for (Ent& e : prow) e.val *= inv;
-    rhs_[pr] *= inv;
-
-    for (std::size_t r = 0; r < m_; ++r) {
-      if (r == pr) continue;
-      const Rational* fp = find_coeff(mat_[r], pc);
-      if (fp == nullptr || fp->is_zero()) continue;
-      const Rational factor = *fp; // copy: the row update invalidates fp
-      row_sub_scaled(r, factor, prow);
-      rhs_[r].sub_mul(factor, rhs_[pr]);
-    }
-    finish_pivot(pr, pc);
+  // Constructor-time basis installation: the row arithmetic of pivot(),
+  // but no objective-row update (nothing is priced yet) and no pivot
+  // counter charge — the pivot cell is named by the crash-basis hint,
+  // not searched for.
+  void crash_eliminate(std::size_t pr, std::size_t pc) {
+    collect(pc);
+    eliminate(pr, pc);
   }
 
-  // Pivot with the candidate rows (and their entering-column
-  // coefficients) already collected by the ratio-test sweep: identical
-  // arithmetic to pivot(), minus the second search over every row.
-  void pivot_collected(std::size_t pr, std::size_t pc) {
-    SparseRow& prow = mat_[pr];
-    const Rational inv = [&] {
-      for (const auto& [r, a] : cand_) {
-        if (r == pr) return Rational(1) / a;
-      }
-      WCET_CHECK(false, "pivot row missing from candidate sweep");
-      return Rational(1);
-    }();
-    for (Ent& e : prow) e.val *= inv;
-    rhs_[pr] *= inv;
-
-    for (const auto& [r, factor] : cand_) {
-      if (r == pr) continue;
-      row_sub_scaled(r, factor, prow);
-      rhs_[r].sub_mul(factor, rhs_[pr]);
-    }
+  void pivot(std::size_t pr, std::size_t pc) {
+    collect(pc);
+    eliminate(pr, pc);
     finish_pivot(pr, pc);
   }
 
@@ -619,13 +645,11 @@ private:
       ++*pivot_count_;
       if (governor_ != nullptr && (*pivot_count_ & 63u) == 0) governor_->check_cancel();
     }
-    const SparseRow& prow = mat_[pr];
     const Rational factor = obj_[pc];
     if (!factor.is_zero()) {
-      for (const Ent& e : prow) obj_[e.col].sub_mul(factor, e.val);
+      for (const Ent& e : mat_[pr]) obj_[e.col].sub_mul(factor, e.val);
       obj_rhs_.sub_mul(factor, rhs_[pr]);
     }
-    basis_[pr] = pc;
   }
 
   std::size_t n_ = 0;
@@ -645,7 +669,13 @@ private:
   std::vector<std::size_t> basis_;
   std::vector<bool> is_artificial_;
   SparseRow scratch_; // merge target recycled across pivots
-  std::vector<std::pair<std::size_t, Rational>> cand_; // ratio-sweep candidates
+  // Column index: per column, the rows that may store an entry there (a
+  // superset; see collect()), and the per-row stamps collect() uses to
+  // drop repeats.
+  std::vector<std::vector<std::size_t>> col_rows_;
+  std::vector<std::uint64_t> row_seen_;
+  std::uint64_t epoch_ = 0;
+  std::vector<std::pair<std::size_t, Rational>> cand_; // rows gathered by collect()
 };
 
 LpSolution status_only(LpSolution::Status status) {

@@ -10,8 +10,13 @@
 //     sweep, so memory and work scale with the nonzero count instead of
 //     rows * columns,
 //   - pivots touch only the nonzero columns of the pivot row,
+//   - a column index (column -> rows that may hold an entry there)
+//     lets the ratio test, each pivot and each crash elimination visit
+//     only the rows holding the pivot column instead of all of them,
 //   - column selection uses Dantzig's rule with an automatic fallback
 //     to Bland's rule after a degenerate-pivot streak (cycle-free),
+//     and scans a pricing list of the columns with a positive reduced
+//     cost, rechecking after a pivot only the pivot row's columns,
 //   - branch & bound explores nodes in best-bound order and re-solves
 //     children by appending their branch rows to the root-optimal
 //     tableau and running the dual simplex (warm start) instead of

@@ -128,7 +128,12 @@ double Rational::to_double() const {
   return static_cast<double>(num_) / static_cast<double>(den_);
 }
 
-Rational Rational::operator-() const { return from_int128(-num_, den_); }
+// A reduced fraction stays reduced under negation: no gcd needed.
+Rational Rational::operator-() const {
+  Rational r = *this;
+  r.num_ = -r.num_;
+  return r;
+}
 
 Rational Rational::operator+(const Rational& rhs) const {
   if (den_ == 1 && rhs.den_ == 1) { // integer fast path
@@ -202,10 +207,12 @@ Rational Rational::operator/(const Rational& rhs) const {
 }
 
 bool Rational::operator<(const Rational& rhs) const {
+  if (den_ == 1 && rhs.den_ == 1) return num_ < rhs.num_; // integer fast path
   return num_ * rhs.den_ < rhs.num_ * den_;
 }
 
 bool Rational::operator<=(const Rational& rhs) const {
+  if (den_ == 1 && rhs.den_ == 1) return num_ <= rhs.num_; // integer fast path
   return num_ * rhs.den_ <= rhs.num_ * den_;
 }
 

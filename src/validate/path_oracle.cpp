@@ -42,21 +42,21 @@ struct OracleContext {
   const analysis::PipelineAnalysis& pipeline;
   const PathOracleOptions& options;
 
-  std::vector<char> feasible;              // per edge
-  std::vector<std::vector<int>> entry_of;  // edge -> loops it enters
-  std::vector<std::vector<int>> back_of;   // edge -> loops it closes
-  std::vector<std::int64_t> bound;         // per loop, -1 = absent
-  std::vector<char> is_exit;               // per node
-  std::vector<char> excluded;              // per node (mode excludes + nevers)
-  std::vector<std::vector<int>> caps_of;   // node -> flow-cap indices
-  std::vector<std::uint64_t> cap_max;      // per cap
-  std::vector<std::vector<int>> ratio_a_of; // node -> ratio indices (capped side)
-  std::vector<std::vector<int>> ratio_b_of; // node -> ratio indices (relative side)
-  std::vector<std::uint64_t> ratio_factor;  // per ratio
-  std::vector<std::vector<int>> pair_a_of;  // node -> infeasible-pair indices
-  std::vector<std::vector<int>> pair_b_of;
+  std::vector<char> feasible{};               // per edge
+  std::vector<std::vector<int>> entry_of{};   // edge -> loops it enters
+  std::vector<std::vector<int>> back_of{};    // edge -> loops it closes
+  std::vector<std::int64_t> bound{};          // per loop, -1 = absent
+  std::vector<char> is_exit{};                // per node
+  std::vector<char> excluded{};               // per node (mode excludes + nevers)
+  std::vector<std::vector<int>> caps_of{};    // node -> flow-cap indices
+  std::vector<std::uint64_t> cap_max{};       // per cap
+  std::vector<std::vector<int>> ratio_a_of{}; // node -> ratio indices (capped side)
+  std::vector<std::vector<int>> ratio_b_of{}; // node -> ratio indices (relative side)
+  std::vector<std::uint64_t> ratio_factor{};  // per ratio
+  std::vector<std::vector<int>> pair_a_of{};  // node -> infeasible-pair indices
+  std::vector<std::vector<int>> pair_b_of{};
   // Nodes carrying persistence-miss terms (the sparse minority).
-  std::vector<int> ps_nodes;
+  std::vector<int> ps_nodes{};
 };
 
 OracleContext build_context(const cfg::Supergraph& sg, const cfg::LoopForest& loops,

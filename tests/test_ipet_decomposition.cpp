@@ -12,8 +12,11 @@
 // entry count) shows up as a diverged WCET or BCET.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/toolkit.hpp"
@@ -134,6 +137,28 @@ TEST(IpetDecompositionDifferential, CrashBasisKeepsFactsOnTheEntry) {
     EXPECT_EQ(report.bcet_cycles, reference.bcet_cycles);
     EXPECT_EQ(report.phase1_pivots, 0u) << "mode " << static_cast<int>(mode);
     EXPECT_GT(report.crash_basis_rows, 0u) << "mode " << static_cast<int>(mode);
+  }
+}
+
+TEST(IpetDecompositionDifferential, DeepTreePivotCountPinned) {
+  // The benchmarked fact-pinned shape solves one large ILP whose every
+  // pivot decision is pinned by its phase-2 pivot count: a scan-order or
+  // tie-rule change inside the simplex that picks a different entering
+  // column or leaving row shows up here, even where the bound survives.
+  const std::vector<Shape> all = shapes();
+  const auto deep = std::find_if(all.begin(), all.end(), [](const Shape& s) {
+    return std::string(s.name) == "coupled_cap_on_deep_tree";
+  });
+  ASSERT_NE(deep, all.end());
+  const std::pair<analysis::IpetDecomposition, std::uint64_t> pinned[] = {
+      {analysis::IpetDecomposition::monolithic, 674},
+      {analysis::IpetDecomposition::recursive, 674},
+  };
+  for (const auto& [mode, phase2_pivots] : pinned) {
+    const WcetReport report = analyze_shape(*deep, 1, mode);
+    ASSERT_TRUE(report.ok) << report.to_string();
+    EXPECT_EQ(report.phase2_pivots, phase2_pivots) << "mode " << static_cast<int>(mode);
+    EXPECT_EQ(report.phase1_pivots, 0u) << "mode " << static_cast<int>(mode);
   }
 }
 

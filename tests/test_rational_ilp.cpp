@@ -209,6 +209,9 @@ TEST(Ilp, DegeneratePivotsTerminate) {
   ASSERT_TRUE(s.ok());
   EXPECT_EQ(s.objective, Rational(1, 20));
   EXPECT_EQ(s.values[static_cast<std::size_t>(x3)], Rational(1));
+  // 128 degenerate Dantzig pivots, then Bland's lowest-index rule: the
+  // count pins which column each Bland step picks.
+  EXPECT_EQ(s.pivots_used, 132u);
 }
 
 TEST(Ilp, EmptyRowsHandled) {
@@ -554,6 +557,206 @@ TEST(Ilp, CrashBasisIgnoredUnderBranchRows) {
   const LpSolution s = hinted.solve_ilp(limits);
   ASSERT_TRUE(s.ok());
   EXPECT_EQ(s.objective, Rational(13));
+}
+
+// One seeded system: 8-12 structural variables and 20-40 mixed
+// `<=`/`>=`/`=` rows with small integer coefficients on about half the
+// cells, some of them with a negative rhs. A random integer point
+// satisfies every row (so each system is feasible and its ILP has an
+// integral solution), and one row caps the sum of all variables (so
+// the objective is bounded). Dense rows make pivots both fill in new
+// entries and cancel stored ones, which leaves stale and repeated rows
+// in the solver's column index.
+IlpProblem seeded_system(std::uint64_t seed, std::vector<Rational>* alt) {
+  Rng rng(seed);
+  const int n = 8 + static_cast<int>(rng.below(5));
+  const int m = 20 + static_cast<int>(rng.below(21));
+  IlpProblem p;
+  std::vector<std::int64_t> point;
+  for (int j = 0; j < n; ++j) {
+    p.add_variable("x" + std::to_string(j));
+    point.push_back(rng.range(0, 4));
+    p.set_objective(j, Rational(rng.range(-3, 6)));
+    if (alt != nullptr) alt->emplace_back(rng.range(-6, 3));
+  }
+  const int cap_row = static_cast<int>(rng.below(static_cast<std::uint32_t>(m)));
+  for (int r = 0; r < m; ++r) {
+    std::vector<LinTerm> terms;
+    std::int64_t lhs = 0;
+    for (int j = 0; j < n; ++j) {
+      const std::int64_t a = r == cap_row ? 1 : (rng.chance(0.5) ? rng.range(-3, 3) : 0);
+      if (a == 0) continue;
+      terms.push_back({j, Rational(a)});
+      lhs += a * point[static_cast<std::size_t>(j)];
+    }
+    const std::uint32_t kind = r == cap_row ? 0 : rng.below(10);
+    const std::int64_t slack = rng.range(0, 3);
+    if (kind < 6) {
+      p.add_constraint(std::move(terms), Cmp::le, Rational(lhs + slack));
+    } else if (kind < 9) {
+      p.add_constraint(std::move(terms), Cmp::ge, Rational(lhs - slack));
+    } else {
+      p.add_constraint(std::move(terms), Cmp::eq, Rational(lhs));
+    }
+  }
+  return p;
+}
+
+std::string describe(const LpSolution& s) {
+  std::string out = "status " + std::to_string(static_cast<int>(s.status)) + " pivots " +
+                    std::to_string(s.pivots_used) + " phase1 " +
+                    std::to_string(s.phase1_pivots) + " objective " + s.objective.to_string() +
+                    " values";
+  for (const Rational& v : s.values) out += " " + v.to_string();
+  return out;
+}
+
+TEST(Ilp, PivotSequencePinnedOnSeededLps) {
+  // Every pivot decision of the exact simplex — entering column, leaving
+  // row, phase-1 repair, warm-start dual pivots — is pinned here through
+  // its observable trace: the pivot count, the phase-1 share, the optimal
+  // objective and the optimal vertex. Any change to a scan order, a tie
+  // rule or the row/column bookkeeping that alters a single pivot shows
+  // up as a diverged count or vertex on some seed.
+  struct Case {
+    std::uint64_t seed;
+    enum class Solve { lp, ilp, pair } solve;
+    std::vector<std::string> expected; // describe() of each result
+  };
+  using Solve = Case::Solve;
+  const std::vector<Case> cases = {
+      {1, Solve::lp,
+       {"status 0 pivots 31 phase1 16 objective 144495/4063 values 430/4063 4152/4063 "
+        "14608/12189 5704/4063 0 2330/4063 31970/12189 945/4063 3115/4063 5955/4063 2473/4063"}},
+      {2, Solve::lp,
+       {"status 0 pivots 31 phase1 30 objective 38 values 4 3 1 3 2 1 3 0"}},
+      {3, Solve::lp,
+       {"status 0 pivots 34 phase1 31 objective 15613/244 values 383/732 769/732 2509/732 0 "
+        "661/366 923/732 241/183 9431/2928 1645/1464 3331/732 1357/732"}},
+      {4, Solve::lp,
+       {"status 0 pivots 37 phase1 34 objective -6 values 3 0 1 0 1 3 4 2 0"}},
+      {5, Solve::lp,
+       {"status 0 pivots 23 phase1 21 objective 53665/1181 values 3469/2362 3327/1181 "
+        "605/1181 3030/1181 5098/3543 2533/1181 4883/1181 3384/1181 10601/3543"}},
+      {6, Solve::lp,
+       {"status 0 pivots 40 phase1 39 objective -9 values 0 2 0 0 1 1 1 4 4 0 0"}},
+      {7, Solve::lp,
+       {"status 0 pivots 29 phase1 24 objective 58/3 values 3 4 1 3 3 4/3 0 0 0 0 3"}},
+      {8, Solve::lp,
+       {"status 0 pivots 29 phase1 26 objective 606757/30741 values 32196/10247 102982/30741 "
+        "428939/276669 9085/10247 852856/276669 371254/92223 1181/92223 540706/276669 "
+        "341434/276669 358058/276669 78940/276669 963877/276669"}},
+      {9, Solve::lp,
+       {"status 0 pivots 18 phase1 13 objective 21837/403 values 1135/403 766/403 1038/403 "
+        "1806/403 0 539/403 0 358/403"}},
+      {10, Solve::lp,
+       {"status 0 pivots 34 phase1 23 objective 14670073/209144 values 86009/26143 "
+        "219133/209144 1201295/418288 876425/418288 1065329/418288 1569367/418288 "
+        "715825/418288 385407/104572 334767/104572 1315335/418288 168011/418288 "
+        "1778523/418288"}},
+      {11, Solve::lp,
+       {"status 0 pivots 22 phase1 14 objective 83231/3097 values 9049/3097 180/3097 "
+        "5710/3097 270/3097 14505/3097 15477/3097 5 7216/3097 3339/3097"}},
+      {12, Solve::lp,
+       {"status 0 pivots 46 phase1 46 objective 8 values 1 4 1 0 4 0 2 2 0"}},
+      {13, Solve::lp,
+       {"status 0 pivots 46 phase1 42 objective 4 values 4 1 3 0 1 1 3 1 4"}},
+      {14, Solve::lp,
+       {"status 0 pivots 34 phase1 25 objective 9440/179 values 0 2959/1074 1387/537 1574/537 "
+        "4981/1074 2179/1074 969/358 2083/537 913/1074 322/537 31/1074"}},
+      {15, Solve::lp,
+       {"status 0 pivots 38 phase1 28 objective 1124167/17054 values 17009/17054 74113/17054 "
+        "24229/8527 0 59363/17054 7467/17054 9037/8527 57885/17054 89415/17054 93287/17054 "
+        "63603/17054"}},
+      {16, Solve::lp,
+       {"status 0 pivots 23 phase1 17 objective 2852618/36693 values 55790/36693 22852/36693 "
+        "0 49988/36693 130795/36693 86059/36693 73120/36693 25883/12231 83306/36693 "
+        "28760/12231 0 178100/36693"}},
+      {17, Solve::lp,
+       {"status 0 pivots 29 phase1 24 objective 46751/706 values 984/353 1779/706 1130/353 0 "
+        "875/706 0 757/353 4963/1412 2939/706 1569/706 2089/706"}},
+      {18, Solve::lp,
+       {"status 0 pivots 45 phase1 38 objective 70699/3099 values 0 12763/3099 12418/3099 0 "
+        "1226/3099 2993/1033 49/3099 715/1033 3329/3099 10150/3099 342/1033"}},
+      {19, Solve::lp,
+       {"status 0 pivots 38 phase1 32 objective 49634/6183 values 110/687 22505/6183 0 "
+        "1298/687 2269/687 807/229 0 3227/687 53/2061 12011/6183 2710/687"}},
+      {20, Solve::lp,
+       {"status 0 pivots 19 phase1 12 objective 43129/1397 values 5402/6985 15041/6985 "
+        "53452/20955 34948/6985 418/635 10281/6985 38798/6985 10746/6985 6672/1397 29588/6985 "
+        "14566/6985"}},
+      {21, Solve::lp,
+       {"status 0 pivots 29 phase1 23 objective 9539/360 values 1381/360 53/20 67/30 229/60 "
+        "163/120 0 311/180 491/360"}},
+      {22, Solve::lp,
+       {"status 0 pivots 23 phase1 15 objective 983083/24066 values 29107/12033 47543/24066 "
+        "487/126 88429/24066 136/63 26521/24066 4423/8022 1157/382 5444/1719 0 11267/12033 "
+        "1466/12033"}},
+      {23, Solve::lp,
+       {"status 0 pivots 24 phase1 19 objective 1108612/18397 values 10153/18397 37767/18397 "
+        "59148/18397 3414/18397 3 18486/18397 21145/18397 40043/18397 74472/18397 38024/18397"}},
+      {24, Solve::lp,
+       {"status 0 pivots 39 phase1 29 objective 6592341/93484 values 240459/93484 44397/23371 "
+        "64003/46742 144711/93484 138211/93484 0 370685/93484 13005/93484 325699/93484 "
+        "276117/93484 458407/93484 56051/23371"}},
+      {25, Solve::lp,
+       {"status 0 pivots 20 phase1 13 objective 541327/9332 values 8824/2333 22637/9332 0 "
+        "11767/4666 20637/4666 3222/2333 1500/2333 7973/9332 1954/2333 9639/4666 9485/2333 0"}},
+      {26, Solve::lp,
+       {"status 0 pivots 25 phase1 22 objective 0 values 2 3 4 1 3 4 1 1 0"}},
+      {27, Solve::lp,
+       {"status 0 pivots 30 phase1 26 objective 34 values 3 1 3 1 1 0 3 3 3"}},
+      {28, Solve::lp,
+       {"status 0 pivots 31 phase1 20 objective 11116/321 values 364/321 415/107 0 158/107 0 "
+        "68/107 17/107 108/107 869/321"}},
+      {29, Solve::ilp,
+       {"status 0 pivots 300 phase1 16 objective 48 values 3 3 0 4 4 1 0 1 0 0 1"}},
+      {30, Solve::ilp,
+       {"status 0 pivots 30 phase1 13 objective 37 values 0 3 3 0 3 3 3 4"}},
+      {31, Solve::ilp,
+       {"status 0 pivots 41 phase1 32 objective 16 values 2 0 0 4 4 4 3 1 3 3 4"}},
+      {32, Solve::ilp,
+       {"status 0 pivots 2017 phase1 20 objective 55 values 3 1 1 1 4 1 4 0 2 0 3"}},
+      {33, Solve::ilp,
+       {"status 0 pivots 33 phase1 31 objective 0 values 0 3 4 4 1 4 1 3 1"}},
+      {34, Solve::ilp,
+       {"status 0 pivots 119 phase1 26 objective 43 values 4 1 2 4 4 0 4 0 3 4 0"}},
+      {35, Solve::pair,
+       {"status 0 pivots 131 phase1 23 objective 14 values 4 3 3 1 2 1 3 3 0",
+        "status 0 pivots 131 phase1 23 objective -61 values 4 3 3 1 2 1 3 3 0"}},
+      {36, Solve::pair,
+       {"status 0 pivots 68 phase1 39 objective -7 values 1 2 4 3 2 0 3 2 3 4 1",
+        "status 0 pivots 68 phase1 39 objective -24 values 1 2 4 3 2 0 3 2 3 4 1"}},
+      {37, Solve::pair,
+       {"status 0 pivots 55 phase1 22 objective 52 values 1 4 0 2 4 3 2 4",
+        "status 0 pivots 55 phase1 22 objective -47 values 1 4 0 2 4 3 2 4"}},
+      {38, Solve::pair,
+       {"status 0 pivots 431 phase1 11 objective 23 values 4 0 1 1 0 4 4 4",
+        "status 0 pivots 431 phase1 11 objective -67 values 3 1 1 0 0 4 3 5"}},
+      {39, Solve::pair,
+       {"status 0 pivots 24 phase1 19 objective 22 values 0 1 2 1 1 1 3 3",
+        "status 0 pivots 24 phase1 19 objective -27 values 0 1 2 1 1 1 3 3"}},
+      {40, Solve::pair,
+       {"status 0 pivots 73 phase1 12 objective 39 values 3 4 2 0 4 4 1 0",
+        "status 0 pivots 73 phase1 12 objective -30 values 3 4 2 0 4 4 1 0"}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE("seed " + std::to_string(c.seed));
+    std::vector<Rational> alt;
+    const IlpProblem p = seeded_system(c.seed, c.solve == Solve::pair ? &alt : nullptr);
+    std::vector<std::string> actual;
+    switch (c.solve) {
+    case Solve::lp: actual.push_back(describe(p.solve_lp())); break;
+    case Solve::ilp: actual.push_back(describe(p.solve_ilp())); break;
+    case Solve::pair: {
+      const auto [primary, alternate] = p.solve_ilp_pair(alt);
+      actual.push_back(describe(primary));
+      actual.push_back(describe(alternate));
+      break;
+    }
+    }
+    EXPECT_EQ(actual, c.expected);
+  }
 }
 
 TEST(Ilp, DumpContainsProblem) {
