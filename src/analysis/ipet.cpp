@@ -1,6 +1,7 @@
 #include "analysis/ipet.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <string>
 
 #include "support/diag.hpp"
@@ -28,6 +29,21 @@ SolveLimits region_limits(const IpetOptions& options) {
     limits.governor = options.governor;
   }
   return limits;
+}
+
+bool same_timing(const NodeTiming& a, const NodeTiming& b) {
+  return a.lb == b.lb && a.ub == b.ub &&
+         std::equal(a.ps_terms.begin(), a.ps_terms.end(), b.ps_terms.begin(), b.ps_terms.end(),
+                    [](const PsTerm& x, const PsTerm& y) {
+                      return x.loop_id == y.loop_id && x.penalty == y.penalty &&
+                             x.line_count == y.line_count;
+                    });
+}
+
+std::optional<std::uint64_t> bound_of(const std::map<int, std::uint64_t>& bounds, int loop) {
+  const auto it = bounds.find(loop);
+  if (it == bounds.end()) return std::nullopt;
+  return it->second;
 }
 
 } // namespace
@@ -67,6 +83,10 @@ Ipet::Ipet(const cfg::Supergraph& sg, const cfg::LoopForest& loops,
 // exit/dead-end nodes inside, irregular boundary) disqualifies the
 // subtree during planning; if a sub-ILP ends non-optimal the solver
 // falls back to the monolithic path wholesale.
+//
+// Across a warm re-analysis the solved plan comes back as `Previous`,
+// and each sub whose region inputs are unchanged adopts its previous
+// objectives and results instead of solving (see reusable()).
 // ---------------------------------------------------------------------------
 
 int Ipet::plan_stats(const std::vector<Sub>& subs, int* total_subs) {
@@ -103,7 +123,8 @@ std::vector<int> Ipet::missing_loop_bounds_in(const IpetOptions& options) const 
   return missing;
 }
 
-bool Ipet::solve_graph(std::vector<Sub>& subs, const IpetOptions& options) const {
+bool Ipet::solve_graph(std::vector<Sub>& subs, const IpetOptions& options,
+                       const Previous* previous, int& reused) const {
   // Flatten the sub-ILP forest in plan (preorder) order and hand it to
   // the pool as a dependency-counted task graph: a region is
   // dispatched the instant its last child publishes, instead of every
@@ -125,12 +146,38 @@ bool Ipet::solve_graph(std::vector<Sub>& subs, const IpetOptions& options) const
     }
   };
   flatten(flatten, subs, -1);
+  // The previous plan's subs by call edge: the identity of an instance
+  // across structurally identical supergraphs.
+  std::vector<const Sub*> before;
+  if (previous != nullptr) {
+    const auto collect = [&](auto&& self, const std::vector<Sub>& list) -> void {
+      for (const Sub& sub : list) {
+        before.push_back(&sub);
+        self(self, sub.children);
+      }
+    };
+    collect(collect, previous->plan);
+    std::sort(before.begin(), before.end(),
+              [](const Sub* a, const Sub* b) { return a->call_edge < b->call_edge; });
+  }
   const auto solve_one = [&](std::size_t i) {
     Sub& sub = *tasks[i];
     for (const Sub& child : sub.children) {
       // A failed child poisons the plan; skipping the parent leaves
       // its default (infeasible) result to report the failure below.
       if (!child.result.ok() || !child.result_bcet.ok()) return;
+    }
+    const auto match = std::lower_bound(
+        before.begin(), before.end(), sub.call_edge,
+        [](const Sub* b, int call_edge) { return b->call_edge < call_edge; });
+    if (match != before.end() && (*match)->call_edge == sub.call_edge &&
+        reusable(sub, **match, *previous, options)) {
+      sub.objective = (*match)->objective;
+      sub.objective_bcet = (*match)->objective_bcet;
+      sub.result = (*match)->result;
+      sub.result_bcet = (*match)->result_bcet;
+      sub.reused = true;
+      return;
     }
     solve_sub_both(sub, options);
   };
@@ -153,8 +200,52 @@ bool Ipet::solve_graph(std::vector<Sub>& subs, const IpetOptions& options) const
       }
     }
   }
+  reused = static_cast<int>(
+      std::count_if(tasks.begin(), tasks.end(), [](const Sub* sub) { return sub->reused; }));
   for (const Sub* sub : tasks) {
     if (!sub->result.ok() || !sub->result_bcet.ok()) return false;
+  }
+  return true;
+}
+
+// A sub's solve reads its region (member nodes minus its children's),
+// the reachability and timing of those nodes, the feasibility and extra
+// cost of the edges touching them, the bounds of the loops headed at
+// them (every loop touching a region is headed in it: a cycle across a
+// collapsed boundary would pass a call site, which eligibility keeps
+// loop-free), its children's objectives and results, and the per-solve
+// limits of `options` — fixed for a server's lifetime. Checking every
+// member node, the children's included, covers the children too: the
+// plan below a sub is a function of the same inputs, and a child whose
+// inputs are unchanged was adopted with its previous results, so a
+// changed child re-solves all of its ancestors.
+bool Ipet::reusable(const Sub& sub, const Sub& before, const Previous& previous,
+                    const IpetOptions& options) const {
+  const auto exact = [](const IpetResult& r) { return r.ok() && !r.degraded; };
+  if (!exact(before.result) || !exact(before.result_bcet)) return false;
+  if (sub.member != before.member) return false;
+  const auto same_edge = [&](int eid) {
+    return values_.edge_feasible(eid) == previous.values.edge_feasible(eid) &&
+           pipeline_.edge_extra(eid) == previous.pipeline.edge_extra(eid);
+  };
+  for (std::size_t n = 0; n < sub.member.size(); ++n) {
+    if (!sub.member[n]) continue;
+    const int node_id = static_cast<int>(n);
+    if (values_.node_reachable(node_id) != previous.values.node_reachable(node_id) ||
+        !same_timing(pipeline_.timing(node_id), previous.pipeline.timing(node_id))) {
+      return false;
+    }
+    const cfg::SgNode& node = sg_.node(node_id);
+    if (!std::all_of(node.succ_edges.begin(), node.succ_edges.end(), same_edge) ||
+        !std::all_of(node.pred_edges.begin(), node.pred_edges.end(), same_edge)) {
+      return false;
+    }
+  }
+  for (const cfg::Loop& loop : loops_.loops()) {
+    if (sub.member[static_cast<std::size_t>(loop.header)] &&
+        bound_of(options.loop_bounds, loop.id) != bound_of(previous.loop_bounds, loop.id)) {
+      return false;
+    }
   }
   return true;
 }
@@ -183,7 +274,10 @@ void Ipet::merge_sub_results(IpetResult& outer, const std::vector<Sub>& subs,
   }
 }
 
-std::pair<IpetResult, IpetResult> Ipet::solve_both(const IpetOptions& options) const {
+std::pair<IpetResult, IpetResult> Ipet::solve_both(const IpetOptions& options,
+                                                   const Previous* previous,
+                                                   Plan* solved) const {
+  if (solved != nullptr) solved->clear();
   if (options.decomposition == IpetDecomposition::monolithic) {
     return solve_monolithic_both(options);
   }
@@ -203,7 +297,8 @@ std::pair<IpetResult, IpetResult> Ipet::solve_both(const IpetOptions& options) c
 
   int total_subs = 0;
   const int plan_depth = plan_stats(subs, &total_subs);
-  if (!solve_graph(subs, options)) {
+  int reused = 0;
+  if (!solve_graph(subs, options, previous, reused)) {
     // Fallback: a failed sub-solve (structurally, or out of pivot
     // budget) gives up on decomposition and solves the reference ILP.
     if (options.governor != nullptr) {
@@ -233,10 +328,12 @@ std::pair<IpetResult, IpetResult> Ipet::solve_both(const IpetOptions& options) c
   for (IpetResult* outer : {&wcet, &bcet}) {
     outer->decomposed_regions = static_cast<int>(subs.size());
     outer->sub_ilps = total_subs;
+    outer->sub_ilps_reused = reused;
     outer->decomposition_depth = plan_depth;
   }
   merge_sub_results(wcet, subs, edge_counts_max, /*bcet_sense=*/false);
   merge_sub_results(bcet, subs, edge_counts_min, /*bcet_sense=*/true);
+  if (solved != nullptr) *solved = std::move(subs);
   return {std::move(wcet), std::move(bcet)};
 }
 

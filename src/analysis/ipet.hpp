@@ -68,7 +68,8 @@ struct IpetResult {
   int variables = 0;
   int constraints = 0;
   int decomposed_regions = 0;  // top-level collapsed subtrees (0: monolithic)
-  int sub_ilps = 0;            // sub-ILPs solved across all nesting levels
+  int sub_ilps = 0;            // sub-ILPs across all nesting levels
+  int sub_ilps_reused = 0;     // ... adopted unsolved from a previous plan
   int decomposition_depth = 0; // nesting depth of the deepest sub-ILP
   // Simplex pivot split summed over every region solve (see LpSolution):
   // a workload solved off network-flow crash bases reports
@@ -91,26 +92,6 @@ struct IpetResult {
 
 class Ipet {
 public:
-  Ipet(const cfg::Supergraph& sg, const cfg::LoopForest& loops,
-       const ValueAnalysis& values, const PipelineAnalysis& pipeline);
-
-  // Optional pool: independent per-instance subproblems of a
-  // decomposed solve fan out across it as a dependency-counted task
-  // graph. The decomposition plan and the merge order are pure
-  // functions of the graph, so results are bit-identical for any worker
-  // count.
-  void set_pool(ThreadPool* pool) { pool_ = pool; }
-
-  // Solve the WCET (maximize) and BCET (minimize) bounds of one
-  // configuration together — {wcet, bcet} — sharing the decomposition
-  // plan, every region's constraint system, and the phase-1 simplex
-  // work between the two senses (the constraint systems are identical;
-  // only the objective differs). When the WCET solve fails, the BCET
-  // half is returned as-is and should be ignored (matching the driver's
-  // "no BCET without a WCET" convention).
-  std::pair<IpetResult, IpetResult> solve_both(const IpetOptions& options) const;
-
-private:
   // One collapsed function-instance subtree: a single-entry
   // (call edge), single-return-site region whose ILP block is
   // independent of the rest of the system (see plan_decomposition).
@@ -133,7 +114,54 @@ private:
     Rational objective_bcet;
     IpetResult result;
     IpetResult result_bcet;
+    bool reused = false; // adopted from the previous plan without solving
   };
+  // The solved sub-ILP forest of one solve_both call (empty when the
+  // solve ran monolithic).
+  using Plan = std::vector<Sub>;
+  // A solve of a structurally identical supergraph (same node, edge,
+  // loop and instance ids): the plan it returned and the inputs it was
+  // solved from. The analysis server hands the previous request's
+  // solve back on a warm run.
+  struct Previous {
+    const Plan& plan;
+    const ValueAnalysis& values;
+    const PipelineAnalysis& pipeline;
+    const std::map<int, std::uint64_t>& loop_bounds;
+  };
+
+  Ipet(const cfg::Supergraph& sg, const cfg::LoopForest& loops,
+       const ValueAnalysis& values, const PipelineAnalysis& pipeline);
+
+  // Optional pool: independent per-instance subproblems of a
+  // decomposed solve fan out across it as a dependency-counted task
+  // graph. The decomposition plan and the merge order are pure
+  // functions of the graph, so results are bit-identical for any worker
+  // count.
+  void set_pool(ThreadPool* pool) { pool_ = pool; }
+
+  // Solve the WCET (maximize) and BCET (minimize) bounds of one
+  // configuration together — {wcet, bcet} — sharing the decomposition
+  // plan, every region's constraint system, and the phase-1 simplex
+  // work between the two senses (the constraint systems are identical;
+  // only the objective differs). When the WCET solve fails, the BCET
+  // half is returned as-is and should be ignored (matching the driver's
+  // "no BCET without a WCET" convention).
+  //
+  // `solved` receives the solved plan. With `previous`, a sub-ILP adopts
+  // the previous plan's objectives and results for the same call edge
+  // without solving when the previous results were exact, it has the
+  // same member set (nested children included), and its inputs compare
+  // equal: reachability and timing of every member node,
+  // feasibility and extra cost of every edge touching one, and the
+  // bound of every loop headed at one. A sub's solve is a pure function
+  // of exactly those inputs, so the results are bit-identical to a
+  // fresh solve. The outer region always solves.
+  std::pair<IpetResult, IpetResult> solve_both(const IpetOptions& options,
+                                               const Previous* previous = nullptr,
+                                               Plan* solved = nullptr) const;
+
+private:
   struct RegionSpec {
     const std::vector<char>* member = nullptr; // null: whole supergraph
     int source_node = -1;                      // virtual source, flow 1
@@ -172,16 +200,21 @@ private:
   // children, virtual source at the callee entry, sinks at the ret
   // edges); `member` receives the membership bitmap the spec points at.
   static RegionSpec sub_region_spec(Sub& sub, std::vector<char>& member);
+  // The reuse rule of solve_both for one sub against its previous
+  // counterpart (children already decided).
+  bool reusable(const Sub& sub, const Sub& before, const Previous& previous,
+                const IpetOptions& options) const;
   // Nesting depth and total count of a sub-ILP plan (for telemetry).
   static int plan_stats(const std::vector<Sub>& subs, int* total_subs);
   // Plumbing of solve_both(): the per-solve plan copy (fact pruning),
   // the missing-loop-bound pre-check replicating the monolithic scan,
   // the dependency-counted task-graph fan-out over the pool (false: some
-  // sub failed -> monolithic fallback), and the merge of sub results
-  // into the outer result.
+  // sub failed -> monolithic fallback; `reused` counts adopted subs),
+  // and the merge of sub results into the outer result.
   std::vector<Sub> planned_subs(const IpetOptions& options) const;
   std::vector<int> missing_loop_bounds_in(const IpetOptions& options) const;
-  bool solve_graph(std::vector<Sub>& subs, const IpetOptions& options) const;
+  bool solve_graph(std::vector<Sub>& subs, const IpetOptions& options,
+                   const Previous* previous, int& reused) const;
   static void merge_sub_results(IpetResult& outer, const std::vector<Sub>& subs,
                                 const std::map<int, std::uint64_t>& edge_counts,
                                 bool bcet_sense);

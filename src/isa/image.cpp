@@ -8,6 +8,11 @@
 namespace wcet::isa {
 
 void Image::add_section(Section section) {
+  // Section::end() is a 32-bit address: a section reaching 2^32 would
+  // wrap it to a small value and break every containment check.
+  if (section.bytes.size() > std::uint64_t{0xFFFFFFFFu} - section.vaddr) {
+    throw InputError("section '" + section.name + "' extends past the 32-bit address space");
+  }
   for (const auto& existing : sections_) {
     const bool overlaps =
         section.vaddr < existing.end() && existing.vaddr < section.end();
@@ -60,10 +65,9 @@ std::string Image::describe(std::uint32_t addr) const {
 
 std::optional<std::uint32_t> Image::read_word(std::uint32_t addr) const {
   const Section* s = section_at(addr);
-  if (s == nullptr || addr + 3 >= s->end() + (addr + 3 < addr ? 0u : 0u) ||
-      !s->contains(addr + 3)) {
-    return std::nullopt;
-  }
+  // No section reaches 2^32 (add_section), so a word whose last byte
+  // wraps past it is never contained.
+  if (s == nullptr || !s->contains(addr + 3)) return std::nullopt;
   const std::size_t off = addr - s->vaddr;
   return static_cast<std::uint32_t>(s->bytes[off]) |
          (static_cast<std::uint32_t>(s->bytes[off + 1]) << 8) |

@@ -80,7 +80,8 @@ std::string ServeStats::to_string() const {
   os << "=== wcet_serve stats ===\n";
   os << "requests: " << requests << " (fingerprint hits " << fingerprint_hits << ")\n";
   os << "pipeline: " << warm_runs << " warm / " << cold_runs << " cold runs, "
-     << warm_fallbacks << " warm fallbacks, " << path_reuses << " path reuses, "
+     << warm_cache_starts << " warm cache starts, " << warm_fallbacks << " warm fallbacks, "
+     << path_reuses << " sub-ILPs reused, "
      << dirty_instances << " dirty instances\n";
   os << "report cache: " << evictions << " evictions\n";
   os << "batch: " << batch_jobs << " jobs, " << batch_errors << " errors\n";
@@ -196,8 +197,9 @@ WcetReport AnalysisServer::run_pipeline(std::unique_ptr<Converged> next) {
     ++stats_.warm_runs;
     dirty = static_cast<std::uint64_t>(ctx.warm->dirty_instances);
     stats_.dirty_instances += dirty;
+    if (ctx.warm->cache_warm) ++stats_.warm_cache_starts;
     if (ctx.warm->cache_fallback) ++stats_.warm_fallbacks;
-    if (ctx.warm->path_reused) ++stats_.path_reuses;
+    stats_.path_reuses += static_cast<std::uint64_t>(ctx.wcet_result.sub_ilps_reused);
   } else {
     ++stats_.cold_runs;
   }

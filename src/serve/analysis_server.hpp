@@ -8,11 +8,12 @@
 // previous image, and the pipeline receives a WarmHandoff
 // (wcet/pipeline.hpp) with the per-instance clean verdicts: the cache
 // fixpoint warm-starts from the previous states of clean instances, and
-// the path phase adopts the previous ILP results when every timing
-// input compares equal. Every reuse is *verified, never trusted*: a
-// warm bound is bit-identical to the cold bound by construction (the
-// phases demote any verdict the fresh run contradicts and fall back to
-// a full cold re-run on any divergence).
+// the path phase adopts the previous results of every sub-ILP whose
+// region inputs compare equal, re-solving only the sub-ILPs an edit
+// touches (and their ancestors) plus the outer region. Every reuse is
+// *verified, never trusted*: a warm bound is bit-identical to the cold
+// bound by construction (the phases demote any verdict the fresh run
+// contradicts and fall back to a full cold re-run on any divergence).
 //
 // On top of the incremental path sits a request-level report LRU keyed
 // by exact equality: a repeat submission whose image (isa::Image
@@ -65,8 +66,9 @@ struct ServeStats {
   std::uint64_t fingerprint_hits = 0;   // served from the report cache
   std::uint64_t warm_runs = 0;          // pipeline ran with a WarmHandoff
   std::uint64_t cold_runs = 0;          // pipeline ran cold
+  std::uint64_t warm_cache_starts = 0;  // warm cache fixpoint committed
   std::uint64_t warm_fallbacks = 0;     // warm cache attempt diverged -> cold fixpoint
-  std::uint64_t path_reuses = 0;        // previous ILP result adopted wholesale
+  std::uint64_t path_reuses = 0;        // sub-ILPs adopted unsolved from the previous run
   std::uint64_t dirty_instances = 0;    // cumulative code-dirty instances
   std::uint64_t evictions = 0;          // report-cache LRU evictions
   std::uint64_t batch_jobs = 0;         // jobs accepted by submit_batch

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <limits>
 #include <new>
+#include <optional>
 #include <sstream>
 #include <tuple>
 
@@ -85,11 +86,12 @@ void decode_phase(AnalysisContext& ctx) {
 // Incremental verification (src/serve): demote code-clean instances
 // whose fresh value-analysis results differ from the previous run's —
 // per-node in-states must compare equal and every edge whose source
-// lies in the instance must keep its feasibility verdict. Downstream
-// reuse (warm cache fixpoint, whole-ILP reuse) keys on these *verified*
-// verdicts, never on code equality alone: value analysis itself always
-// re-runs cold because its widening/coarsening policy is
-// trajectory-dependent and cannot be warm-started exactly.
+// lies in the instance must keep its feasibility verdict. The warm
+// cache fixpoint keys on these *verified* verdicts, never on code
+// equality alone (per-sub-ILP reuse in the path phase compares its
+// region inputs directly). Value analysis itself always re-runs cold
+// because its widening/coarsening policy is trajectory-dependent and
+// cannot be warm-started exactly.
 void verify_warm_value(AnalysisContext& ctx) {
   AnalysisContext::WarmHandoff& warm = *ctx.warm;
   const AnalysisContext& prev = *warm.prev;
@@ -259,61 +261,27 @@ analysis::IpetOptions ipet_options_for(const AnalysisContext& ctx) {
   return ipet_options;
 }
 
-// Whole-solve reuse (src/serve): true when the warm cache fixpoint
-// committed and every path-analysis input — loop bounds, per-node
-// timings, per-edge extras, edge feasibility — compares equal to the
-// previous run's. The previous ILP results (bounds, witness, telemetry)
-// are then the results of an identical constraint system. Flow facts
-// and options are identical by the server's admission gate (same
-// annotation text, same AnalysisOptions).
-bool path_inputs_unchanged(const AnalysisContext& ctx) {
-  if (ctx.warm == nullptr || ctx.warm->prev == nullptr || !ctx.warm->cache_warm) {
-    return false;
-  }
-  const AnalysisContext& prev = *ctx.warm->prev;
-  if (prev.pipeline == nullptr) return false;
-  if (ctx.merged_bounds != prev.merged_bounds) return false;
-  const cfg::Supergraph& sg = *ctx.supergraph;
-  for (const cfg::SgEdge& e : sg.edges()) {
-    if (ctx.values->edge_feasible(e.id) != prev.values->edge_feasible(e.id)) return false;
-    if (ctx.pipeline->edge_extra(e.id) != prev.pipeline->edge_extra(e.id)) return false;
-  }
-  for (const cfg::SgNode& n : sg.nodes()) {
-    const analysis::NodeTiming& now = ctx.pipeline->timing(n.id);
-    const analysis::NodeTiming& then = prev.pipeline->timing(n.id);
-    if (now.lb != then.lb || now.ub != then.ub ||
-        now.ps_terms.size() != then.ps_terms.size()) {
-      return false;
-    }
-    for (std::size_t i = 0; i < now.ps_terms.size(); ++i) {
-      const analysis::PsTerm& a = now.ps_terms[i];
-      const analysis::PsTerm& b = then.ps_terms[i];
-      if (a.loop_id != b.loop_id || a.penalty != b.penalty ||
-          a.line_count != b.line_count) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
 // ------------------------------------------------------------------ path
 void path_phase(AnalysisContext& ctx) {
   phase_boundary(ctx, "phase:path");
-  if (path_inputs_unchanged(ctx)) {
-    ctx.wcet_result = ctx.warm->prev->wcet_result;
-    ctx.bcet_result = ctx.warm->prev->bcet_result;
-    ctx.warm->path_reused = true;
-  } else {
-    analysis::Ipet ipet(*ctx.supergraph, *ctx.forest, *ctx.values, *ctx.pipeline);
-    ipet.set_pool(ctx.pool);
-    // One combined WCET+BCET solve: the two senses share the
-    // decomposition plan, every region's constraint system, and the
-    // phase-1 simplex work (see Ipet::solve_both).
-    const auto t_ilp = std::chrono::steady_clock::now();
-    std::tie(ctx.wcet_result, ctx.bcet_result) = ipet.solve_both(ipet_options_for(ctx));
-    ctx.report.timings.ilp_ms += ms_since(t_ilp);
+  analysis::Ipet ipet(*ctx.supergraph, *ctx.forest, *ctx.values, *ctx.pipeline);
+  ipet.set_pool(ctx.pool);
+  // A warm run hands back the previous run's solve: every sub-ILP whose
+  // region inputs compare equal adopts its previous results unsolved.
+  std::optional<analysis::Ipet::Previous> previous;
+  if (ctx.warm != nullptr && ctx.warm->prev != nullptr && ctx.warm->prev->pipeline != nullptr) {
+    const AnalysisContext& prev = *ctx.warm->prev;
+    previous.emplace(analysis::Ipet::Previous{prev.ipet_plan, *prev.values, *prev.pipeline,
+                                              prev.merged_bounds});
   }
+  // One combined WCET+BCET solve: the two senses share the
+  // decomposition plan, every region's constraint system, and the
+  // phase-1 simplex work (see Ipet::solve_both).
+  const auto t_ilp = std::chrono::steady_clock::now();
+  analysis::IpetResult bcet_result;
+  std::tie(ctx.wcet_result, bcet_result) = ipet.solve_both(
+      ipet_options_for(ctx), previous ? &*previous : nullptr, &ctx.ipet_plan);
+  ctx.report.timings.ilp_ms += ms_since(t_ilp);
 
   const cfg::Supergraph& supergraph = *ctx.supergraph;
   const analysis::IpetResult& wcet_result = ctx.wcet_result;
@@ -362,7 +330,7 @@ void path_phase(AnalysisContext& ctx) {
     break;
   }
 
-  if (wcet_result.ok() && ctx.bcet_result.ok()) report.bcet_cycles = ctx.bcet_result.bound;
+  if (wcet_result.ok() && bcet_result.ok()) report.bcet_cycles = bcet_result.bound;
 
   report.witness_available = wcet_result.witness_available();
   report.ok = wcet_result.ok() && report.obstructions.empty();

@@ -70,7 +70,10 @@ struct AnalysisContext {
   std::unique_ptr<analysis::CacheAnalysis> caches;
   std::unique_ptr<analysis::PipelineAnalysis> pipeline;
   analysis::IpetResult wcet_result;
-  analysis::IpetResult bcet_result;
+  // The solved sub-ILP plan: the next warm run's path phase hands it
+  // back to Ipet::solve_both, which adopts every sub-ILP whose region
+  // inputs are unchanged.
+  analysis::Ipet::Plan ipet_plan;
 
   // Incremental re-analysis handoff (src/serve): installed by the
   // analysis server when a re-submitted image is structurally identical
@@ -79,8 +82,9 @@ struct AnalysisContext {
   // phase always re-runs cold and demotes any code-clean instance whose
   // states differ; the cache phase warm-starts only under those
   // verified verdicts and falls back to a cold fixpoint on any boundary
-  // divergence; the path phase reuses the previous ILP results only when
-  // every timing input compares equal. A warm run is therefore
+  // divergence; the path phase adopts a previous sub-ILP's results only
+  // when every input of its region compares equal (Ipet::solve_both)
+  // and always re-solves the outer region. A warm run is therefore
   // bit-identical to a cold run by construction.
   struct WarmHandoff {
     const AnalysisContext* prev = nullptr; // previous converged context
@@ -90,7 +94,6 @@ struct AnalysisContext {
     int dirty_instances = 0;               // code-dirty instance count
     bool cache_warm = false;               // cache fixpoint warm-start committed
     bool cache_fallback = false;           // warm attempt diverged -> cold rerun
-    bool path_reused = false;              // previous ILP result reused wholesale
   };
   std::unique_ptr<WarmHandoff> warm; // null: cold request
 

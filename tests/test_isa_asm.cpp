@@ -226,6 +226,20 @@ TEST(Image, OverlappingSectionsRejected) {
       InputError);
 }
 
+// A section whose last byte sits at 0xffffffff would end at 2^32,
+// which Section::end() cannot represent: it is rejected as input, and a
+// section just below the limit stays fully readable.
+TEST(Image, SectionReachingAddressSpaceEndRejected) {
+  EXPECT_THROW(assemble(".data 0xfffffff0\n.word 1, 2, 3, 4\n"), InputError);
+  Image image;
+  EXPECT_THROW(image.add_section({"top", 0xFFFFFFF0u, std::vector<std::uint8_t>(16), true, false}),
+               InputError);
+  EXPECT_TRUE(image.sections().empty());
+  const Image below = assemble(".data 0xffffffe0\n.word 1, 2, 3, 4\n");
+  EXPECT_EQ(below.read_word(0xFFFFFFECu), 4u);
+  EXPECT_FALSE(below.read_word(0xFFFFFFEEu)); // straddles the section end
+}
+
 TEST(Image, EqualityIsExact) {
   constexpr const char* source = R"(
         .text 0x2000

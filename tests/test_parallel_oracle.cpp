@@ -1,9 +1,10 @@
 // The synthetic call-tree shape (N leaf functions x 3 counted loops) as
 // a tier-1 oracle. Two cases:
-//   * ScalingShapeBoundsPinned pins the exact WCET/BCET, tightness and
-//     IPET structure of the shape at N = 1..64, at 1 and 4 threads and
-//     across both IPET decomposition modes. N = 64 is the `unseeded64`
-//     program of perfbench's `wide_cold` workload, which times it.
+//   * ScalingShapeBoundsPinned pins the exact WCET/BCET, tightness,
+//     IPET structure, emitted ILP size and pivot counts of the shape at
+//     N = 1..64, at 1 and 4 threads and across both IPET decomposition
+//     modes. N = 64 is the `unseeded64` program of perfbench's
+//     `wide_cold` workload, which times it.
 //   * Arg16BitIdenticalAtEightThreadsAcrossModes analyzes N = 16 at
 //     threads=8 and requires bit-identical bounds, obstructions and
 //     cache stats against the sequential run, for every IPET mode.
@@ -52,15 +53,25 @@ struct ScalingPoint {
   std::uint64_t bcet;
   std::uint64_t tightness_x1000; // validated run, threads 4
   int sub_ilps;                  // recursive IPET
+  // The emitted systems and their solve, summed over every region:
+  // region builds must emit the same variables and rows in the same
+  // order, so the crash basis and every pivot sequence repeat.
+  int ilp_variables;
+  int ilp_constraints;
+  std::uint64_t phase2_pivots;
+  std::uint64_t crash_basis_rows;
 };
 
-// Any change to these values changes a stated bound or its tightness
+// Any change to the bounds changes a stated bound or its tightness
 // against the deterministic simulator replay; perf work keeps them
 // bit-identical.
 constexpr ScalingPoint kScalingPoints[] = {
-    {1, 1356, 217, 1018, 0},     {4, 5180, 626, 1025, 4},
-    {8, 10277, 1173, 1026, 8},   {16, 20470, 2265, 1026, 16},
-    {32, 40858, 4449, 1026, 32}, {64, 85672, 10918, 1034, 64},
+    {1, 1356, 217, 1018, 0, 51, 81, 34, 17},
+    {4, 5180, 626, 1025, 4, 186, 310, 133, 53},
+    {8, 10277, 1173, 1026, 8, 366, 614, 265, 101},
+    {16, 20470, 2265, 1026, 16, 726, 1222, 529, 197},
+    {32, 40858, 4449, 1026, 32, 1446, 2438, 1057, 389},
+    {64, 85672, 10918, 1034, 64, 2886, 4870, 2113, 773},
 };
 
 TEST(ParallelOracle, ScalingShapeBoundsPinned) {
@@ -83,6 +94,12 @@ TEST(ParallelOracle, ScalingShapeBoundsPinned) {
       // crash basis.
       EXPECT_EQ(report.phase1_pivots, 0u) << label << " threads " << threads;
       EXPECT_EQ(report.ipet_sub_ilps, point.sub_ilps) << label << " threads " << threads;
+      EXPECT_EQ(report.ilp_variables, point.ilp_variables) << label << " threads " << threads;
+      EXPECT_EQ(report.ilp_constraints, point.ilp_constraints)
+          << label << " threads " << threads;
+      EXPECT_EQ(report.phase2_pivots, point.phase2_pivots) << label << " threads " << threads;
+      EXPECT_EQ(report.crash_basis_rows, point.crash_basis_rows)
+          << label << " threads " << threads;
     }
 
     AnalysisOptions validated;

@@ -117,25 +117,132 @@ TEST(Serve, LayoutEditRunsCold) {
   expect_same_bounds(second, cold_analyzer.analyze(), "layout edit");
 }
 
-// With the report cache disabled, a byte-identical resubmission takes
-// the full incremental path: zero dirty instances, the cache fixpoint
-// warm-starts without divergence, and the previous ILP solve is
-// adopted wholesale — all while the bound stays bit-identical.
-TEST(Serve, ZeroDirtyResubmitReusesWholeIlp) {
+// The constants of leaf 3 that the warm-edit tests vary. Each is one
+// comparison or mask immediate, so an edit leaves the code layout
+// identical while changing one path-analysis input of leaf 3: its
+// second loop's bound, the data range (and so the cache timing) of its
+// first loop, or which way its branch may go (`k > i` always holds for
+// k = 9, so the fall-through edge becomes infeasible while every block
+// stays reachable).
+struct Leaf3 {
+  int bound = 6;
+  int mask = 15;
+  int k = 2;
+};
+
+// Eight leaf functions with two counted loops each, called outside
+// any loop: enough nodes for the IPET decomposition, which collapses
+// every leaf into its own sub-ILP. Flat, main calls the leaves; nested,
+// main calls four functions that each run a loop and call two leaves,
+// so every leaf sub-ILP sits inside its caller's.
+std::string leaves_program(const Leaf3& leaf3, bool nested) {
+  std::ostringstream os;
+  os << "int data[16] = {3,1,4,1,5,9,2,6,5,3,5,8,9,7,9,3};\n";
+  for (int f = 0; f < 8; ++f) {
+    const Leaf3 c = f == 3 ? leaf3 : Leaf3{5, 15, 2};
+    os << "int leaf" << f << "(int x) { int i; int s = x;\n"
+       << "  for (i = 0; i < " << 4 + f % 3 << "; i++) { s += data[(s + i) & " << c.mask
+       << "]; }\n"
+       << "  for (i = 0; i < " << c.bound << "; i++) { s += data[(s ^ i) & 15];\n"
+       << "    if (" << c.k << " > i) { s += 1; } }\n"
+       << "  return s; }\n";
+  }
+  for (int p = 0; nested && p < 4; ++p) {
+    os << "int pair" << p << "(int x) { int i; int s = x;\n"
+       << "  for (i = 0; i < 3; i++) { s += data[(s + 3 * i) & 15]; }\n"
+       << "  s += leaf" << 2 * p << "(s);\n  s += leaf" << 2 * p + 1 << "(s);\n"
+       << "  return s; }\n";
+  }
+  os << "int main(void) { int t = 1;\n";
+  for (int f = 0; f < (nested ? 4 : 8); ++f) {
+    os << "  t += " << (nested ? "pair" : "leaf") << f << "(t);\n";
+  }
+  os << "  return t; }\n";
+  return os.str();
+}
+
+// Bounds plus everything the path phase reports about its solve.
+void expect_same_path(const WcetReport& warm, const WcetReport& cold, const std::string& label) {
+  expect_same_bounds(warm, cold, label);
+  EXPECT_EQ(warm.ipet_sub_ilps, cold.ipet_sub_ilps) << label;
+  EXPECT_EQ(warm.phase1_pivots, cold.phase1_pivots) << label;
+  EXPECT_EQ(warm.phase2_pivots, cold.phase2_pivots) << label;
+  EXPECT_EQ(warm.crash_basis_rows, cold.crash_basis_rows) << label;
+}
+
+// Per-sub-ILP reuse on the warm path. With the report cache disabled, a
+// byte-identical resubmission adopts every sub-ILP unsolved; an edit
+// to one function re-solves exactly that function's sub-ILP, plus its
+// caller's when nested (a changed child re-solves its ancestors). The
+// edits alternate with the base program, so every warm run dirties
+// leaf 3 alone. Every warm report equals a fresh analysis, at 1 and 4
+// threads; a monolithic server has no sub-ILPs to reuse.
+TEST(Serve, WarmEditReusesUntouchedSubIlps) {
+  const Leaf3 base_leaf;
+  const std::vector<Leaf3> edits = {{9, 15, 2}, {6, 1, 2}, {6, 15, 9}};
+  for (const bool nested : {false, true}) {
+    const isa::Image base = compile(leaves_program(base_leaf, nested));
+    const int resolved = nested ? 2 : 1;
+    for (const int threads : {1, 4}) {
+      const std::string label =
+          std::string(nested ? "nested" : "flat") + " threads=" + std::to_string(threads);
+      serve::ServeOptions options;
+      options.report_cache_capacity = 0; // force re-analysis on every request
+      options.analysis.threads = threads;
+      serve::AnalysisServer server(mem::typical_hw(), options);
+      const WcetReport base_cold = Analyzer(base, mem::typical_hw()).analyze(options.analysis);
+      ASSERT_GE(base_cold.ipet_sub_ilps, 8) << label;
+      EXPECT_EQ(base_cold.ipet_depth, nested ? 2 : 1) << label;
+
+      expect_same_path(server.submit(base), base_cold, label + " first");
+      EXPECT_EQ(server.stats().path_reuses, 0u) << label;
+      const WcetReport resubmit = server.submit(base);
+      EXPECT_EQ(resubmit.serve_dirty_instances, 0u) << label;
+      EXPECT_EQ(server.stats().path_reuses,
+                static_cast<std::uint64_t>(resubmit.ipet_sub_ilps))
+          << label;
+      expect_same_path(resubmit, base_cold, label + " resubmit");
+      // Per-sub reuse does not depend on the cache warm start; check
+      // that the warm cache fixpoint committed on its own.
+      EXPECT_EQ(server.stats().warm_cache_starts, 1u) << label;
+      EXPECT_EQ(server.stats().warm_fallbacks, 0u) << label;
+
+      for (std::size_t e = 0; e < edits.size(); ++e) {
+        const isa::Image edited = compile(leaves_program(edits[e], nested));
+        const WcetReport edited_cold =
+            Analyzer(edited, mem::typical_hw()).analyze(options.analysis);
+        for (const bool back : {false, true}) {
+          const std::string step =
+              label + " edit " + std::to_string(e) + (back ? " undone" : "");
+          const std::uint64_t before = server.stats().path_reuses;
+          const WcetReport warm = server.submit(back ? base : edited);
+          EXPECT_EQ(warm.serve_dirty_instances, 1u) << step;
+          EXPECT_EQ(server.stats().path_reuses - before,
+                    static_cast<std::uint64_t>(warm.ipet_sub_ilps - resolved))
+              << step;
+          expect_same_path(warm, back ? base_cold : edited_cold, step);
+          EXPECT_EQ(server.stats().warm_cache_starts, server.stats().warm_runs) << step;
+          EXPECT_EQ(server.stats().warm_fallbacks, 0u) << step;
+        }
+      }
+      EXPECT_EQ(server.stats().warm_runs, 1u + 2 * edits.size()) << label;
+      EXPECT_EQ(server.stats().fingerprint_hits, 0u) << label; // cache was disabled
+    }
+  }
+
+  const isa::Image base = compile(leaves_program(base_leaf, false));
+  const isa::Image edited = compile(leaves_program(edits[0], false));
   serve::ServeOptions options;
-  options.report_cache_capacity = 0; // force re-analysis on every request
+  options.report_cache_capacity = 0;
+  options.analysis.decomposition = analysis::IpetDecomposition::monolithic;
   serve::AnalysisServer server(mem::typical_hw(), options);
-  const isa::Image image = compile(calls_program(6));
-  const WcetReport first = server.submit(image);
-  const WcetReport second = server.submit(image);
-  ASSERT_TRUE(first.ok);
-  EXPECT_EQ(second.wcet_cycles, first.wcet_cycles);
-  EXPECT_EQ(second.bcet_cycles, first.bcet_cycles);
-  EXPECT_EQ(second.serve_dirty_instances, 0u);
-  EXPECT_EQ(server.stats().warm_runs, 1u);
-  EXPECT_EQ(server.stats().warm_fallbacks, 0u);
-  EXPECT_EQ(server.stats().path_reuses, 1u);
-  EXPECT_EQ(server.stats().fingerprint_hits, 0u); // cache was disabled
+  const WcetReport base_cold = Analyzer(base, mem::typical_hw()).analyze(options.analysis);
+  const WcetReport edited_cold = Analyzer(edited, mem::typical_hw()).analyze(options.analysis);
+  expect_same_path(server.submit(base), base_cold, "monolithic first");
+  expect_same_path(server.submit(base), base_cold, "monolithic resubmit");
+  expect_same_path(server.submit(edited), edited_cold, "monolithic edit");
+  EXPECT_EQ(server.stats().warm_runs, 2u);
+  EXPECT_EQ(server.stats().path_reuses, 0u);
 }
 
 // Resubmitting byte-identical input is served from the report cache:
