@@ -1,7 +1,8 @@
 // Operating modes (paper Section 4.3): a flight-control task analyzed
 // globally and per mode. The `mode ... excludes` annotations encode the
 // design-level knowledge that ground and air work never mix, giving each
-// mode a far tighter bound than the global analysis.
+// mode a far tighter bound than the global analysis. Exits nonzero when
+// a mode goes unbounded or GROUND is not below the global bound.
 #include <cstdio>
 #include <sstream>
 
@@ -63,10 +64,14 @@ int main(void) {
               static_cast<unsigned long long>(ground_report.wcet_cycles));
   std::printf("mode AIR bound:               %llu cycles\n",
               static_cast<unsigned long long>(air_report.wcet_cycles));
-  if (ground_report.wcet_cycles != 0) {
-    std::printf("\nscheduling the ground frame with its own bound saves %.1f%% budget\n",
-                100.0 * (1.0 - static_cast<double>(ground_report.wcet_cycles) /
-                                   static_cast<double>(all.wcet_cycles)));
+  const bool tighter = all.ok && ground_report.ok && air_report.ok &&
+                       ground_report.wcet_cycles < all.wcet_cycles;
+  if (!tighter) {
+    std::printf("\nFAILED: every mode must be bounded, GROUND below the global bound\n");
+    return 1;
   }
+  std::printf("\nscheduling the ground frame with its own bound saves %.1f%% budget\n",
+              100.0 * (1.0 - static_cast<double>(ground_report.wcet_cycles) /
+                                 static_cast<double>(all.wcet_cycles)));
   return 0;
 }

@@ -1,6 +1,7 @@
 // MISRA-C:2004 audit (paper Section 4.2): run the rule checker on a
 // deliberately messy source file and print each violation with its
-// WCET-predictability impact.
+// WCET-predictability impact. Exits nonzero if the analyzer states a
+// bound for the unannotated program.
 #include <cstdio>
 
 #include "core/toolkit.hpp"
@@ -65,5 +66,5 @@ bail:
   for (const auto& obstruction : report.obstructions) {
     std::printf("  obstruction: %s\n", obstruction.c_str());
   }
-  return 0;
+  return report.ok ? 1 : 0;
 }

@@ -1,5 +1,6 @@
 // Quickstart: compile a small C task with mcc, compute a WCET bound,
-// and cross-check it against the cycle-accurate simulator.
+// and cross-check it against the cycle-accurate simulator. Exits nonzero
+// when the bounds do not bracket the simulated run.
 //
 //   $ ./quickstart
 #include <cstdio>
@@ -43,12 +44,12 @@ int main(void) { return weighted_sum(); }
   std::printf("simulated: exit=%u, %llu instructions, %llu cycles\n", run.exit_code,
               static_cast<unsigned long long>(run.instructions),
               static_cast<unsigned long long>(run.cycles));
+  const bool sound = report.ok && report.bcet_cycles <= run.cycles &&
+                     run.cycles <= report.wcet_cycles;
   std::printf("bound check: %llu <= %llu <= %llu : %s\n",
               static_cast<unsigned long long>(report.bcet_cycles),
               static_cast<unsigned long long>(run.cycles),
               static_cast<unsigned long long>(report.wcet_cycles),
-              (report.bcet_cycles <= run.cycles && run.cycles <= report.wcet_cycles)
-                  ? "sound"
-                  : "VIOLATED");
-  return 0;
+              sound ? "sound" : "VIOLATED");
+  return sound ? 0 : 1;
 }

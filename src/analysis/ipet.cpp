@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <string>
 
 #include "support/diag.hpp"
 #include "support/thread_pool.hpp"
@@ -667,8 +666,7 @@ bool Ipet::build_region(const RegionSpec& spec, const IpetOptions& options,
   for (const cfg::SgEdge& edge : sg_.edges()) {
     const int child = child_of_call_edge[static_cast<std::size_t>(edge.id)];
     if (child >= 0) {
-      edge_var[static_cast<std::size_t>(edge.id)] = ilp.add_variable(
-          "y" + std::to_string((*spec.children)[static_cast<std::size_t>(child)].instance));
+      edge_var[static_cast<std::size_t>(edge.id)] = ilp.add_variable();
       continue;
     }
     if (!values_.edge_feasible(edge.id)) continue;
@@ -676,8 +674,7 @@ bool Ipet::build_region(const RegionSpec& spec, const IpetOptions& options,
         !build.region_node[static_cast<std::size_t>(edge.to)]) {
       continue;
     }
-    edge_var[static_cast<std::size_t>(edge.id)] =
-        ilp.add_variable("e" + std::to_string(edge.id));
+    edge_var[static_cast<std::size_t>(edge.id)] = ilp.add_variable();
   }
 
   const auto add_obj = [](std::vector<Rational>& obj, int var, const Rational& coeff) {
@@ -728,7 +725,7 @@ bool Ipet::build_region(const RegionSpec& spec, const IpetOptions& options,
           // Subtree ret edge: flow leaves the region here; the sink
           // variable carries the edge's extra cost (taken-branch
           // penalty convention) in the objective.
-          const int sv = ilp.add_variable("ret" + std::to_string(eid));
+          const int sv = ilp.add_variable();
           exit_vars.push_back(sv);
           sink_var_node.push_back({sv, node.id});
           terms.push_back({sv, Rational(-1)});
@@ -741,7 +738,7 @@ bool Ipet::build_region(const RegionSpec& spec, const IpetOptions& options,
         }
       }
       if (spec.top_level && exit_set.count(node.id) != 0) {
-        const int sv = ilp.add_variable("sink" + std::to_string(node.id));
+        const int sv = ilp.add_variable();
         exit_vars.push_back(sv);
         sink_var_node.push_back({sv, node.id});
         terms.push_back({sv, Rational(-1)});
@@ -753,7 +750,7 @@ bool Ipet::build_region(const RegionSpec& spec, const IpetOptions& options,
         // Dead end that is not an exit (e.g. unresolved indirect): treat
         // as a sink so the system stays feasible; the driver reports the
         // obstruction separately.
-        const int sv = ilp.add_variable("dead" + std::to_string(node.id));
+        const int sv = ilp.add_variable();
         exit_vars.push_back(sv);
         sink_var_node.push_back({sv, node.id});
         terms.push_back({sv, Rational(-1)});
@@ -884,9 +881,8 @@ bool Ipet::build_region(const RegionSpec& spec, const IpetOptions& options,
 
     // Infeasible pairs: big-M disjunction with a binary selector.
     const auto big_m = Rational(infeasible_pair_big_m);
-    int pair_index = 0;
     for (const annot::InfeasiblePairFact& pair : options.infeasible_pairs) {
-      const int sel = ilp.add_variable("excl" + std::to_string(pair_index++));
+      const int sel = ilp.add_variable();
       ilp.add_constraint({{sel, Rational(1)}}, Cmp::le, Rational(1));
       std::vector<LinTerm> a_terms;
       Rational a_const;
@@ -910,11 +906,9 @@ bool Ipet::build_region(const RegionSpec& spec, const IpetOptions& options,
   for (const cfg::SgNode& node : sg_.nodes()) {
     if (!build.region_node[static_cast<std::size_t>(node.id)]) continue;
     const NodeTiming& timing = pipeline_.timing(node.id);
-    int term_index = 0;
     for (const PsTerm& ps : timing.ps_terms) {
       const cfg::Loop& loop = loops_.loop(ps.loop_id);
-      const int mv = ilp.add_variable("ps_n" + std::to_string(node.id) + '_' +
-                                      std::to_string(term_index++));
+      const int mv = ilp.add_variable();
       // misses <= executions of the node
       std::vector<LinTerm> exec_terms{{mv, Rational(1)}};
       const int src = append_in_flow(spec, edge_var, node.id, Rational(-1), exec_terms);

@@ -250,7 +250,9 @@ std::optional<std::uint8_t> reg_from_name(const std::string& name) {
     std::unordered_map<std::string, std::uint8_t> m;
     for (std::uint8_t r = 0; r < num_registers; ++r) {
       m.emplace(reg_name(r), r);
-      m.emplace("r" + std::to_string(r), r);
+      std::string alias = "r";
+      alias += std::to_string(r);
+      m.emplace(std::move(alias), r);
     }
     return m;
   }();

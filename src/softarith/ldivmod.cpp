@@ -260,7 +260,8 @@ out_iters: .word 0
 std::string_view bitserial_tiny32_program() {
   return R"(
 ; Constant-iteration restoring divider (the paper's predictability
-; remedy): exactly 32 loop iterations for any input.
+; remedy): exactly 32 loop iterations for any input, and no
+; data-dependent branch, so every input takes the same cycle count.
         .text 0x1000
         .global _start
         .global udiv32
@@ -285,17 +286,20 @@ udiv32:
         movi t1, 0               ; q
         movi a2, 0               ; i
         movi a3, 32
+        sltu s0, zero, a1        ; 0 for divisor 0: never subtract
 .bitloop:
         slli t0, t0, 1
         srli t2, a0, 31
         or   t0, t0, t2
         slli a0, a0, 1
         slli t1, t1, 1
-        bltu t0, a1, .skip
-        beq  a1, zero, .skip     ; divisor 0: never subtract
-        sub  t0, t0, a1
-        ori  t1, t1, 1
-.skip:
+        sltu t2, t0, a1          ; quotient bit t2 = r >= d && d != 0
+        xori t2, t2, 1
+        and  t2, t2, s0
+        sub  s1, zero, t2        ; all ones iff the bit is set
+        and  s1, s1, a1
+        sub  t0, t0, s1          ; r -= bit ? d : 0
+        or   t1, t1, t2
         addi a2, a2, 1
         blt  a2, a3, .bitloop
         mov  a0, t1

@@ -23,7 +23,9 @@
 //     remaining quotient, capped near 256 by the d < 256 trigger window.
 //
 // The companion `udivmod_bitserial` is the paper's proposed remedy: a
-// WCET-predictable constant-iteration (32-step) restoring divider.
+// WCET-predictable constant-iteration (32-step) restoring divider. Its
+// tiny32 port subtracts through a mask instead of a branch, so its cycle
+// count does not depend on the operands either.
 //
 // Both routines also exist as tiny32 assembly (`*_tiny32_asm`), so the
 // static analyzer can be pointed at the very code whose distribution the

@@ -3,17 +3,15 @@
 #include <algorithm>
 #include <optional>
 #include <queue>
-#include <sstream>
 
 #include "support/diag.hpp"
 #include "support/fault_inject.hpp"
 
 namespace wcet {
 
-int IlpProblem::add_variable(std::string name) {
-  names_.push_back(std::move(name));
+int IlpProblem::add_variable() {
   objective_.emplace_back(0);
-  return static_cast<int>(names_.size()) - 1;
+  return num_variables() - 1;
 }
 
 void IlpProblem::set_objective(int var, Rational coeff) {
@@ -29,7 +27,7 @@ void IlpProblem::add_constraint(std::vector<LinTerm> terms, Cmp cmp, Rational rh
 
 void IlpProblem::set_basis_hint(std::vector<std::pair<int, int>> hint) {
   std::vector<char> row_used(rows_.size(), 0);
-  std::vector<char> col_used(names_.size(), 0);
+  std::vector<char> col_used(objective_.size(), 0);
   for (const auto& [row, var] : hint) {
     WCET_CHECK(row >= 0 && row < num_constraints(), "basis hint names an unknown row");
     WCET_CHECK(var >= 0 && var < num_variables(), "basis hint names an unknown variable");
@@ -1004,34 +1002,6 @@ IlpProblem::solve_ilp_pair(const std::vector<Rational>& alt_objective,
   primary.crash_basis_rows = base.crash_rows();
   alternate.crash_basis_rows = base.crash_rows();
   return {primary, alternate};
-}
-
-std::string IlpProblem::to_string() const {
-  std::ostringstream os;
-  os << "maximize";
-  bool first = true;
-  for (int j = 0; j < num_variables(); ++j) {
-    const auto& c = objective_[static_cast<std::size_t>(j)];
-    if (c.is_zero()) continue;
-    os << (first ? " " : " + ") << c.to_string() << ' ' << names_[static_cast<std::size_t>(j)];
-    first = false;
-  }
-  os << "\nsubject to\n";
-  for (const auto& row : rows_) {
-    bool f = true;
-    for (const auto& t : row.terms) {
-      os << (f ? "  " : " + ") << t.coeff.to_string() << ' '
-         << names_[static_cast<std::size_t>(t.var)];
-      f = false;
-    }
-    switch (row.cmp) {
-    case Cmp::le: os << " <= "; break;
-    case Cmp::ge: os << " >= "; break;
-    case Cmp::eq: os << " == "; break;
-    }
-    os << row.rhs.to_string() << '\n';
-  }
-  return os.str();
 }
 
 } // namespace wcet

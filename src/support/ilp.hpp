@@ -24,7 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -99,9 +98,8 @@ public:
   };
 
   // All variables are constrained to be >= 0.
-  int add_variable(std::string name);
-  int num_variables() const { return static_cast<int>(names_.size()); }
-  const std::string& variable_name(int var) const { return names_[static_cast<std::size_t>(var)]; }
+  int add_variable();
+  int num_variables() const { return static_cast<int>(objective_.size()); }
 
   void set_objective(int var, Rational coeff); // maximize sum coeff*var
   void add_constraint(std::vector<LinTerm> terms, Cmp cmp, Rational rhs);
@@ -154,8 +152,6 @@ public:
   std::pair<LpSolution, LpSolution> solve_ilp_pair(const std::vector<Rational>& alt_objective,
                                                    const SolveLimits& limits) const;
 
-  std::string to_string() const; // LP-format dump for debugging/reports
-
 private:
   LpSolution solve_lp_with(const std::vector<Row>& extra,
                            const std::vector<Rational>& objective,
@@ -163,7 +159,6 @@ private:
                            std::uint64_t* pivots = nullptr,
                            std::uint64_t* phase1_pivots = nullptr) const;
 
-  std::vector<std::string> names_;
   std::vector<Rational> objective_;
   std::vector<Row> rows_;
   std::vector<std::pair<int, int>> basis_hint_;

@@ -56,8 +56,8 @@ TEST(Rational, RandomFieldAxioms) {
 
 TEST(Ilp, SimpleMaximize) {
   IlpProblem p;
-  const int x = p.add_variable("x");
-  const int y = p.add_variable("y");
+  const int x = p.add_variable();
+  const int y = p.add_variable();
   p.set_objective(x, 3);
   p.set_objective(y, 5);
   p.add_constraint({{x, Rational(1)}}, Cmp::le, 4);
@@ -72,8 +72,8 @@ TEST(Ilp, SimpleMaximize) {
 
 TEST(Ilp, EqualityAndGe) {
   IlpProblem p;
-  const int x = p.add_variable("x");
-  const int y = p.add_variable("y");
+  const int x = p.add_variable();
+  const int y = p.add_variable();
   p.set_objective(x, 1);
   p.add_constraint({{x, Rational(1)}, {y, Rational(1)}}, Cmp::eq, 10);
   p.add_constraint({{y, Rational(1)}}, Cmp::ge, 4);
@@ -84,7 +84,7 @@ TEST(Ilp, EqualityAndGe) {
 
 TEST(Ilp, InfeasibleDetected) {
   IlpProblem p;
-  const int x = p.add_variable("x");
+  const int x = p.add_variable();
   p.set_objective(x, 1);
   p.add_constraint({{x, Rational(1)}}, Cmp::le, 1);
   p.add_constraint({{x, Rational(1)}}, Cmp::ge, 2);
@@ -93,7 +93,7 @@ TEST(Ilp, InfeasibleDetected) {
 
 TEST(Ilp, UnboundedDetected) {
   IlpProblem p;
-  const int x = p.add_variable("x");
+  const int x = p.add_variable();
   p.set_objective(x, 1);
   p.add_constraint({{x, Rational(1)}}, Cmp::ge, 0);
   EXPECT_EQ(p.solve_lp().status, LpSolution::Status::unbounded);
@@ -103,10 +103,10 @@ TEST(Ilp, ArtificialsCannotReenter) {
   // Regression: flow-conservation-style equality systems once made an
   // artificial variable re-enter in phase 2 and reported "unbounded".
   IlpProblem p;
-  const int n0 = p.add_variable("n0");
-  const int e0 = p.add_variable("e0");
-  const int n1 = p.add_variable("n1");
-  const int sink = p.add_variable("sink");
+  const int n0 = p.add_variable();
+  const int e0 = p.add_variable();
+  const int n1 = p.add_variable();
+  const int sink = p.add_variable();
   p.set_objective(n0, 5);
   p.set_objective(n1, 7);
   p.add_constraint({{n0, Rational(-1)}}, Cmp::eq, -1); // n0 == 1 (entry)
@@ -123,8 +123,8 @@ TEST(Ilp, BranchAndBoundIntegrality) {
   // max 3x + 2y s.t. 2x + y <= 4.5: LP optimum fractional, ILP must give
   // the best integer point (x=0, y=4 -> 8).
   IlpProblem p;
-  const int x = p.add_variable("x");
-  const int y = p.add_variable("y");
+  const int x = p.add_variable();
+  const int y = p.add_variable();
   p.set_objective(x, 3);
   p.set_objective(y, 2);
   p.add_constraint({{x, Rational(2)}, {y, Rational(1)}}, Cmp::le, Rational(9, 2));
@@ -148,7 +148,7 @@ TEST(Ilp, KnapsackAgainstBruteForce) {
     IlpProblem p;
     std::vector<LinTerm> cap_terms;
     for (int i = 0; i < n; ++i) {
-      const int v = p.add_variable("x" + std::to_string(i));
+      const int v = p.add_variable();
       p.set_objective(v, value[static_cast<std::size_t>(i)]);
       p.add_constraint({{v, Rational(1)}}, Cmp::le, 1); // 0/1 knapsack
       cap_terms.push_back({v, Rational(weight[static_cast<std::size_t>(i)])});
@@ -176,7 +176,7 @@ TEST(Ilp, KnapsackAgainstBruteForce) {
 TEST(Ilp, MinimizeViaNegation) {
   // BCET-style: minimize by maximizing the negated objective.
   IlpProblem p;
-  const int x = p.add_variable("x");
+  const int x = p.add_variable();
   p.set_objective(x, -1);
   p.add_constraint({{x, Rational(1)}}, Cmp::ge, 3);
   p.add_constraint({{x, Rational(1)}}, Cmp::le, 9);
@@ -190,10 +190,10 @@ TEST(Ilp, DegeneratePivotsTerminate) {
   // this LP; the degenerate-streak fallback to Bland must terminate it
   // at the true optimum 1/20 (x3 = 1).
   IlpProblem p;
-  const int x1 = p.add_variable("x1");
-  const int x2 = p.add_variable("x2");
-  const int x3 = p.add_variable("x3");
-  const int x4 = p.add_variable("x4");
+  const int x1 = p.add_variable();
+  const int x2 = p.add_variable();
+  const int x3 = p.add_variable();
+  const int x4 = p.add_variable();
   p.set_objective(x1, Rational(3, 4));
   p.set_objective(x2, Rational(-150));
   p.set_objective(x3, Rational(1, 50));
@@ -220,7 +220,7 @@ TEST(Ilp, EmptyRowsHandled) {
   // false one makes the system infeasible.
   {
     IlpProblem p;
-    const int x = p.add_variable("x");
+    const int x = p.add_variable();
     p.set_objective(x, 1);
     p.add_constraint({}, Cmp::le, Rational(5));   // 0 <= 5: no-op
     p.add_constraint({}, Cmp::ge, Rational(-3));  // 0 >= -3: no-op after flip
@@ -232,7 +232,7 @@ TEST(Ilp, EmptyRowsHandled) {
   }
   {
     IlpProblem p;
-    const int x = p.add_variable("x");
+    const int x = p.add_variable();
     p.set_objective(x, 1);
     p.add_constraint({}, Cmp::eq, Rational(1)); // 0 == 1: impossible
     p.add_constraint({{x, Rational(1)}}, Cmp::le, Rational(7));
@@ -241,7 +241,7 @@ TEST(Ilp, EmptyRowsHandled) {
   {
     // A row whose terms cancel exactly is an empty row in disguise.
     IlpProblem p;
-    const int x = p.add_variable("x");
+    const int x = p.add_variable();
     p.set_objective(x, 1);
     p.add_constraint({{x, Rational(1)}, {x, Rational(-1)}}, Cmp::ge, Rational(2));
     EXPECT_EQ(p.solve_lp().status, LpSolution::Status::infeasible);
@@ -259,7 +259,7 @@ TEST(Ilp, DualSimplexWarmStartsMatchExhaustive) {
     IlpProblem p;
     std::vector<std::int64_t> coeff(static_cast<std::size_t>(n));
     for (int j = 0; j < n; ++j) {
-      const int v = p.add_variable("x" + std::to_string(j));
+      const int v = p.add_variable();
       coeff[static_cast<std::size_t>(j)] = 1 + rng.below(9);
       p.set_objective(v, Rational(coeff[static_cast<std::size_t>(j)]));
       p.add_constraint({{v, Rational(1)}}, Cmp::le, Rational(4)); // box
@@ -324,7 +324,7 @@ TEST(Ilp, SharedPhase1PairMatchesIndependentSolves) {
     std::vector<Rational> alt;
     const int n = 5;
     for (int j = 0; j < n; ++j) {
-      const int v = p.add_variable("x" + std::to_string(j));
+      const int v = p.add_variable();
       p.set_objective(v, Rational(1 + rng.below(10)));
       alt.emplace_back(-static_cast<std::int64_t>(1 + rng.below(10)));
       p.add_constraint({{v, Rational(1)}}, Cmp::le, Rational(3));
@@ -354,7 +354,7 @@ TEST(Ilp, SparseTableauMemoryShape) {
   const int n = 60;
   IlpProblem p;
   std::vector<int> node(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) node[static_cast<std::size_t>(i)] = p.add_variable("n" + std::to_string(i));
+  for (int i = 0; i < n; ++i) node[static_cast<std::size_t>(i)] = p.add_variable();
   p.set_objective(node[static_cast<std::size_t>(n - 1)], 1);
   p.add_constraint({{node[0], Rational(1)}}, Cmp::eq, Rational(1));
   for (int i = 1; i < n; ++i) {
@@ -385,11 +385,11 @@ TEST(Ilp, SparseTableauMemoryShape) {
 // src..sink, ordered leaf-to-root so each elimination hits a +/-1 cell.
 IlpProblem diamond_flow(std::vector<std::pair<int, int>>* hint) {
   IlpProblem p;
-  const int ab = p.add_variable("a_b");
-  const int ac = p.add_variable("a_c");
-  const int bd = p.add_variable("b_d");
-  const int cd = p.add_variable("c_d");
-  const int dx = p.add_variable("d_sink");
+  const int ab = p.add_variable();
+  const int ac = p.add_variable();
+  const int bd = p.add_variable();
+  const int cd = p.add_variable();
+  const int dx = p.add_variable();
   p.set_objective(ab, 3);
   p.set_objective(ac, 7);
   p.set_objective(bd, 2);
@@ -574,7 +574,7 @@ IlpProblem seeded_system(std::uint64_t seed, std::vector<Rational>* alt) {
   IlpProblem p;
   std::vector<std::int64_t> point;
   for (int j = 0; j < n; ++j) {
-    p.add_variable("x" + std::to_string(j));
+    p.add_variable();
     point.push_back(rng.range(0, 4));
     p.set_objective(j, Rational(rng.range(-3, 6)));
     if (alt != nullptr) alt->emplace_back(rng.range(-6, 3));
@@ -757,16 +757,6 @@ TEST(Ilp, PivotSequencePinnedOnSeededLps) {
     }
     EXPECT_EQ(actual, c.expected);
   }
-}
-
-TEST(Ilp, DumpContainsProblem) {
-  IlpProblem p;
-  const int x = p.add_variable("count_a");
-  p.set_objective(x, 7);
-  p.add_constraint({{x, Rational(1)}}, Cmp::le, 3);
-  const std::string dump = p.to_string();
-  EXPECT_NE(dump.find("count_a"), std::string::npos);
-  EXPECT_NE(dump.find("maximize"), std::string::npos);
 }
 
 } // namespace

@@ -62,7 +62,8 @@ TEST(LDivMod, Table1ShapeClaims) {
   // The paper's three headline claims on a 2M random-input sample:
   //   (a) more than 99.8 % take exactly 1 iteration,
   //   (b) more than 99.99 % take 0, 1 or 2 iterations (the paper states
-  //       99.999 % at 10^8 samples; the bench reproduces that),
+  //       99.999 % at 10^8 samples; examples/predictable_math reproduces
+  //       that, REPRO_N=100000000 for the paper's sample count),
   //   (c) the maximum is far above the typical count.
   Rng rng(42);
   const int n = 2000000;
@@ -127,6 +128,7 @@ struct DivProgram {
 
   struct Result {
     std::uint32_t q, r, iters;
+    std::uint64_t cycles;
   };
   Result run(std::uint32_t a, std::uint32_t b) const {
     sim::Simulator sim(image, mem::typical_hw());
@@ -134,7 +136,7 @@ struct DivProgram {
     sim.write_word(in_b, b);
     const auto res = sim.run();
     EXPECT_TRUE(res.completed()) << res.trap_reason;
-    return {sim.read_word(out_q), sim.read_word(out_r), sim.read_word(out_iters)};
+    return {sim.read_word(out_q), sim.read_word(out_r), sim.read_word(out_iters), res.cycles};
   }
 };
 
@@ -169,13 +171,17 @@ TEST(BitSerialTiny32, MatchesNativeAndAnalyzesToConstantBound) {
     ASSERT_EQ(target.q, native.quotient);
     ASSERT_EQ(target.r, native.remainder);
     ASSERT_EQ(target.iters, 32u);
+    ASSERT_EQ(target.cycles, 1037u) << "the cycle count must not depend on the operands";
   }
-  // The analyzer bounds the 32-iteration loop automatically.
-  const WcetReport report =
-      Analyzer(program.image, mem::typical_hw()).analyze();
+  // The analyzer bounds the 32-iteration loop automatically, even with
+  // the inputs left to the environment.
+  std::ostringstream io;
+  io << "region \"inputs\" at " << program.in_a << " size 8 read 2 write 2 io\n";
+  const WcetReport report = Analyzer(program.image, mem::typical_hw(), io.str()).analyze();
   ASSERT_TRUE(report.ok) << report.to_string();
   ASSERT_EQ(report.loops.size(), 1u);
   EXPECT_EQ(report.loops[0].used_bound, std::uint64_t{31}); // 32 trips = 31 back edges
+  EXPECT_EQ(report.wcet_cycles, 1039u);
 }
 
 TEST(LDivModTiny32, NeedsAnnotationThenBoundsSoundly) {
@@ -200,18 +206,25 @@ TEST(LDivModTiny32, NeedsAnnotationThenBoundsSoundly) {
   const Analyzer annotated(program.image, hw, annotations.str());
   const WcetReport with = annotated.analyze();
   ASSERT_TRUE(with.ok) << with.to_string();
+  EXPECT_EQ(with.wcet_cycles, 22773u);
   // Simulate on the annotated machine: the inputs are io now, so they
-  // arrive through the mmio handler.
-  sim::Simulator sim(program.image, annotated.hw());
-  sim.set_mmio_read([&](std::uint32_t addr, int) {
-    if (addr == program.in_a) return 0xFFFFFFFFu;
-    if (addr == program.in_b) return 0x00010001u;
-    return 0u;
-  });
-  const auto run = sim.run();
-  ASSERT_TRUE(run.completed());
-  EXPECT_LE(run.cycles, with.wcet_cycles);
-  EXPECT_GE(run.cycles, with.bcet_cycles);
+  // arrive through the mmio handler. The second input is the longest
+  // tail a directed search finds (246 iterations, cf. Table 1's rows
+  // above 150).
+  for (const auto [a, b] : {std::pair{0xFFFFFFFFu, 0x00010001u},
+                            std::pair{0xFF9507CBu, 0x0109ADBFu}}) {
+    sim::Simulator sim(program.image, annotated.hw());
+    sim.set_mmio_read([&](std::uint32_t addr, int) {
+      if (addr == program.in_a) return a;
+      if (addr == program.in_b) return b;
+      return 0u;
+    });
+    const auto run = sim.run();
+    ASSERT_TRUE(run.completed());
+    EXPECT_LE(run.cycles, with.wcet_cycles);
+    EXPECT_GE(run.cycles, with.bcet_cycles);
+  }
+  EXPECT_EQ(ldivmod(0xFF9507CBu, 0x0109ADBFu).iterations, 246u);
 }
 
 // ------------------------------ soft float ------------------------------
