@@ -28,7 +28,6 @@ void print_usage(std::ostream& os) {
         "  --mode NAME               operating mode for mode-scoped annotations\n"
         "  --threads N               worker threads, <= 256 (default 1; results identical)\n"
         "  --decomposition MODE      ipet split: monolithic | recursive\n"
-        "  --ipet-mode MODE          alias for --decomposition\n"
         "  --validate                run the independent path-exploration oracle and\n"
         "                            witness replay against the computed bounds\n"
         "  --deadline-ms N           wall-clock budget; exceeding it degrades soundly\n"
@@ -68,7 +67,7 @@ CliArgs parse_args(int argc, char** argv) {
       args.options.mode = value_of(i, arg);
     } else if (arg == "--threads") {
       args.options.threads = parse_threads(arg, value_of(i, arg));
-    } else if (arg == "--decomposition" || arg == "--ipet-mode") {
+    } else if (arg == "--decomposition") {
       args.options.decomposition = parse_decomposition(arg, value_of(i, arg));
     } else if (arg == "--validate") {
       args.options.validate = true;

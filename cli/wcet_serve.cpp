@@ -69,7 +69,7 @@ CliArgs parse_args(int argc, char** argv) {
       args.serve.analysis.mode = value_of(i, arg);
     } else if (arg == "--threads") {
       args.serve.analysis.threads = parse_threads(arg, value_of(i, arg));
-    } else if (arg == "--decomposition" || arg == "--ipet-mode") {
+    } else if (arg == "--decomposition") {
       args.serve.analysis.decomposition = parse_decomposition(arg, value_of(i, arg));
     } else if (arg == "--validate") {
       args.serve.analysis.validate = true;

@@ -689,7 +689,7 @@ bool CacheAnalysis::fixpoint_instance_rounds(const CacheAnalysis* prev,
                                              const std::vector<char>* instance_clean) {
   // Deterministic per-instance rounds (support/instance_rounds.hpp),
   // mirroring the value-analysis engine: each dirty function instance
-  // converges a local RPO priority worklist over its own nodes — in
+  // converges a local loop-nest worklist over its own nodes — in
   // parallel when a pool is given, touching disjoint in-state slots —
   // and cross-instance call/ret out-states are buffered and merged
   // sequentially in ascending (instance, edge) order. Re-queueing is
@@ -712,7 +712,7 @@ bool CacheAnalysis::fixpoint_instance_rounds(const CacheAnalysis* prev,
   // the classic whole-state transfer; the differential tests pin the
   // two paths to identical classifications.
   using Recipe = TransferCache::CacheRecipe;
-  InstanceRoundEngine engine(sg_, schedule_priorities_);
+  InstanceRoundEngine engine(sg_, loops_, schedule_priorities_);
   engine.set_governor(governor_);
   const std::size_t num_instances = sg_.instances().size();
 

@@ -229,7 +229,7 @@ class CacheAnalysis {
 public:
   // Fixpoint scheduling strategy. `priority` is the production engine:
   // deterministic per-instance rounds (support/instance_rounds.hpp) —
-  // each dirty function instance converges a local RPO worklist,
+  // each dirty function instance converges a local loop-nest worklist,
   // cross-instance call/ret joins merge in fixed (instance, edge)
   // order, and dirty instances fan out across the pool.
   // `round_robin` sweeps all nodes in id order until stable — the

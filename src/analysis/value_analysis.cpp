@@ -23,8 +23,6 @@ namespace {
 constexpr std::size_t max_tracked_words = 8192;
 // Visits of a widening point before widening kicks in.
 constexpr unsigned widen_delay = 3;
-// Visits of any node before forced coarsening stops the fixpoint.
-constexpr std::size_t max_node_visits = 64;
 // Width cap on per-address enumeration of imprecise memory accesses:
 // an access whose address interval spans more than this many words
 // widens to the region hull (TOP) instead of being enumerated.
@@ -591,29 +589,28 @@ void ValueAnalysis::run(ThreadPool* pool, TransferCache* transfers,
   std::vector<unsigned> visits(num_nodes, 0);
 
   // Per-instance round scheduling (support/instance_rounds.hpp): within
-  // an instance, nodes iterate in reverse-postorder — the same
-  // weak-topological order the PR 1 global worklist used — restricted
-  // to the instance.
-  InstanceRoundEngine engine(sg_, schedule_priorities_);
+  // an instance, nodes iterate in loop-nest order, so each loop
+  // stabilises before the code after it is visited.
+  InstanceRoundEngine engine(sg_, loops_, schedule_priorities_);
   engine.set_governor(governor);
 
   // Flipped at a round barrier once the visit/state budget (or the
-  // deadline) runs out; read by the next round's workers — the round
-  // barrier orders the write before every subsequent read. Reuses the
-  // existing coarse-convergence safeguard below, which is why an early
-  // trip is still sound AND monotone: the coarse state dominates every
-  // state the remaining iterations could have produced.
+  // deadline) runs out, and always recorded in the governor's ledger;
+  // read by the next round's workers — the round barrier orders the
+  // write before every subsequent read. From then on every growing join
+  // jumps to the coarse state below, which is why an early trip is
+  // still sound AND monotone: the coarse state dominates every state the
+  // remaining iterations could have produced.
   bool force_coarse = degraded_;
 
-  // Join `along` into `target`'s in-state with the same widen/coarsen
-  // policy as the PR 1 engine; returns true when the state grew.
+  // Join `along` into `target`'s in-state, widening at loop entries;
+  // returns true when the state grew. The forest is built from SCCs, so
+  // every cycle passes a loop entry: widening alone ends the fixpoint.
   const auto join_into = [&](const int target, const AbsState& along) -> bool {
     AbsState& tin = in_[static_cast<std::size_t>(target)];
     const bool widen_now = is_widen_point_[static_cast<std::size_t>(target)] &&
                            visits[static_cast<std::size_t>(target)] >= widen_delay;
-    const bool coarse_now =
-        force_coarse || visits[static_cast<std::size_t>(target)] >= max_node_visits;
-    if (!widen_now && !coarse_now) {
+    if (!widen_now && !force_coarse) {
       // Hot path: join in place; join_with reports changes exactly, so
       // no state copy or deep equality check is needed.
       return tin.join_with(along, image, memmap_);
@@ -621,12 +618,9 @@ void ValueAnalysis::run(ThreadPool* pool, TransferCache* transfers,
     AbsState updated = tin;
     if (!updated.join_with(along, image, memmap_)) return false;
     if (widen_now) updated.widen_from(tin);
-    if (coarse_now) {
-      // Safeguard: force convergence by jumping to a coarse state.
-      AbsState coarse = AbsState::entry_state();
-      coarse.add_written(Interval::top());
-      coarse.regs[isa::reg_zero] = Interval::constant(0);
-      updated = coarse;
+    if (force_coarse) {
+      updated = AbsState::entry_state();
+      updated.add_written(Interval::top());
     }
     if (updated == tin) return false;
     tin = std::move(updated);

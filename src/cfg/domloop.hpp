@@ -15,10 +15,12 @@
 
 namespace wcet::cfg {
 
-// Reverse postorder of the nodes reachable from the supergraph entry
-// (a weak-topological iteration order: predecessors before successors
-// except along back edges). Shared by the dominator computation and the
-// fixpoint engine's priority worklists.
+// Reverse postorder of the nodes reachable from the supergraph entry:
+// predecessors before successors except along back edges. It is not a
+// weak topological order: when a branch's first successor is a loop
+// body, the code after the loop comes before the body. Shared by the
+// dominator computation and the fixpoint schedule, which the round
+// engine (support/instance_rounds.hpp) turns into a loop-nest order.
 std::vector<int> reverse_postorder(const Supergraph& sg);
 
 // Per-node scheduling priority for support/fixpoint.hpp: the node's

@@ -22,11 +22,12 @@
 // Under these conditions the set of reachable fixpoints is independent
 // of the scheduling order, so the engine is free to pick a fast order:
 // a *bucketed priority worklist* that always re-evaluates the pending
-// node with the smallest priority. Feeding reverse-postorder indices as
-// priorities (see cfg::rpo_priorities) yields weak-topological
-// iteration: within a round, predecessors are evaluated before
-// successors, and loop bodies stabilise innermost-first — the
-// Bourdoncle-style ordering used by industrial AI-based WCET tools.
+// node with the smallest priority. Plain reverse-postorder priorities
+// (cfg::rpo_priorities) put predecessors before successors except
+// along back edges, but they do not keep a loop together: the code
+// after a loop may precede the loop's body. The instance-round engine
+// (support/instance_rounds.hpp) therefore derives a loop-nest order
+// from them, in which each loop stabilises before its exits run.
 // Phases that use visit-counted widening delays may still observe a
 // different (sound) fixpoint under a different order; callers that need
 // reproducibility simply keep the priorities fixed, which makes the
@@ -98,28 +99,17 @@ private:
 
 // Drives `process` until the worklist drains. `process(node)` performs
 // transfer + join and pushes changed successors (see contract above).
-template <typename ProcessFn>
-void run_fixpoint(PriorityWorklist& worklist, ProcessFn&& process) {
-  for (int node = worklist.pop(); node >= 0; node = worklist.pop()) {
-    process(node);
-  }
-}
-
-// Governor-aware variant: checks for cooperative cancellation at every
-// worklist pop (the finest abort granularity of the fixpoint phases).
-// Cancellation throws CancelledError; step budgets are NOT consumed
-// here — they are accounted at deterministic round barriers by the
-// instance-round engine (see support/instance_rounds.hpp and the
-// determinism notes in support/budget.hpp).
+// A non-null `governor` is checked for cooperative cancellation at
+// every pop (the finest abort granularity of the fixpoint phases;
+// throws CancelledError). Step budgets are NOT consumed here — they
+// are accounted at deterministic round barriers by the instance-round
+// engine (see support/instance_rounds.hpp and the determinism notes in
+// support/budget.hpp).
 template <typename ProcessFn>
 void run_fixpoint(PriorityWorklist& worklist, const AnalysisGovernor* governor,
                   ProcessFn&& process) {
-  if (governor == nullptr) {
-    run_fixpoint(worklist, static_cast<ProcessFn&&>(process));
-    return;
-  }
   for (int node = worklist.pop(); node >= 0; node = worklist.pop()) {
-    governor->check_cancel();
+    if (governor != nullptr) governor->check_cancel();
     process(node);
   }
 }

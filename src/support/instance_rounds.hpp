@@ -9,8 +9,8 @@
 // analyses:
 //
 //   round:  every *dirty* instance converges a local priority worklist
-//           over its own nodes (reverse-postorder priorities restricted
-//           to the instance);
+//           over its own nodes, in loop-nest order (see the
+//           constructor);
 //   merge:  out-states buffered on cross-instance edges during the
 //           round are joined into their targets in a fixed sequential
 //           order — ascending instance id, then ascending edge id;
@@ -65,6 +65,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "cfg/domloop.hpp"
 #include "cfg/supergraph.hpp"
 #include "support/fixpoint.hpp"
 #include "support/thread_pool.hpp"
@@ -75,22 +76,38 @@ class InstanceRoundEngine {
 public:
   // `priorities[node]` is the global fixpoint priority of each
   // supergraph node (cfg::rpo_priorities). Each instance iterates its
-  // nodes by ascending global priority (ties by node id), i.e. the
-  // same weak-topological order the global worklist engine would use,
-  // restricted to the instance.
-  InstanceRoundEngine(const cfg::Supergraph& sg, const std::vector<int>& priorities)
+  // nodes in loop-nest order, a weak topological order (Bourdoncle,
+  // FMPA 1993): a node's key lists the priorities of the headers of the
+  // loops that hold it, outermost first, then its own priority (-1 for
+  // a header, so it leads its loop). Every node of a loop thus comes
+  // after its header and before any node outside the loop, so a loop
+  // stabilises before the code after it runs; the priority orders the
+  // rest, ties by node id.
+  InstanceRoundEngine(const cfg::Supergraph& sg, const cfg::LoopForest& loops,
+                      const std::vector<int>& priorities)
       : sg_(sg) {
     const std::size_t num_nodes = sg.nodes().size();
     const std::size_t num_instances = sg.instances().size();
+    std::vector<std::vector<int>> key(num_nodes);
+    for (std::size_t v = 0; v < num_nodes; ++v) {
+      const int inner = loops.innermost_loop_of(static_cast<int>(v));
+      for (int l = inner; l >= 0; l = loops.loop(l).parent) {
+        const auto header = static_cast<std::size_t>(loops.loop(l).header);
+        key[v].insert(key[v].begin(), priorities[header]);
+      }
+      key[v].push_back(inner >= 0 && loops.loop(inner).header == static_cast<int>(v)
+                           ? -1
+                           : priorities[v]);
+    }
     inst_nodes_.resize(num_instances);
     local_index_.assign(num_nodes, -1);
     worklists_.reserve(num_instances);
     for (std::size_t i = 0; i < num_instances; ++i) {
       inst_nodes_[i] = sg.instance_nodes(static_cast<int>(i));
       std::sort(inst_nodes_[i].begin(), inst_nodes_[i].end(), [&](int a, int b) {
-        const int pa = priorities[static_cast<std::size_t>(a)];
-        const int pb = priorities[static_cast<std::size_t>(b)];
-        return pa != pb ? pa < pb : a < b;
+        const auto& ka = key[static_cast<std::size_t>(a)];
+        const auto& kb = key[static_cast<std::size_t>(b)];
+        return ka != kb ? ka < kb : a < b;
       });
       for (std::size_t k = 0; k < inst_nodes_[i].size(); ++k) {
         local_index_[static_cast<std::size_t>(inst_nodes_[i][k])] = static_cast<int>(k);

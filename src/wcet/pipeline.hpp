@@ -60,7 +60,7 @@ struct AnalysisContext {
   std::unique_ptr<cfg::Supergraph> supergraph;
   std::unique_ptr<cfg::LoopForest> forest;
   std::unique_ptr<cfg::Dominators> dominators;
-  std::vector<int> schedule; // shared RPO fixpoint priorities
+  std::vector<int> schedule; // shared RPO priorities; the round engine nests loops
   std::unique_ptr<analysis::ValueAnalysis> values;
   std::unique_ptr<analysis::TransferCache> transfers;
 

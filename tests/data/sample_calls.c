@@ -1,7 +1,7 @@
 /* Cross-mode IPET oracle input: a call tree wide enough that
  * plan_decomposition collapses instance subtrees into sub-ILPs. The
- * ctest cli_ipet_mode_oracle runs this through --ipet-mode monolithic
- * and recursive at 1 and 4 threads and requires bit-identical WCET/BCET
+ * ctest cli_ipet_mode_oracle runs this through --decomposition
+ * monolithic and recursive at 1 and 4 threads and requires bit-identical WCET/BCET
  * lines. */
 int table[8] = {3, 1, 4, 1, 5, 9, 2, 6};
 

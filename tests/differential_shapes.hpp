@@ -288,6 +288,31 @@ inline std::string deep_facts_tree() {
   return os.str();
 }
 
+// `count` sequential counted loops in one function, each counter in a
+// stack slot. Kept out of `shapes()`: its path count explodes, so the
+// path oracle could not cover it. The loop-nest schedule's regression
+// shape (tests/test_loop_bounds, tests/test_cache_rounds).
+inline std::string sequential_loops(int count) {
+  std::ostringstream os;
+  os << "int main(void) {\n  int s = 0; int a = 1; int b = 2; int c = 3;\n";
+  for (int k = 0; k < count; ++k) os << "  {int i; for (i = 0; i < 5; i++) { s += 1; }}\n";
+  os << "  return s + a + b + c;\n}\n";
+  return os.str();
+}
+
+// An outer loop of `outer` trips around `inner` sequential loops of
+// `trips` trips each.
+inline std::string nested_sequential_loops(int outer, int inner, int trips) {
+  std::ostringstream os;
+  os << "int main(void) {\n  int s = 0; int a = 1; int b = 2; int c = 3; int o;\n";
+  os << "  for (o = 0; o < " << outer << "; o++) {\n";
+  for (int k = 0; k < inner; ++k) {
+    os << "    {int i; for (i = 0; i < " << trips << "; i++) { s += 1; }}\n";
+  }
+  os << "  }\n  return s + a + b + c;\n}\n";
+  return os.str();
+}
+
 struct Shape {
   const char* name;
   std::string source;

@@ -23,6 +23,7 @@
 #include "mcc/runtime.hpp"
 #include "support/fixpoint.hpp"
 #include "support/thread_pool.hpp"
+#include "tests/differential_shapes.hpp"
 
 namespace wcet {
 namespace {
@@ -243,17 +244,22 @@ TEST(CacheRounds, Arg32FingerprintsIdenticalAndLeavesShared) {
 }
 
 TEST(CacheRounds, RoundsMatchRoundRobinReferenceWithPool) {
-  // The reference sweep has no notion of instances or pools; the
-  // parallel rounds engine must land on the same fixpoint.
-  Pipeline p(call_tree_program(6, 2));
-  ThreadPool pool(4);
-  CacheAnalysis rounds(p.sg, p.loops, p.values, p.hw.memory, p.hw.icache, p.hw.dcache,
-                       CacheAnalysis::Schedule::priority, {}, &p.transfers, &pool);
-  rounds.run();
-  CacheAnalysis reference(p.sg, p.loops, p.values, p.hw.memory, p.hw.icache, p.hw.dcache,
-                          CacheAnalysis::Schedule::round_robin);
-  reference.run();
-  expect_identical_classifications(p.sg, rounds, reference, "rounds vs round-robin");
+  // The reference sweep has no notion of instances, pools or loop
+  // nests; the parallel rounds engine must land on the same fixpoint,
+  // also on long runs of sequential and nested loops.
+  for (const std::string& source :
+       {call_tree_program(6, 2), testshapes::sequential_loops(16),
+        testshapes::nested_sequential_loops(3, 20, 4)}) {
+    Pipeline p(source);
+    ThreadPool pool(4);
+    CacheAnalysis rounds(p.sg, p.loops, p.values, p.hw.memory, p.hw.icache, p.hw.dcache,
+                         CacheAnalysis::Schedule::priority, {}, &p.transfers, &pool);
+    rounds.run();
+    CacheAnalysis reference(p.sg, p.loops, p.values, p.hw.memory, p.hw.icache,
+                            p.hw.dcache, CacheAnalysis::Schedule::round_robin);
+    reference.run();
+    expect_identical_classifications(p.sg, rounds, reference, "rounds vs round-robin");
+  }
 }
 
 } // namespace

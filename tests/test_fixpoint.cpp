@@ -58,7 +58,7 @@ std::vector<int> toy_fixpoint_engine(const ToyGraph& g, std::vector<int> priorit
   PriorityWorklist wl(std::move(priority));
   in[static_cast<std::size_t>(g.entry)] = 0;
   wl.push(g.entry);
-  run_fixpoint(wl, [&](const int node) {
+  run_fixpoint(wl, nullptr, [&](const int node) {
     const int out =
         std::min(in[static_cast<std::size_t>(node)] + g.gain[static_cast<std::size_t>(node)],
                  g.cap);

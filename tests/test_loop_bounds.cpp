@@ -4,12 +4,15 @@
 // are about.
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "analysis/loop_bounds.hpp"
 #include "cfg/domloop.hpp"
 #include "cfg/program.hpp"
 #include "cfg/supergraph.hpp"
 #include "isa/assembler.hpp"
 #include "mem/hwmodel.hpp"
+#include "tests/differential_shapes.hpp"
 
 namespace wcet::analysis {
 namespace {
@@ -295,6 +298,67 @@ sloop:  addi t0, t0, 1
   std::sort(bounds.begin(), bounds.end());
   EXPECT_EQ(bounds[0], 2u);
   EXPECT_EQ(bounds[1], 10u);
+}
+
+// ------------------------ loop-nest fixpoint order ----------------------
+
+// `count` register-counted loops, each testing its counter at the top
+// and jumping back from the bottom, as mcc compiles a `for`.
+std::string sequential_register_loops(int count) {
+  std::ostringstream os;
+  os << "main:   movi a1, 0\n        movi t1, 5\n";
+  for (int k = 0; k < count; ++k) {
+    os << "        movi t0, 0\nh" << k << ":     bge  t0, t1, e" << k
+       << "\n        addi a1, a1, 1\n        addi t0, t0, 1\n        j    h" << k << "\ne"
+       << k << ":\n";
+  }
+  os << "        halt\n";
+  return os.str();
+}
+
+TEST(LoopBounds, SequentialLoopsAllBoundedInLinearWork) {
+  // A run of counted loops is the friendliest structure MISRA allows:
+  // every loop must be bounded however many there are, with value work
+  // linear in their number. A schedule that visits the code after a
+  // loop before the loop's body re-runs every later loop on each pass
+  // of an earlier one: work grows quadratically, and a per-node visit
+  // cap of 64 leaves every stack-slot loop after the ninth unbounded.
+  // The visit budget below fails (as a recorded degradation) when the
+  // work is not linear.
+  struct Case {
+    std::string name;
+    isa::Image image;
+    int loops;
+    std::uint64_t wcet;
+  };
+  std::vector<Case> cases;
+  const std::pair<int, std::uint64_t> sequential[] = {
+      {10, 1703}, {16, 2659}, {48, 7763}, {64, 10315}};
+  for (const auto& [count, wcet] : sequential) {
+    cases.push_back({"sequential_" + std::to_string(count),
+                     mcc::compile_program(testshapes::sequential_loops(count)).image, count,
+                     wcet});
+  }
+  cases.push_back({"nested_3x20x4",
+                   mcc::compile_program(testshapes::nested_sequential_loops(3, 20, 4)).image,
+                   21, 7957});
+  cases.push_back({"registers_64", isa::assemble(sequential_register_loops(64)), 64, 3719});
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const Analyzer analyzer(c.image, mem::typical_hw());
+    AnalysisOptions options;
+    options.budget.max_value_visits = 32 * static_cast<std::uint64_t>(c.loops) + 64;
+    const WcetReport report = analyzer.analyze(options);
+    EXPECT_TRUE(report.ok) << report.to_string();
+    EXPECT_FALSE(report.degraded) << report.to_string();
+    EXPECT_EQ(report.loop_count, c.loops);
+    EXPECT_EQ(report.bounded_loops, c.loops);
+    EXPECT_EQ(report.wcet_cycles, c.wcet);
+    sim::Simulator sim(c.image, analyzer.hw());
+    const sim::SimResult run = sim.run();
+    EXPECT_TRUE(run.completed()) << run.trap_reason;
+    EXPECT_LE(run.cycles, report.wcet_cycles);
+  }
 }
 
 } // namespace
