@@ -24,6 +24,7 @@
 #include "isa/assembler.hpp"
 #include "mcc/runtime.hpp"
 #include "support/diag.hpp"
+#include "wcet/analyzer.hpp"
 
 namespace wcet::cli {
 
@@ -79,6 +80,23 @@ inline analysis::IpetDecomposition parse_decomposition(const std::string& flag,
   if (mode == "monolithic") return analysis::IpetDecomposition::monolithic;
   if (mode == "recursive") return analysis::IpetDecomposition::recursive;
   throw InputError(flag + " expects monolithic|recursive, got '" + mode + "'");
+}
+
+// --validate promotes an oracle contradiction to the internal-error
+// exit: an enumerated path costed outside [BCET, WCET], a witness path
+// that cannot be realized, or a replayed execution outside the stated
+// bounds means an analyzer invariant (soundness) broke. Both front ends
+// call this for every report they print.
+inline void check_validation(const WcetReport& report) {
+  if (!report.ok || !report.validated) return;
+  const bool oracle_violation = report.paths_explored > 0 && !report.oracle_bracket_ok;
+  const bool witness_invalid = report.witness_checked && !report.witness_valid;
+  const bool replay_outside =
+      report.witness_replayed && (report.measured_cycles > report.wcet_cycles ||
+                                  report.measured_cycles < report.bcet_cycles);
+  if (oracle_violation || witness_invalid || replay_outside) {
+    throw InternalError("validation oracle contradicts the computed bounds");
+  }
 }
 
 // The error boundary: exactly one classified exit per failure class.

@@ -107,20 +107,7 @@ int run(int argc, char** argv) {
       args.function.empty() ? analyzer.analyze(args.options)
                             : analyzer.analyze_function(args.function, args.options);
   std::cout << report.to_string();
-
-  // --validate promotes an oracle contradiction to the internal-error
-  // exit: a measured or enumerated execution outside the stated bounds
-  // means an analyzer invariant (soundness) broke.
-  if (report.ok && report.validated) {
-    const bool oracle_violation = report.paths_explored > 0 && !report.oracle_bracket_ok;
-    const bool witness_invalid = report.witness_checked && !report.witness_valid;
-    const bool replay_outside =
-        report.witness_replayed && (report.measured_cycles > report.wcet_cycles ||
-                                    report.measured_cycles < report.bcet_cycles);
-    if (oracle_violation || witness_invalid || replay_outside) {
-      throw wcet::InternalError("validation oracle contradicts the computed bounds");
-    }
-  }
+  check_validation(report);
   return report.ok ? kExitOk : kExitNoBound;
 }
 

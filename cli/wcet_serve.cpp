@@ -118,6 +118,7 @@ int run(int argc, char** argv) {
       for (std::size_t i = 0; i < reports.size(); ++i) {
         std::cout << "--- " << args.input_paths[i] << " ---\n"
                   << reports[i].to_string();
+        check_validation(reports[i]);
         all_ok = all_ok && reports[i].ok;
       }
     }
@@ -132,6 +133,7 @@ int run(int argc, char** argv) {
       std::cout << "serve: request " << report.serve_requests << ", fingerprint hits "
                 << report.serve_fingerprint_hits << ", dirty instances "
                 << report.serve_dirty_instances << '\n';
+      check_validation(report);
       all_ok = all_ok && report.ok;
     }
   }

@@ -53,7 +53,6 @@ if(failures EQUAL 0)
       "--budget-value-visits"
       "--budget-ilp-nodes"
       "degradation ledger"
-      "WCET_FAULT_INJECT"
       "tier1-faults"
       "budget_checks"
       "cancel_latency_us"

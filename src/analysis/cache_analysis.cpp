@@ -469,31 +469,17 @@ CacheAnalysis::CacheAnalysis(const cfg::Supergraph& sg, const cfg::LoopForest& l
       dconfig_(dcache), schedule_(schedule),
       schedule_priorities_(std::move(schedule_priorities)), transfers_(transfers),
       pool_(pool) {
-  if (schedule_ == Schedule::priority && schedule_priorities_.empty()) {
-    schedule_priorities_ = cfg::rpo_priorities(sg);
-  }
+  WCET_CHECK(transfers_ != nullptr && transfers_->values() == &values_,
+             "CacheAnalysis needs the TransferCache its ValueAnalysis published into");
+  WCET_CHECK(schedule_ == Schedule::round_robin ||
+                 schedule_priorities_.size() == sg.nodes().size(),
+             "CacheAnalysis needs one schedule priority per supergraph node");
   const std::size_t n = sg.nodes().size();
   in_i_.assign(n, CachePair{AbsCache::cold(iconfig_, true), AbsCache::cold(iconfig_, false)});
   in_d_.assign(n, CachePair{AbsCache::cold(dconfig_, true), AbsCache::cold(dconfig_, false)});
   has_state_.assign(n, 0);
   fetch_.resize(n);
   data_.resize(n);
-}
-
-CacheAnalysis::~CacheAnalysis() = default;
-
-void CacheAnalysis::build_line_tables() {
-  if (transfers_ == nullptr) {
-    // No shared cache attached (standalone construction, e.g. tests):
-    // build a private one so there is exactly one table-building path.
-    own_transfers_ = std::make_unique<TransferCache>(sg_);
-    own_transfers_->attach(values_);
-    transfers_ = own_transfers_.get();
-  }
-  // Builds both the candidate-line tables and the per-node transfer
-  // recipes the fixpoint replays (once per decode round, fanned out
-  // over the pool into dense per-node slots).
-  transfers_->build_cache_recipes(memmap_, iconfig_, dconfig_, pool_);
 }
 
 const std::vector<std::uint32_t>& CacheAnalysis::lines_for(int node, std::size_t index) const {
@@ -690,7 +676,7 @@ bool CacheAnalysis::fixpoint_instance_rounds(const CacheAnalysis* prev,
   // Deterministic per-instance rounds (support/instance_rounds.hpp),
   // mirroring the value-analysis engine: each dirty function instance
   // converges a local loop-nest worklist over its own nodes — in
-  // parallel when a pool is given, touching disjoint in-state slots —
+  // parallel on the pool, touching disjoint in-state slots —
   // and cross-instance call/ret out-states are buffered and merged
   // sequentially in ascending (instance, edge) order. Re-queueing is
   // gated on exact change reporting. The must/may domain has no
@@ -1268,11 +1254,7 @@ void CacheAnalysis::persistence() {
     trees.push_back(std::move(ids));
   }
   const auto run_tree = [&](std::size_t t) { persistence_tree(trees[t]); };
-  if (pool_ != nullptr) {
-    pool_->parallel_for(trees.size(), run_tree);
-  } else {
-    for (std::size_t t = 0; t < trees.size(); ++t) run_tree(t);
-  }
+  parallel_for(pool_, trees.size(), run_tree);
 }
 
 void CacheAnalysis::persistence_tree(const std::vector<int>& loop_ids) {
@@ -1392,7 +1374,10 @@ void CacheAnalysis::persistence_tree(const std::vector<int>& loop_ids) {
 void CacheAnalysis::run() { (void)run(nullptr, nullptr); }
 
 bool CacheAnalysis::run(const CacheAnalysis* prev, const std::vector<char>* instance_clean) {
-  build_line_tables();
+  // Both the candidate-line tables and the per-node transfer recipes
+  // the fixpoint replays (once per decode round, fanned out over the
+  // pool into dense per-node slots).
+  transfers_->build_cache_recipes(memmap_, iconfig_, dconfig_, pool_);
   bool warm_used = false;
   warm_fallback_ = false;
   if (schedule_ == Schedule::priority) {
@@ -1454,11 +1439,7 @@ bool CacheAnalysis::run(const CacheAnalysis* prev, const std::vector<char>* inst
     CachePair dcache = in_d_[id];
     transfer(node.id, icache, dcache, true);
   };
-  if (pool_ != nullptr) {
-    pool_->parallel_for(sg_.nodes().size(), record_node);
-  } else {
-    for (std::size_t id = 0; id < sg_.nodes().size(); ++id) record_node(id);
-  }
+  parallel_for(pool_, sg_.nodes().size(), record_node);
   persistence();
   return warm_used;
 }

@@ -26,7 +26,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -239,20 +238,20 @@ public:
   // schedules, at any worker count, reach the identical classification.
   enum class Schedule { priority, round_robin };
 
-  // `transfers` (optional): the shared transfer cache; when given, the
-  // per-access candidate-line tables and per-node transfer recipes are
-  // read from it instead of being re-derived per fixpoint visit / per
-  // enclosing loop, and `pool` (optional) fans out the per-instance
+  // `schedule_priorities`: the shared per-node fixpoint priorities
+  // (cfg::rpo_priorities; the round-robin reference ignores them).
+  // `transfers`: the shared transfer cache `values` published into
+  // (required); the per-access candidate-line tables and per-node
+  // transfer recipes are built into it once and read from it by every
+  // fixpoint visit and enclosing loop. `pool` fans out the per-instance
   // fixpoint rounds, the per-node classification recording sweep and
-  // the per-loop-tree persistence pass. Results are identical with or
-  // without either.
+  // the per-loop-tree persistence pass; results are identical for any
+  // worker count.
   CacheAnalysis(const cfg::Supergraph& sg, const cfg::LoopForest& loops,
                 const ValueAnalysis& values, const mem::MemoryMap& memmap,
                 const mem::CacheConfig& icache, const mem::CacheConfig& dcache,
-                Schedule schedule = Schedule::priority,
-                std::vector<int> schedule_priorities = {},
-                TransferCache* transfers = nullptr, ThreadPool* pool = nullptr);
-  ~CacheAnalysis(); // out-of-line: owns a forward-declared TransferCache
+                Schedule schedule, std::vector<int> schedule_priorities,
+                TransferCache* transfers, ThreadPool* pool);
 
   // Optional resource governor. Cache visits are charged at each round
   // barrier; once the budget (or the wall-clock deadline) is exhausted
@@ -323,7 +322,6 @@ private:
   // Memoized candidate cache lines of data access `index` in `node`
   // (index-aligned with ValueAnalysis::accesses); empty = unknown line.
   const std::vector<std::uint32_t>& lines_for(int node, std::size_t index) const;
-  void build_line_tables();
   AccessClass classify(const CachePair& state, std::span<const std::uint32_t> lines) const;
   static void apply_access(CachePair& state, std::span<const std::uint32_t> lines);
   // Replays `node`'s memoized transfer recipe against the abstract
@@ -384,8 +382,6 @@ private:
   const AnalysisGovernor* governor_ = nullptr;
   bool degraded_ = false;
   bool warm_fallback_ = false;
-  // Private cache when no shared one is attached (line tables only).
-  std::unique_ptr<TransferCache> own_transfers_;
   std::vector<CachePair> in_i_;
   std::vector<CachePair> in_d_;
   // unsigned char, not vector<bool>: parallel instance rounds mark

@@ -98,8 +98,7 @@ int Ipet::plan_stats(const std::vector<Sub>& subs, int* total_subs) {
 }
 
 std::vector<Ipet::Sub> Ipet::planned_subs(const IpetOptions& options) const {
-  // Copy the memoized plan: each solve fills the subs' objectives.
-  std::vector<Sub> subs = decomposition_plan();
+  std::vector<Sub> subs = plan_decomposition();
   const std::vector<char> pinned = constrained_nodes(options);
   if (!pinned.empty()) subs = prune_pinned(std::move(subs), pinned);
   return subs;
@@ -180,25 +179,7 @@ bool Ipet::solve_graph(std::vector<Sub>& subs, const IpetOptions& options,
     }
     solve_sub_both(sub, options);
   };
-  if (pool_ != nullptr) {
-    pool_->run_graph(tasks.size(), solve_one, parent, pending);
-  } else {
-    // Same graph drained sequentially: leaves in flatten order, then
-    // each parent as its countdown clears.
-    std::vector<std::size_t> ready;
-    ready.reserve(tasks.size());
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-      if (pending[i] == 0) ready.push_back(i);
-    }
-    for (std::size_t qi = 0; qi < ready.size(); ++qi) {
-      const std::size_t task = ready[qi];
-      solve_one(task);
-      const int p = parent[task];
-      if (p >= 0 && --pending[static_cast<std::size_t>(p)] == 0) {
-        ready.push_back(static_cast<std::size_t>(p));
-      }
-    }
-  }
+  run_graph(pool_, tasks.size(), solve_one, parent, pending);
   reused = static_cast<int>(
       std::count_if(tasks.begin(), tasks.end(), [](const Sub* sub) { return sub->reused; }));
   for (const Sub* sub : tasks) {
@@ -368,14 +349,6 @@ void Ipet::solve_sub_both(Sub& sub, const IpetOptions& options) const {
   if (!sub.result.ok() || !sub.result_bcet.ok()) return;
   merge_sub_results(sub.result, sub.children, edge_counts_max, /*bcet_sense=*/false);
   merge_sub_results(sub.result_bcet, sub.children, edge_counts_min, /*bcet_sense=*/true);
-}
-
-const std::vector<Ipet::Sub>& Ipet::decomposition_plan() const {
-  if (!plan_ready_) {
-    plan_ = plan_decomposition();
-    plan_ready_ = true;
-  }
-  return plan_;
 }
 
 std::size_t Ipet::reachable_in(const std::vector<char>& member) const {

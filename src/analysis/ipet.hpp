@@ -133,11 +133,11 @@ public:
   Ipet(const cfg::Supergraph& sg, const cfg::LoopForest& loops,
        const ValueAnalysis& values, const PipelineAnalysis& pipeline);
 
-  // Optional pool: independent per-instance subproblems of a
-  // decomposed solve fan out across it as a dependency-counted task
-  // graph. The decomposition plan and the merge order are pure
-  // functions of the graph, so results are bit-identical for any worker
-  // count.
+  // The pool the independent per-instance subproblems of a decomposed
+  // solve fan out across as a dependency-counted task graph (null:
+  // drained inline, as on a one-worker pool). The decomposition plan
+  // and the merge order are pure functions of the graph, so results
+  // are bit-identical for any worker count.
   void set_pool(ThreadPool* pool) { pool_ = pool; }
 
   // Solve the WCET (maximize) and BCET (minimize) bounds of one
@@ -206,7 +206,7 @@ private:
                 const IpetOptions& options) const;
   // Nesting depth and total count of a sub-ILP plan (for telemetry).
   static int plan_stats(const std::vector<Sub>& subs, int* total_subs);
-  // Plumbing of solve_both(): the per-solve plan copy (fact pruning),
+  // Plumbing of solve_both(): the per-solve plan (fact pruning),
   // the missing-loop-bound pre-check replicating the monolithic scan,
   // the dependency-counted task-graph fan-out over the pool (false: some
   // sub failed -> monolithic fallback; `reused` counts adopted subs),
@@ -218,9 +218,6 @@ private:
   static void merge_sub_results(IpetResult& outer, const std::vector<Sub>& subs,
                                 const std::map<int, std::uint64_t>& edge_counts,
                                 bool bcet_sense);
-  // Memoized: the plan is a pure function of the (immutable) graph and
-  // value-analysis results; every solve shares it.
-  const std::vector<Sub>& decomposition_plan() const;
   std::vector<Sub> plan_decomposition() const;
   // Plan the eligible subtrees of one region (the whole graph, or the
   // inside of a collapsed subtree), recursing into each collapsed sub.
@@ -256,8 +253,6 @@ private:
   const ValueAnalysis& values_;
   const PipelineAnalysis& pipeline_;
   ThreadPool* pool_ = nullptr;
-  mutable bool plan_ready_ = false;
-  mutable std::vector<Sub> plan_;
 };
 
 } // namespace wcet::analysis

@@ -14,7 +14,10 @@ using isa::Opcode;
 LoopBoundAnalysis::LoopBoundAnalysis(const cfg::Supergraph& sg, const cfg::LoopForest& loops,
                                      const cfg::Dominators& doms, const ValueAnalysis& values,
                                      const TransferCache* transfers)
-    : sg_(sg), loops_(loops), doms_(doms), values_(values), transfers_(transfers) {}
+    : sg_(sg), loops_(loops), doms_(doms), values_(values), transfers_(transfers) {
+  WCET_CHECK(transfers_ != nullptr && transfers_->values() == &values_,
+             "LoopBoundAnalysis needs the TransferCache its ValueAnalysis published into");
+}
 
 namespace {
 // Bounds beyond this are treated as "not found": they arise from
@@ -272,19 +275,12 @@ std::optional<std::uint64_t> LoopBoundAnalysis::analyze_loop(const cfg::Loop& lo
   };
 
   // Initial counter value: join over the loop entry edges (memoized
-  // edge states when the shared transfer cache is attached).
+  // edge states of the shared transfer cache).
   const auto init_of = [&](std::uint8_t reg) {
     Interval init = Interval::bottom();
     for (const int eid : loop.entry_edges) {
-      const cfg::SgEdge& e = sg_.edge(eid);
-      if (!values_.edge_feasible(e.id)) continue;
-      if (transfers_ != nullptr) {
-        const AbsState& out = transfers_->edge_state(e.id);
-        if (!out.bottom) init = init.join(out.regs[reg]);
-        continue;
-      }
-      AbsState out = values_.transfer_node(e.from, values_.state_in(e.from));
-      out = values_.refine_along_edge(e.id, std::move(out));
+      if (!values_.edge_feasible(eid)) continue;
+      const AbsState& out = transfers_->edge_state(eid);
       if (!out.bottom) init = init.join(out.regs[reg]);
     }
     return init;
@@ -364,8 +360,7 @@ std::optional<std::uint64_t> LoopBoundAnalysis::analyze_loop(const cfg::Loop& lo
     Interval init = Interval::bottom();
     for (const int eid : loop.entry_edges) {
       if (!values_.edge_feasible(eid)) continue;
-      init = init.join(transfers_ != nullptr ? transfers_->mem_word_along_edge(eid, addr)
-                                             : values_.mem_word_along_edge(eid, addr));
+      init = init.join(transfers_->mem_word_along_edge(eid, addr));
     }
     return init;
   };

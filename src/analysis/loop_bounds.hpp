@@ -38,12 +38,12 @@ struct LoopBoundResult {
 
 class LoopBoundAnalysis {
 public:
-  // `transfers` (optional): memoized value-analysis transfers; counter
-  // initial values are then read from cached edge states instead of
-  // re-running one full node transfer per probed loop-entry edge.
+  // `transfers`: the shared transfer cache `values` published into
+  // (required); counter initial values are read from its memoized
+  // loop-entry edge states.
   LoopBoundAnalysis(const cfg::Supergraph& sg, const cfg::LoopForest& loops,
                     const cfg::Dominators& doms, const ValueAnalysis& values,
-                    const TransferCache* transfers = nullptr);
+                    const TransferCache* transfers);
 
   // Analyze every loop; results indexed by loop id.
   std::vector<LoopBoundResult> run() const;
@@ -62,7 +62,7 @@ private:
   const cfg::LoopForest& loops_;
   const cfg::Dominators& doms_;
   const ValueAnalysis& values_;
-  const TransferCache* transfers_ = nullptr;
+  const TransferCache* transfers_;
 };
 
 } // namespace wcet::analysis

@@ -83,11 +83,7 @@ void TransferCache::build_data_lines(const mem::CacheConfig& config, ThreadPool*
       row.push_back(candidate_lines(access.addr, access.size, config));
     }
   };
-  if (pool != nullptr) {
-    pool->parallel_for(lines_.size(), build_node);
-  } else {
-    for (std::size_t n = 0; n < lines_.size(); ++n) build_node(n);
-  }
+  parallel_for(pool, lines_.size(), build_node);
   lines_ready_ = true;
 }
 
@@ -230,11 +226,7 @@ void TransferCache::build_cache_recipes(const mem::MemoryMap& memmap,
                 [](const auto& a, const auto& b) { return a.set < b.set; });
     }
   };
-  if (pool != nullptr) {
-    pool->parallel_for(recipes_.size(), build_node);
-  } else {
-    for (std::size_t n = 0; n < recipes_.size(); ++n) build_node(n);
-  }
+  parallel_for(pool, recipes_.size(), build_node);
   recipes_ready_ = true;
 }
 

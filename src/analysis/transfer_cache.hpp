@@ -2,12 +2,12 @@
 //
 // Contract: `ValueAnalysis::run(pool, &cache)` populates the per-node
 // *out*-states as part of its final access-recording sweep — the sweep
-// computes them anyway, so memoizing is free. Downstream passes then
-// read transfers instead of re-walking blocks:
+// computes them anyway, so memoizing is free. The cache is required:
+// every analysis after value analysis reads it, and none keeps a
+// private way to recompute what it holds.
 //
 //   - loop-bound analysis queries `edge_state` / `mem_word_along_edge`
-//     for counter initial values (previously one full node transfer per
-//     loop-entry edge per probed counter),
+//     for counter initial values,
 //   - cache analysis' classification and persistence passes consume the
 //     per-access candidate cache-line tables (previously re-enumerated
 //     from the address interval once per fixpoint visit and once per
@@ -73,8 +73,7 @@ public:
   const AbsState& edge_state(int edge) const;
 
   // Value of the tracked/implicit word at `addr` after traversing
-  // `edge` — the memoized equivalent of
-  // ValueAnalysis::mem_word_along_edge.
+  // `edge` (loop-bound analysis reads memory-homed counters with it).
   Interval mem_word_along_edge(int edge, std::uint32_t addr) const;
 
   // ---- candidate cache-line tables ----------------------------------
@@ -84,7 +83,7 @@ public:
                                                     const mem::CacheConfig& config);
 
   // Builds lines for every data access of every node under the data
-  // cache geometry (parallel over nodes when a pool is given).
+  // cache geometry (parallel over nodes on the pool).
   // Idempotent for one config; rebuilding under a *different* geometry
   // is a contract violation and is checked.
   void build_data_lines(const mem::CacheConfig& config, ThreadPool* pool);
@@ -167,7 +166,7 @@ public:
   };
 
   // Builds the recipe of every node for the given memory map and cache
-  // geometries (parallel over nodes when a pool is given; implies
+  // geometries (parallel over nodes on the pool; implies
   // build_data_lines for `dcache`). Built once per decode round;
   // rebuilding under different geometry is a contract violation and is
   // checked.

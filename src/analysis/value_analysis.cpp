@@ -215,7 +215,8 @@ ValueAnalysis::ValueAnalysis(const cfg::Supergraph& sg, const cfg::LoopForest& l
                              std::vector<int> schedule_priorities)
     : sg_(sg), loops_(loops), memmap_(memmap), options_(options),
       schedule_priorities_(std::move(schedule_priorities)) {
-  if (schedule_priorities_.empty()) schedule_priorities_ = cfg::rpo_priorities(sg);
+  WCET_CHECK(schedule_priorities_.size() == sg.nodes().size(),
+             "ValueAnalysis needs one schedule priority per supergraph node");
   in_.resize(sg.nodes().size());
   edge_feasible_.assign(sg.edges().size(), false);
   accesses_.resize(sg.nodes().size());
@@ -583,6 +584,7 @@ std::uint64_t ValueAnalysis::tracked_state_bytes() const {
 
 void ValueAnalysis::run(ThreadPool* pool, TransferCache* transfers,
                         const AnalysisGovernor* governor) {
+  WCET_CHECK(transfers != nullptr, "ValueAnalysis::run needs the shared TransferCache");
   const isa::Image& image = sg_.program().image();
   const std::size_t num_nodes = sg_.nodes().size();
   const std::size_t num_instances = sg_.instances().size();
@@ -631,11 +633,11 @@ void ValueAnalysis::run(ThreadPool* pool, TransferCache* transfers,
   engine.push(sg_.entry_node());
 
   // Instance rounds: dirty instances converge their local fixpoints (in
-  // parallel when a pool is given — they touch disjoint
-  // nodes/edges/visit slots); cross-instance call/ret joins are
-  // buffered per instance and applied afterwards in ascending
-  // (instance, edge) order (std::map order). The round/merge order is a
-  // pure function of the graph, never of thread timing.
+  // parallel on the pool — they touch disjoint nodes/edges/visit
+  // slots); cross-instance call/ret joins are buffered per instance and
+  // applied afterwards in ascending (instance, edge) order (std::map
+  // order). The round/merge order is a pure function of the graph,
+  // never of thread timing.
   std::vector<std::map<int, AbsState>> cross_out(num_instances);
   engine.run(
       pool,
@@ -698,10 +700,10 @@ void ValueAnalysis::run(ThreadPool* pool, TransferCache* transfers,
         return true;
       });
 
-  // Final pass: record access address intervals per node (and publish
-  // node out-states to the shared transfer cache — computed here
-  // anyway). Nodes are independent: fan out when a pool is given.
-  if (transfers != nullptr) transfers->attach(*this);
+  // Final pass: record access address intervals per node and publish
+  // node out-states to the shared transfer cache (computed here
+  // anyway). Nodes are independent: fan out over the pool.
+  transfers->attach(*this);
   const auto record_node = [&](std::size_t idx) {
     const cfg::SgNode& n = sg_.nodes()[idx];
     auto& recorded = accesses_[idx];
@@ -713,23 +715,9 @@ void ValueAnalysis::run(ThreadPool* pool, TransferCache* transfers,
       state = transfer_inst(inst, pc, std::move(state), n.fn_entry, &recorded);
       pc += 4;
     }
-    if (transfers != nullptr) transfers->set_out_state(n.id, std::move(state));
+    transfers->set_out_state(n.id, std::move(state));
   };
-  if (pool != nullptr) {
-    pool->parallel_for(num_nodes, record_node);
-  } else {
-    for (std::size_t idx = 0; idx < num_nodes; ++idx) record_node(idx);
-  }
-}
-
-Interval ValueAnalysis::mem_word_along_edge(int edge, std::uint32_t addr) const {
-  const cfg::SgEdge& e = sg_.edge(edge);
-  AbsState out = transfer_node(e.from, state_in(e.from));
-  out = refine_along_edge(edge, std::move(out));
-  if (out.bottom) return Interval::bottom();
-  const auto it = out.mem->find(addr);
-  if (it != out.mem->end()) return it->second;
-  return implicit_word(out, addr);
+  parallel_for(pool, num_nodes, record_node);
 }
 
 Interval ValueAnalysis::reg_before(int node, std::uint32_t pc, std::uint8_t reg) const {

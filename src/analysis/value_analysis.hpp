@@ -82,11 +82,10 @@ public:
   };
 
   // `schedule_priorities` is the per-node fixpoint scheduling priority
-  // (cfg::rpo_priorities); pass it to share one computation across all
-  // phases, or leave empty to have the analysis derive it itself.
+  // every phase shares (cfg::rpo_priorities over the dominator RPO).
   ValueAnalysis(const cfg::Supergraph& sg, const cfg::LoopForest& loops,
-                const mem::MemoryMap& memmap, const Options& options = {},
-                std::vector<int> schedule_priorities = {});
+                const mem::MemoryMap& memmap, const Options& options,
+                std::vector<int> schedule_priorities);
 
   // Runs the fixpoint with the per-instance round engine: each round,
   // every dirty function instance converges its *local* priority
@@ -94,9 +93,9 @@ public:
   // buffered joins are applied in a fixed sequential order. Instances
   // dirty in the same round are independent, so a ThreadPool may fan
   // them out — the round/merge order is fixed, which makes the result
-  // bit-identical for ANY worker count (including pool == nullptr).
-  // When `transfers` is given, the final access-recording sweep also
-  // publishes per-node out-states into it.
+  // bit-identical for ANY worker count. The final access-recording
+  // sweep publishes per-node out-states into `transfers` (required:
+  // loop bounds and cache analysis read them).
   //
   // `governor` (optional) makes the fixpoint budget-aware: node visits
   // are charged at each round barrier, and once the visit/state-byte
@@ -110,7 +109,6 @@ public:
   // is checked at every worklist pop and aborts with CancelledError.
   void run(ThreadPool* pool, TransferCache* transfers,
            const AnalysisGovernor* governor = nullptr);
-  void run() { run(nullptr, nullptr); }
 
   // True when a budget/deadline trip forced coarse convergence.
   bool degraded() const { return degraded_; }
@@ -138,14 +136,11 @@ public:
   // target interval collapsed to a single constant.
   std::map<std::uint32_t, std::vector<std::uint32_t>> resolved_indirect_targets() const;
 
-  // Transfer a state through a full node (exposed for loop-bound
-  // analysis and tests).
+  // Transfer a state through a full node (exposed for tests, which
+  // check the transfer cache's out-states against it).
   AbsState transfer_node(int node, AbsState state) const;
   // Apply branch refinement along an edge to the source's out state.
   AbsState refine_along_edge(int edge, AbsState state) const;
-  // Value of the word at `addr` after traversing `edge` (loop-bound
-  // analysis uses this for memory-homed counters).
-  Interval mem_word_along_edge(int edge, std::uint32_t addr) const;
   // Value of an untracked word under `state` (image contents while
   // provably unwritten; exposed for TransferCache::mem_word_along_edge).
   Interval implicit_mem_word(const AbsState& state, std::uint32_t addr) const {

@@ -32,22 +32,6 @@ std::set<std::uint32_t> AnnotationDb::excluded_addrs(const std::string& mode) co
   return result;
 }
 
-std::set<std::uint32_t> AnnotationDb::flow_constrained_addrs(const std::string& mode) const {
-  std::set<std::uint32_t> result = excluded_addrs(mode);
-  for (const auto& cap : flow_caps) {
-    if (cap.mode.empty() || cap.mode == mode) result.insert(cap.addr);
-  }
-  for (const auto& ratio : flow_ratios) {
-    result.insert(ratio.addr);
-    result.insert(ratio.relative_to);
-  }
-  for (const auto& pair : infeasible_pairs) {
-    result.insert(pair.a);
-    result.insert(pair.b);
-  }
-  return result;
-}
-
 std::vector<std::string> AnnotationDb::mode_names() const {
   std::vector<std::string> names;
   names.reserve(mode_excludes.size());

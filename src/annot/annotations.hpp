@@ -81,15 +81,6 @@ public:
                                               const std::string& mode) const;
   // Addresses excluded in `mode` (mode excludes + global nevers).
   std::set<std::uint32_t> excluded_addrs(const std::string& mode) const;
-  // Every address a path-coupling flow fact constrains in `mode`: flow
-  // caps, both sides of each ratio fact, both members of each
-  // infeasible pair, plus the exclusions. This is the database-level
-  // query mirror of what the IPET solver derives from its own options
-  // (Ipet::constrained_nodes maps the facts it was handed through
-  // Supergraph::nodes_covering and pins exactly the subtrees holding a
-  // constrained node); use it to inspect or report which addresses
-  // will couple path analysis before running it.
-  std::set<std::uint32_t> flow_constrained_addrs(const std::string& mode) const;
   std::vector<std::string> mode_names() const;
 };
 

@@ -32,10 +32,6 @@ std::vector<int> reverse_postorder(const Supergraph& sg) {
   return {postorder.rbegin(), postorder.rend()};
 }
 
-std::vector<int> rpo_priorities(const Supergraph& sg) {
-  return rpo_priorities(sg, reverse_postorder(sg));
-}
-
 std::vector<int> rpo_priorities(const Supergraph& sg, const std::vector<int>& rpo) {
   std::vector<int> priority(sg.nodes().size(), static_cast<int>(sg.nodes().size()));
   for (std::size_t i = 0; i < rpo.size(); ++i) {

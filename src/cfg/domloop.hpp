@@ -24,9 +24,7 @@ namespace wcet::cfg {
 std::vector<int> reverse_postorder(const Supergraph& sg);
 
 // Per-node scheduling priority for support/fixpoint.hpp: the node's
-// reverse-postorder index; unreachable nodes are bucketed last. The
-// second overload reuses an already-computed RPO (e.g. Dominators::rpo).
-std::vector<int> rpo_priorities(const Supergraph& sg);
+// index in `rpo` (Dominators::rpo); unreachable nodes are bucketed last.
 std::vector<int> rpo_priorities(const Supergraph& sg, const std::vector<int>& rpo);
 
 class Dominators {

@@ -271,11 +271,7 @@ std::vector<WcetReport> AnalysisServer::submit_batch(const std::vector<BatchJob>
   };
 
   pool_->set_governor(nullptr); // job budgets live in per-job governors
-  if (pool_->workers() > 1 && jobs.size() > 1) {
-    pool_->parallel_for(jobs.size(), run_job);
-  } else {
-    for (std::size_t i = 0; i < jobs.size(); ++i) run_job(i);
-  }
+  pool_->parallel_for(jobs.size(), run_job);
 
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     if (errored[i] != 0) ++stats_.batch_errors;

@@ -2,12 +2,11 @@
 //
 // The pipeline is sprinkled with named injection sites at coarse
 // boundaries (pass entry, fixpoint round barriers, ILP solve entry,
-// B&B expansion). Each site is a `WCET_FAULT_POINT("name")` macro:
+// B&B expansion). Each site is a `WCET_FAULT_POINT("name")` macro,
+// compiled into every build:
 //
-//   - With `WCET_FAULT_INJECT` undefined the macro compiles to nothing.
-//   - With it defined (the default build; see CMake option) an unarmed
-//     site costs one relaxed atomic load — cheap enough to leave in the
-//     benchmarked binary (the bench diff guards the overhead).
+//   - An unarmed site costs one relaxed atomic load — cheap enough to
+//     leave in the shipped and benchmarked library.
 //   - A test *arms* one (site, action, countdown) triple; the N-th
 //     visit of that site fires the action: throw InputError /
 //     AnalysisError / std::bad_alloc, or flip a CancelToken.
@@ -154,8 +153,4 @@ inline const std::vector<std::string>& known_sites() {
 
 } // namespace wcet::fault
 
-#if defined(WCET_FAULT_INJECT)
 #define WCET_FAULT_POINT(site) ::wcet::fault::Registry::instance().maybe_fire(site)
-#else
-#define WCET_FAULT_POINT(site) ((void)(site))
-#endif

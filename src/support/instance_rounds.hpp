@@ -27,8 +27,9 @@
 //
 // ## Determinism contract
 //
-// Results are bit-identical for ANY worker count (including no pool at
-// all) provided the client honours two rules:
+// Results are bit-identical for ANY worker count (a one-worker pool
+// runs the rounds inline, in dirty-instance order) provided the client
+// honours two rules:
 //
 //   1. `process(instance, node)` only reads/writes state owned by
 //      `instance` (its nodes' in-states, its intra-instance edges, its
@@ -144,13 +145,8 @@ public:
   // changed same-instance successors) and buffers cross-instance
   // out-states; `flush(instance)` applies that instance's buffered
   // cross joins in ascending edge order, pushing grown targets.
-  template <typename ProcessFn, typename FlushFn>
-  void run(ThreadPool* pool, ProcessFn&& process, FlushFn&& flush) {
-    run(pool, static_cast<ProcessFn&&>(process), static_cast<FlushFn&&>(flush),
-        [](std::uint64_t) { return true; });
-  }
-
-  // Variant with a budget hook: after each round's sequential merge,
+  //
+  // The budget hook: after each round's sequential merge,
   // `round_end(round_pops)` receives the total number of node visits
   // (worklist pops) of that round — a pure function of the graph and
   // the abstract domain, identical for any worker count, because the
@@ -175,11 +171,7 @@ public:
         });
         round_pops_[static_cast<std::size_t>(instance)] = pops;
       };
-      if (pool != nullptr) {
-        pool->parallel_for(dirty.size(), run_instance);
-      } else {
-        for (std::size_t di = 0; di < dirty.size(); ++di) run_instance(di);
-      }
+      parallel_for(pool, dirty.size(), run_instance);
       // Sequential deterministic merge: ascending instance id (the
       // dirty list is built in ascending order below; the seed round
       // may be unsorted only when seeding pushed a single instance).

@@ -299,4 +299,24 @@ private:
   bool graph_ = false;
 };
 
+// The analyses' entry points. A null pool (perfbench at one thread,
+// unit tests) runs on one shared one-worker pool: the inline schedule,
+// without a governor. Its inline paths keep no state, so concurrent and
+// nested calls are safe.
+inline ThreadPool& inline_pool() {
+  static ThreadPool pool(1);
+  return pool;
+}
+
+template <typename Fn>
+void parallel_for(ThreadPool* pool, std::size_t n, Fn&& fn) {
+  (pool != nullptr ? *pool : inline_pool()).parallel_for(n, fn);
+}
+
+template <typename Fn>
+void run_graph(ThreadPool* pool, std::size_t n, Fn&& fn, const std::vector<int>& parent,
+               std::vector<int>& pending) {
+  (pool != nullptr ? *pool : inline_pool()).run_graph(n, fn, parent, pending);
+}
+
 } // namespace wcet

@@ -39,9 +39,9 @@ double ms_since(std::chrono::steady_clock::time_point start) {
 }
 
 // Shared phase prologue: a named fault-injection site (no-op unless
-// WCET_FAULT_INJECT is compiled in and the site is armed) plus a
-// cancellation checkpoint, so even a phase that never reaches an inner
-// checkpoint observes a pending cancel at the phase boundary.
+// armed) plus a cancellation checkpoint, so even a phase that never
+// reaches an inner checkpoint observes a pending cancel at the phase
+// boundary.
 void phase_boundary(const AnalysisContext& ctx, const char* site) {
   WCET_FAULT_POINT(site);
   if (ctx.governor != nullptr) ctx.governor->check_cancel();
@@ -498,7 +498,7 @@ void run_figure1(AnalysisContext& ctx, ThreadPool& pool,
     ctx.hints.indirect_targets = ctx.annotations.indirect_targets;
     ctx.sg_options.recursion_depths = ctx.annotations.recursion_depths;
   }
-  ctx.pool = pool.workers() > 1 ? &pool : nullptr;
+  ctx.pool = &pool;
 
   // One governor per analysis: the budget tracker / cancellation hub
   // every phase and pool worker consults (support/budget.hpp). Neither

@@ -46,8 +46,9 @@ struct AnalysisContext {
   const annot::AnnotationDb& annotations;
   const AnalysisOptions& options;
   std::uint32_t entry = 0;
-  // Worker pool shared by every phase (null: sequential). All parallel
-  // schedules are deterministic, so results do not depend on it.
+  // Worker pool shared by every phase (a one-worker pool is the
+  // sequential schedule). All parallel schedules are deterministic, so
+  // results do not depend on its size.
   ThreadPool* pool = nullptr;
   // Per-analysis resource governor, set by run_figure1 for the duration
   // of the run; phases consult it for cancellation and step budgets.

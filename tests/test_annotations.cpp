@@ -79,33 +79,6 @@ infeasible at 0x4000 with 0x5000
   EXPECT_EQ(db.infeasible_pairs[0].b, 0x5000u);
 }
 
-TEST(Annotations, FlowConstrainedAddrs) {
-  // The address set the IPET decomposition pins subtrees on: caps in
-  // the active mode, both sides of ratios and infeasible pairs, plus
-  // the exclusions.
-  const isa::Image image = test_image();
-  const AnnotationDb db = parse_annotations(R"(
-flow at 0x1000 <= 5
-flow at 0x1100 <= 8 in mode GROUND
-flow at 0x2000 <= 3 * at 0x3000
-infeasible at 0x4000 with 0x5000
-never at 0x8000
-mode GROUND excludes 0x7000
-)", image);
-  const auto global = db.flow_constrained_addrs("");
-  EXPECT_EQ(global.count(0x1000), 1u);
-  EXPECT_EQ(global.count(0x1100), 0u); // GROUND-only cap
-  EXPECT_EQ(global.count(0x2000), 1u);
-  EXPECT_EQ(global.count(0x3000), 1u); // relative_to side too
-  EXPECT_EQ(global.count(0x4000), 1u);
-  EXPECT_EQ(global.count(0x5000), 1u);
-  EXPECT_EQ(global.count(0x8000), 1u); // nevers
-  EXPECT_EQ(global.count(0x7000), 0u);
-  const auto ground = db.flow_constrained_addrs("GROUND");
-  EXPECT_EQ(ground.count(0x1100), 1u);
-  EXPECT_EQ(ground.count(0x7000), 1u); // mode exclusion
-}
-
 TEST(Annotations, ModesAndNever) {
   const isa::Image image = test_image();
   const AnnotationDb db = parse_annotations(R"(

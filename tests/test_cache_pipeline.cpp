@@ -6,13 +6,10 @@
 
 #include "analysis/cache_analysis.hpp"
 #include "analysis/pipeline_analysis.hpp"
-#include "cfg/domloop.hpp"
-#include "cfg/program.hpp"
-#include "cfg/supergraph.hpp"
 #include "isa/assembler.hpp"
 #include "mem/cache.hpp"
-#include "mem/hwmodel.hpp"
 #include "support/rng.hpp"
+#include "tests/front_half.hpp"
 
 namespace wcet::analysis {
 namespace {
@@ -117,29 +114,18 @@ INSTANTIATE_TEST_SUITE_P(Associativities, CacheChain, ::testing::Values(1u, 2u, 
 
 // ------------------------------ integration -----------------------------
 
-struct CachePipelineHarness {
-  isa::Image image;
-  cfg::Program program;
-  cfg::Supergraph sg;
-  cfg::LoopForest forest;
-  mem::HwConfig hw;
-  std::unique_ptr<ValueAnalysis> values;
+struct CachePipelineHarness : testshapes::FrontHalf {
   std::unique_ptr<CacheAnalysis> caches;
   std::unique_ptr<PipelineAnalysis> pipeline;
 
   explicit CachePipelineHarness(const std::string& source,
                                 mem::HwConfig hw_config = mem::typical_hw())
-      : image(isa::assemble(source)),
-        program(cfg::Program::reconstruct(image, image.entry())),
-        sg(cfg::Supergraph::expand(program)),
-        forest(sg),
-        hw(std::move(hw_config)) {
-    values = std::make_unique<ValueAnalysis>(sg, forest, hw.memory);
-    values->run();
-    caches = std::make_unique<CacheAnalysis>(sg, forest, *values, hw.memory, hw.icache,
-                                             hw.dcache);
+      : FrontHalf(isa::assemble(source), std::move(hw_config)) {
+    caches = std::make_unique<CacheAnalysis>(sg, loops, values, hw.memory, hw.icache,
+                                             hw.dcache, CacheAnalysis::Schedule::priority,
+                                             schedule, &transfers, nullptr);
     caches->run();
-    pipeline = std::make_unique<PipelineAnalysis>(sg, *values, *caches, hw);
+    pipeline = std::make_unique<PipelineAnalysis>(sg, values, *caches, hw);
     pipeline->run();
   }
 };

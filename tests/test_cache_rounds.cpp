@@ -24,6 +24,7 @@
 #include "support/fixpoint.hpp"
 #include "support/thread_pool.hpp"
 #include "tests/differential_shapes.hpp"
+#include "tests/front_half.hpp"
 
 namespace wcet {
 namespace {
@@ -94,35 +95,24 @@ void expect_identical_classifications(const cfg::Supergraph& sg, const CacheAnal
   }
 }
 
-struct Pipeline {
-  mcc::CompileResult built;
-  mem::HwConfig hw;
-  cfg::Program program;
-  cfg::Supergraph sg;
-  cfg::LoopForest loops;
-  analysis::TransferCache transfers;
-  analysis::ValueAnalysis values;
-
+struct Pipeline : testshapes::FrontHalf {
   Pipeline(const std::string& source, const cfg::ResolutionHints& hints = {})
-      : built(mcc::compile_program(source)), hw(mem::typical_hw()),
-        program(cfg::Program::reconstruct(built.image, built.image.entry(), hints)),
-        sg(cfg::Supergraph::expand(program)), loops(sg), transfers(sg),
-        values(sg, loops, hw.memory) {
-    values.run(nullptr, &transfers);
-  }
+      : FrontHalf(mcc::compile_program(source).image, mem::typical_hw(), hints) {}
 };
 
 TEST(CacheRounds, ClassificationsBitIdenticalAcrossThreadCounts) {
-  // Sequential baseline (no pool, private transfer cache)...
+  // Sequential baseline (no pool)...
   Pipeline p(call_tree_program(10, 3));
-  CacheAnalysis baseline(p.sg, p.loops, p.values, p.hw.memory, p.hw.icache, p.hw.dcache);
+  CacheAnalysis baseline(p.sg, p.loops, p.values, p.hw.memory, p.hw.icache, p.hw.dcache,
+                         CacheAnalysis::Schedule::priority, p.schedule, &p.transfers,
+                         nullptr);
   baseline.run();
   // ...against per-instance rounds at every pool size, replaying the
   // shared recipe slots.
   for (const unsigned workers : {1u, 2u, 4u, 8u}) {
     ThreadPool pool(workers);
     CacheAnalysis rounds(p.sg, p.loops, p.values, p.hw.memory, p.hw.icache, p.hw.dcache,
-                         CacheAnalysis::Schedule::priority, {}, &p.transfers, &pool);
+                         CacheAnalysis::Schedule::priority, p.schedule, &p.transfers, &pool);
     rounds.run();
     std::ostringstream what;
     what << "workers " << workers;
@@ -170,18 +160,24 @@ TEST(CacheRounds, RecipeMemoCoherenceAcrossDecodeFeedback) {
 
   // `shared` builds the recipe slots into the shared transfer cache;
   // `cached` replays those memoized slots; `fresh` rebuilds everything
-  // in a private cache. All three must classify identically.
+  // in a second, freshly attached cache. All three must classify
+  // identically.
   CacheAnalysis shared(round2.sg, round2.loops, round2.values, round2.hw.memory,
                        round2.hw.icache, round2.hw.dcache,
-                       CacheAnalysis::Schedule::priority, {}, &round2.transfers, nullptr);
+                       CacheAnalysis::Schedule::priority, round2.schedule, &round2.transfers,
+                       nullptr);
   shared.run();
   ASSERT_TRUE(round2.transfers.cache_recipes_ready());
   CacheAnalysis cached(round2.sg, round2.loops, round2.values, round2.hw.memory,
                        round2.hw.icache, round2.hw.dcache,
-                       CacheAnalysis::Schedule::priority, {}, &round2.transfers, nullptr);
+                       CacheAnalysis::Schedule::priority, round2.schedule, &round2.transfers,
+                       nullptr);
   cached.run();
+  analysis::TransferCache fresh_transfers(round2.sg);
+  fresh_transfers.attach(round2.values);
   CacheAnalysis fresh(round2.sg, round2.loops, round2.values, round2.hw.memory,
-                      round2.hw.icache, round2.hw.dcache);
+                      round2.hw.icache, round2.hw.dcache, CacheAnalysis::Schedule::priority,
+                      round2.schedule, &fresh_transfers, nullptr);
   fresh.run();
   expect_identical_classifications(round2.sg, shared, cached, "shared vs cached");
   expect_identical_classifications(round2.sg, fresh, cached, "fresh vs cached");
@@ -223,7 +219,9 @@ TEST(CacheRounds, Arg32FingerprintsIdenticalAndLeavesShared) {
   // structural sharing regressed to deep copies.
   Pipeline p(call_tree_program(32, 3));
   analysis::reset_cache_join_stats();
-  CacheAnalysis baseline(p.sg, p.loops, p.values, p.hw.memory, p.hw.icache, p.hw.dcache);
+  CacheAnalysis baseline(p.sg, p.loops, p.values, p.hw.memory, p.hw.icache, p.hw.dcache,
+                         CacheAnalysis::Schedule::priority, p.schedule, &p.transfers,
+                         nullptr);
   baseline.run();
   const analysis::CacheJoinStats stats = analysis::cache_join_stats();
   EXPECT_GT(stats.join_skips, 0u) << "pointer-equality join gating never fired";
@@ -236,7 +234,7 @@ TEST(CacheRounds, Arg32FingerprintsIdenticalAndLeavesShared) {
   for (const unsigned workers : {1u, 2u, 4u, 8u}) {
     ThreadPool pool(workers);
     CacheAnalysis rounds(p.sg, p.loops, p.values, p.hw.memory, p.hw.icache, p.hw.dcache,
-                         CacheAnalysis::Schedule::priority, {}, &p.transfers, &pool);
+                         CacheAnalysis::Schedule::priority, p.schedule, &p.transfers, &pool);
     rounds.run();
     EXPECT_EQ(classification_fingerprint(p.sg, rounds), expected)
         << "workers " << workers;
@@ -253,10 +251,11 @@ TEST(CacheRounds, RoundsMatchRoundRobinReferenceWithPool) {
     Pipeline p(source);
     ThreadPool pool(4);
     CacheAnalysis rounds(p.sg, p.loops, p.values, p.hw.memory, p.hw.icache, p.hw.dcache,
-                         CacheAnalysis::Schedule::priority, {}, &p.transfers, &pool);
+                         CacheAnalysis::Schedule::priority, p.schedule, &p.transfers, &pool);
     rounds.run();
     CacheAnalysis reference(p.sg, p.loops, p.values, p.hw.memory, p.hw.icache,
-                            p.hw.dcache, CacheAnalysis::Schedule::round_robin);
+                            p.hw.dcache, CacheAnalysis::Schedule::round_robin, p.schedule,
+                            &p.transfers, nullptr);
     reference.run();
     expect_identical_classifications(p.sg, rounds, reference, "rounds vs round-robin");
   }

@@ -1,8 +1,7 @@
 // Fault matrix: every named injection site × every failure action must
 // leave the analyzer through a *classified* path — a typed InputError /
 // AnalysisError, a CancelledError, or a sound flagged degradation —
-// never a crash, a hang, or a silently tighter bound. Compiled and run
-// only when WCET_FAULT_INJECT is on (the default build).
+// never a crash, a hang, or a silently tighter bound.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -14,8 +13,6 @@
 #include "support/budget.hpp"
 #include "support/fault_inject.hpp"
 #include "wcet/analyzer.hpp"
-
-#if defined(WCET_FAULT_INJECT)
 
 namespace wcet {
 namespace {
@@ -198,9 +195,3 @@ TEST(FaultInjection, ParallelRunsClassifyIdentically) {
 
 } // namespace
 } // namespace wcet
-
-#else // !WCET_FAULT_INJECT
-
-TEST(FaultInjection, DisabledInThisBuild) { GTEST_SKIP(); }
-
-#endif

@@ -9,6 +9,7 @@
 #include "core/toolkit.hpp"
 #include "mcc/runtime.hpp"
 #include "support/fixpoint.hpp"
+#include "tests/front_half.hpp"
 
 namespace wcet {
 namespace {
@@ -149,31 +150,22 @@ int scan(int threshold) {
 int main(void) { return scan(4); }
 )";
 
-struct AnalyzedProgram {
-  mcc::CompileResult built;
-  mem::HwConfig hw;
-  cfg::Program program;
-  cfg::Supergraph sg;
-  cfg::LoopForest loops;
-  analysis::ValueAnalysis values;
-
+struct AnalyzedProgram : testshapes::FrontHalf {
   explicit AnalyzedProgram(const char* source)
-      : built(mcc::compile_program(source)), hw(mem::typical_hw()),
-        program(cfg::Program::reconstruct(built.image, built.image.entry(), {})),
-        sg(cfg::Supergraph::expand(program)), loops(sg), values(sg, loops, hw.memory) {
-    values.run();
-  }
+      : FrontHalf(mcc::compile_program(source).image) {}
 };
 
 void expect_same_cache_fixpoint(const char* source) {
   AnalyzedProgram p(source);
 
   analysis::CacheAnalysis fast(p.sg, p.loops, p.values, p.hw.memory, p.hw.icache,
-                               p.hw.dcache, analysis::CacheAnalysis::Schedule::priority);
+                               p.hw.dcache, analysis::CacheAnalysis::Schedule::priority,
+                               p.schedule, &p.transfers, nullptr);
   fast.run();
   analysis::CacheAnalysis reference(p.sg, p.loops, p.values, p.hw.memory, p.hw.icache,
                                     p.hw.dcache,
-                                    analysis::CacheAnalysis::Schedule::round_robin);
+                                    analysis::CacheAnalysis::Schedule::round_robin,
+                                    p.schedule, &p.transfers, nullptr);
   reference.run();
 
   for (const cfg::SgNode& node : p.sg.nodes()) {
@@ -220,8 +212,9 @@ TEST(FixpointEngine, CacheAnalysisMatchesRoundRobinReference) {
 
 void expect_deterministic_value_analysis(const char* source) {
   AnalyzedProgram p(source);
-  analysis::ValueAnalysis again(p.sg, p.loops, p.hw.memory);
-  again.run();
+  analysis::TransferCache again_transfers(p.sg);
+  analysis::ValueAnalysis again(p.sg, p.loops, p.hw.memory, {}, p.schedule);
+  again.run(nullptr, &again_transfers);
 
   for (const cfg::SgNode& node : p.sg.nodes()) {
     EXPECT_EQ(p.values.state_in(node.id).summary_hash(),

@@ -7,12 +7,9 @@
 #include <sstream>
 
 #include "analysis/loop_bounds.hpp"
-#include "cfg/domloop.hpp"
-#include "cfg/program.hpp"
-#include "cfg/supergraph.hpp"
 #include "isa/assembler.hpp"
-#include "mem/hwmodel.hpp"
 #include "tests/differential_shapes.hpp"
+#include "tests/front_half.hpp"
 
 namespace wcet::analysis {
 namespace {
@@ -69,28 +66,12 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ------------------------------ end to end ------------------------------
 
-struct BoundsPipeline {
-  isa::Image image;
-  cfg::Program program;
-  cfg::Supergraph sg;
-  cfg::LoopForest forest;
-  cfg::Dominators doms;
-  mem::MemoryMap map;
-  std::unique_ptr<ValueAnalysis> values;
+struct BoundsPipeline : testshapes::FrontHalf {
   std::vector<LoopBoundResult> results;
 
   explicit BoundsPipeline(const std::string& source)
-      : image(isa::assemble(source)),
-        program(cfg::Program::reconstruct(image, image.entry())),
-        sg(cfg::Supergraph::expand(program)),
-        forest(sg),
-        doms(sg),
-        map(mem::typical_embedded_map()) {
-    values = std::make_unique<ValueAnalysis>(sg, forest, map);
-    values->run();
-    LoopBoundAnalysis analysis(sg, forest, doms, *values);
-    results = analysis.run();
-  }
+      : FrontHalf(isa::assemble(source)),
+        results(LoopBoundAnalysis(sg, loops, doms, values, &transfers).run()) {}
 };
 
 TEST(LoopBounds, SimpleCounterLoop) {

@@ -18,6 +18,7 @@
 #include "mcc/runtime.hpp"
 #include "serve/analysis_server.hpp"
 #include "support/thread_pool.hpp"
+#include "tests/front_half.hpp"
 #include "wcet/pipeline.hpp"
 
 namespace wcet {
@@ -241,29 +242,16 @@ TEST(ParallelAnalysis, ParallelBoundsMatchSimulation) {
 // ---------------------------------------------------------------------------
 // Decomposed vs monolithic IPET and the shared transfer cache.
 
-struct Pipeline {
-  mcc::CompileResult built;
-  mem::HwConfig hw;
-  cfg::Program program;
-  cfg::Supergraph sg;
-  cfg::LoopForest loops;
-  cfg::Dominators doms;
-  analysis::TransferCache transfers;
-  analysis::ValueAnalysis values;
-
+struct Pipeline : testshapes::FrontHalf {
   explicit Pipeline(const std::string& source)
-      : built(mcc::compile_program(source)), hw(mem::typical_hw()),
-        program(cfg::Program::reconstruct(built.image, built.image.entry(), {})),
-        sg(cfg::Supergraph::expand(program)), loops(sg), doms(sg), transfers(sg),
-        values(sg, loops, hw.memory) {
-    values.run(nullptr, &transfers);
-  }
+      : FrontHalf(mcc::compile_program(source).image) {}
 };
 
 TEST(IpetDecomposition, MatchesMonolithicSolve) {
   Pipeline p(call_tree_program(12, 3));
   analysis::CacheAnalysis caches(p.sg, p.loops, p.values, p.hw.memory, p.hw.icache,
-                                 p.hw.dcache);
+                                 p.hw.dcache, analysis::CacheAnalysis::Schedule::priority,
+                                 p.schedule, &p.transfers, nullptr);
   caches.run();
   analysis::PipelineAnalysis pipeline(p.sg, p.values, caches, p.hw);
   pipeline.run();

@@ -4,32 +4,16 @@
 #include <gtest/gtest.h>
 
 #include "analysis/value_analysis.hpp"
-#include "cfg/domloop.hpp"
-#include "cfg/program.hpp"
-#include "cfg/supergraph.hpp"
 #include "isa/assembler.hpp"
-#include "mem/hwmodel.hpp"
+#include "tests/front_half.hpp"
 
 namespace wcet::analysis {
 namespace {
 
-struct Pipeline {
-  isa::Image image;
-  cfg::Program program;
-  cfg::Supergraph sg;
-  cfg::LoopForest forest;
-  std::unique_ptr<ValueAnalysis> values;
-
+struct Pipeline : testshapes::FrontHalf {
   explicit Pipeline(const std::string& source,
                     const ValueAnalysis::Options& options = {})
-      : image(isa::assemble(source)),
-        program(cfg::Program::reconstruct(image, image.entry())),
-        sg(cfg::Supergraph::expand(program)),
-        forest(sg) {
-    static mem::MemoryMap map = mem::typical_embedded_map();
-    values = std::make_unique<ValueAnalysis>(sg, forest, map, options);
-    values->run();
-  }
+      : FrontHalf(isa::assemble(source), mem::typical_hw(), {}, options) {}
 
   // Node whose block starts at the given symbol/label address (the
   // label must be a control-flow leader, e.g. a branch target).
@@ -45,7 +29,7 @@ struct Pipeline {
   Interval reg_at(std::uint32_t addr, std::uint8_t reg) const {
     for (const cfg::SgNode& node : sg.nodes()) {
       if (addr >= node.block->begin && addr < node.block->end) {
-        return values->reg_before(node.id, addr, reg);
+        return values.reg_before(node.id, addr, reg);
       }
     }
     ADD_FAILURE() << "no block covering 0x" << std::hex << addr;
@@ -81,10 +65,10 @@ main:   movi t1, 10
 big:    halt
 small:  halt
 )");
-  const AbsState& small_state = p.values->state_in(p.node_at(p.sym("small")));
+  const AbsState& small_state = p.values.state_in(p.node_at(p.sym("small")));
   ASSERT_FALSE(small_state.bottom);
   EXPECT_LE(small_state.regs[isa::reg_a0].umax(), 9);
-  const AbsState& big_state = p.values->state_in(p.node_at(p.sym("big")));
+  const AbsState& big_state = p.values.state_in(p.node_at(p.sym("big")));
   ASSERT_FALSE(big_state.bottom);
   EXPECT_GE(big_state.regs[isa::reg_a0].umin(), 10);
 }
@@ -101,8 +85,8 @@ main:   movi t0, 5
 live:   halt
 dead:   halt
 )");
-  EXPECT_FALSE(p.values->node_reachable(p.node_at(p.sym("dead"))));
-  EXPECT_TRUE(p.values->node_reachable(p.node_at(p.sym("live"))));
+  EXPECT_FALSE(p.values.node_reachable(p.node_at(p.sym("dead"))));
+  EXPECT_TRUE(p.values.node_reachable(p.node_at(p.sym("live"))));
 }
 
 TEST(ValueAnalysis, TrackedMemoryStrongUpdate) {
@@ -172,7 +156,7 @@ loop:   addi t0, t0, 1
         blt  t0, t1, loop
 after:  halt
 )");
-  const AbsState& state = p.values->state_in(p.node_at(p.sym("after")));
+  const AbsState& state = p.values.state_in(p.node_at(p.sym("after")));
   ASSERT_FALSE(state.bottom);
   // At the exit, the counter is exactly the limit (refined by >=).
   EXPECT_GE(state.regs[isa::reg_t0].umin(), 8);
@@ -191,10 +175,10 @@ leaf:   addi a1, a0, 1
 )");
   // Inside leaf, a0 carries the argument constant.
   const int leaf_node = p.node_at(p.sym("leaf"));
-  const AbsState& leaf_state = p.values->state_in(leaf_node);
+  const AbsState& leaf_state = p.values.state_in(leaf_node);
   EXPECT_EQ(leaf_state.regs[isa::reg_a0].as_constant(), 123u);
   // After the call returns, a1 was computed in the callee.
-  const AbsState& after = p.values->state_in(p.node_at(p.sym("after")));
+  const AbsState& after = p.values.state_in(p.node_at(p.sym("after")));
   EXPECT_EQ(after.regs[isa::reg_a1].as_constant(), 124u);
 }
 
@@ -228,7 +212,7 @@ handler: ret
         .global fnptr
 fnptr:  .word handler
 )");
-  const auto resolved = p.values->resolved_indirect_targets();
+  const auto resolved = p.values.resolved_indirect_targets();
   ASSERT_EQ(resolved.size(), 1u);
   EXPECT_EQ(resolved.begin()->second.at(0), p.sym("handler"));
 }
@@ -260,7 +244,7 @@ main:   movi t0, 0x20000
   int loads = 0;
   int stores = 0;
   for (const cfg::SgNode& node : p.sg.nodes()) {
-    for (const AccessInfo& access : p.values->accesses(node.id)) {
+    for (const AccessInfo& access : p.values.accesses(node.id)) {
       if (access.is_store) {
         ++stores;
         EXPECT_EQ(access.addr.as_constant(), 0x20008u);
