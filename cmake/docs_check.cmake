@@ -78,7 +78,7 @@ if(failures EQUAL 0)
       "set_basis_hint"
       "crash_eliminate"
       "phase1_pivots"
-      "run_graph"
+      "solve_levels"
       "Copy-on-write abstract states"
       "cow.hpp"
       "CowPtr"

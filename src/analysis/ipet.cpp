@@ -69,9 +69,9 @@ Ipet::Ipet(const cfg::Supergraph& sg, const cfg::LoopForest& loops,
 //
 // Planning re-enters each collapsed subtree, so a deep call tree
 // becomes a tree of small sub-ILPs instead of one monolithic sub-solve.
-// The sub-ILPs run on the thread pool as a dependency-counted task
-// graph (solve_graph): every child objective is ready before its parent
-// region solves, and the result is the same for any worker count.
+// The sub-ILPs run on the thread pool level by level (solve_levels):
+// every child objective is ready before its parent region solves, and
+// the result is the same for any worker count.
 //
 // Annotation-driven flow facts (caps / ratios / infeasible pairs /
 // exclusions) no longer disable decomposition wholesale: each fact pins
@@ -121,29 +121,26 @@ std::vector<int> Ipet::missing_loop_bounds_in(const IpetOptions& options) const 
   return missing;
 }
 
-bool Ipet::solve_graph(std::vector<Sub>& subs, const IpetOptions& options,
-                       const Previous* previous, int& reused) const {
-  // Flatten the sub-ILP forest in plan (preorder) order and hand it to
-  // the pool as a dependency-counted task graph: a region is
-  // dispatched the instant its last child publishes, instead of every
-  // region at depth d waiting behind a barrier for the slowest region
-  // at depth d+1. Results stay bit-identical for any worker count
-  // because each solve_sub_both is a pure function of its own region
-  // and its children's stored results, written to its own Sub slot; no
-  // cross-task order is observable.
-  std::vector<Sub*> tasks;
-  std::vector<int> parent;
-  std::vector<int> pending;
-  const auto flatten = [&](auto&& self, std::vector<Sub>& list, int parent_index) -> void {
-    for (Sub& sub : list) {
-      const int index = static_cast<int>(tasks.size());
-      tasks.push_back(&sub);
-      parent.push_back(parent_index);
-      pending.push_back(static_cast<int>(sub.children.size()));
-      self(self, sub.children, index);
-    }
+bool Ipet::solve_levels(std::vector<Sub>& subs, const IpetOptions& options,
+                        const Previous* previous, int& reused) const {
+  // Solve the sub-ILP forest level by level: levels[h] holds the subs
+  // of height h (0 for a leaf, else 1 + the tallest child), and each
+  // level is one parallel_for, heights ascending. Two subs of one
+  // height are never nested, so the postorder walk below lists each
+  // level in plan (preorder) order. Results stay bit-identical for any
+  // worker count because each sub is a pure function of its own region
+  // and its children's stored results, written to its own Sub slot,
+  // and parallel_for's barrier publishes one level before the next
+  // starts.
+  std::vector<std::vector<Sub*>> levels;
+  const auto place = [&](auto&& self, Sub& sub) -> std::size_t {
+    std::size_t height = 0;
+    for (Sub& child : sub.children) height = std::max(height, self(self, child) + 1);
+    if (height == levels.size()) levels.emplace_back();
+    levels[height].push_back(&sub);
+    return height;
   };
-  flatten(flatten, subs, -1);
+  for (Sub& sub : subs) place(place, sub);
   // The previous plan's subs by call edge: the identity of an instance
   // across structurally identical supergraphs.
   std::vector<const Sub*> before;
@@ -158,8 +155,7 @@ bool Ipet::solve_graph(std::vector<Sub>& subs, const IpetOptions& options,
     std::sort(before.begin(), before.end(),
               [](const Sub* a, const Sub* b) { return a->call_edge < b->call_edge; });
   }
-  const auto solve_one = [&](std::size_t i) {
-    Sub& sub = *tasks[i];
+  const auto solve_one = [&](Sub& sub) {
     for (const Sub& child : sub.children) {
       // A failed child poisons the plan; skipping the parent leaves
       // its default (infeasible) result to report the failure below.
@@ -179,13 +175,18 @@ bool Ipet::solve_graph(std::vector<Sub>& subs, const IpetOptions& options,
     }
     solve_sub_both(sub, options);
   };
-  run_graph(pool_, tasks.size(), solve_one, parent, pending);
-  reused = static_cast<int>(
-      std::count_if(tasks.begin(), tasks.end(), [](const Sub* sub) { return sub->reused; }));
-  for (const Sub* sub : tasks) {
-    if (!sub->result.ok() || !sub->result_bcet.ok()) return false;
+  for (const std::vector<Sub*>& level : levels) {
+    parallel_for(pool_, level.size(), [&](std::size_t i) { solve_one(*level[i]); });
   }
-  return true;
+  bool ok = true;
+  reused = 0;
+  for (const std::vector<Sub*>& level : levels) {
+    for (const Sub* sub : level) {
+      reused += sub->reused ? 1 : 0;
+      ok = ok && sub->result.ok() && sub->result_bcet.ok();
+    }
+  }
+  return ok;
 }
 
 // A sub's solve reads its region (member nodes minus its children's),
@@ -278,7 +279,7 @@ std::pair<IpetResult, IpetResult> Ipet::solve_both(const IpetOptions& options,
   int total_subs = 0;
   const int plan_depth = plan_stats(subs, &total_subs);
   int reused = 0;
-  if (!solve_graph(subs, options, previous, reused)) {
+  if (!solve_levels(subs, options, previous, reused)) {
     // Fallback: a failed sub-solve (structurally, or out of pivot
     // budget) gives up on decomposition and solves the reference ILP.
     if (options.governor != nullptr) {

@@ -134,10 +134,10 @@ public:
        const ValueAnalysis& values, const PipelineAnalysis& pipeline);
 
   // The pool the independent per-instance subproblems of a decomposed
-  // solve fan out across as a dependency-counted task graph (null:
-  // drained inline, as on a one-worker pool). The decomposition plan
-  // and the merge order are pure functions of the graph, so results
-  // are bit-identical for any worker count.
+  // solve fan out across, one parallel_for per plan level (null: run
+  // inline, as on a one-worker pool). The decomposition plan and the
+  // merge order are pure functions of the graph, so results are
+  // bit-identical for any worker count.
   void set_pool(ThreadPool* pool) { pool_ = pool; }
 
   // Solve the WCET (maximize) and BCET (minimize) bounds of one
@@ -208,13 +208,14 @@ private:
   static int plan_stats(const std::vector<Sub>& subs, int* total_subs);
   // Plumbing of solve_both(): the per-solve plan (fact pruning),
   // the missing-loop-bound pre-check replicating the monolithic scan,
-  // the dependency-counted task-graph fan-out over the pool (false: some
-  // sub failed -> monolithic fallback; `reused` counts adopted subs),
-  // and the merge of sub results into the outer result.
+  // the level-by-level fan-out over the pool (subs of height 0 first,
+  // parents after their tallest child; false: some sub failed ->
+  // monolithic fallback; `reused` counts adopted subs), and the merge
+  // of sub results into the outer result.
   std::vector<Sub> planned_subs(const IpetOptions& options) const;
   std::vector<int> missing_loop_bounds_in(const IpetOptions& options) const;
-  bool solve_graph(std::vector<Sub>& subs, const IpetOptions& options,
-                   const Previous* previous, int& reused) const;
+  bool solve_levels(std::vector<Sub>& subs, const IpetOptions& options,
+                    const Previous* previous, int& reused) const;
   static void merge_sub_results(IpetResult& outer, const std::vector<Sub>& subs,
                                 const std::map<int, std::uint64_t>& edge_counts,
                                 bool bcet_sense);

@@ -100,10 +100,7 @@ bool AbsState::operator==(const AbsState& other) const {
   return mem == other.mem && written == other.written;
 }
 
-bool AbsState::join_with(const AbsState& other, const isa::Image& image,
-                         const mem::MemoryMap& memmap) {
-  (void)image;
-  (void)memmap;
+bool AbsState::join_with(const AbsState& other) {
   if (other.bottom) return false;
   if (bottom) {
     *this = other;
@@ -585,7 +582,6 @@ std::uint64_t ValueAnalysis::tracked_state_bytes() const {
 void ValueAnalysis::run(ThreadPool* pool, TransferCache* transfers,
                         const AnalysisGovernor* governor) {
   WCET_CHECK(transfers != nullptr, "ValueAnalysis::run needs the shared TransferCache");
-  const isa::Image& image = sg_.program().image();
   const std::size_t num_nodes = sg_.nodes().size();
   const std::size_t num_instances = sg_.instances().size();
   std::vector<unsigned> visits(num_nodes, 0);
@@ -615,10 +611,10 @@ void ValueAnalysis::run(ThreadPool* pool, TransferCache* transfers,
     if (!widen_now && !force_coarse) {
       // Hot path: join in place; join_with reports changes exactly, so
       // no state copy or deep equality check is needed.
-      return tin.join_with(along, image, memmap_);
+      return tin.join_with(along);
     }
     AbsState updated = tin;
-    if (!updated.join_with(along, image, memmap_)) return false;
+    if (!updated.join_with(along)) return false;
     if (widen_now) updated.widen_from(tin);
     if (force_coarse) {
       updated = AbsState::entry_state();
@@ -656,7 +652,7 @@ void ValueAnalysis::run(ThreadPool* pool, TransferCache* transfers,
           if (sg_.node(target).instance != instance) {
             // Call/ret edge: defer to the sequential merge step.
             const auto [it, fresh] = buffered.try_emplace(eid, std::move(along));
-            if (!fresh) it->second.join_with(along, image, memmap_);
+            if (!fresh) it->second.join_with(along);
             continue;
           }
           edge_feasible_[static_cast<std::size_t>(eid)] = 1;

@@ -56,8 +56,7 @@ struct AbsState {
   bool possibly_written(const Interval& range) const;
 
   static AbsState entry_state();
-  bool join_with(const AbsState& other, const isa::Image& image,
-                 const mem::MemoryMap& memmap); // returns true if changed
+  bool join_with(const AbsState& other); // returns true if changed
   void widen_from(const AbsState& older);
   bool operator==(const AbsState& other) const;
   // Fingerprint over the full state (FNV-1a), for cross-run determinism

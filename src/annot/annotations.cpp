@@ -8,22 +8,6 @@
 
 namespace wcet::annot {
 
-std::optional<std::uint64_t> AnnotationDb::loop_bound_for(std::uint32_t addr,
-                                                          const std::string& mode) const {
-  std::optional<std::uint64_t> global;
-  std::optional<std::uint64_t> specific;
-  for (const auto& fact : loop_bounds) {
-    if (fact.addr != addr) continue;
-    if (fact.mode.empty()) {
-      global = global ? std::min(*global, fact.max_iterations) : fact.max_iterations;
-    } else if (fact.mode == mode) {
-      specific = specific ? std::min(*specific, fact.max_iterations) : fact.max_iterations;
-    }
-  }
-  if (specific && global) return std::min(*specific, *global);
-  return specific ? specific : global;
-}
-
 std::set<std::uint32_t> AnnotationDb::excluded_addrs(const std::string& mode) const {
   std::set<std::uint32_t> result(never_addrs.begin(), never_addrs.end());
   if (const auto it = mode_excludes.find(mode); it != mode_excludes.end()) {

@@ -23,7 +23,6 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <set>
 #include <string>
 #include <string_view>
@@ -75,10 +74,6 @@ public:
   std::vector<mem::Region> regions;
   std::map<std::uint32_t, std::vector<AccessRange>> access_facts; // fn entry -> ranges
 
-  // Strongest loop bound applicable to an address in `mode` (specific
-  // mode beats the global fact).
-  std::optional<std::uint64_t> loop_bound_for(std::uint32_t addr,
-                                              const std::string& mode) const;
   // Addresses excluded in `mode` (mode excludes + global nevers).
   std::set<std::uint32_t> excluded_addrs(const std::string& mode) const;
   std::vector<std::string> mode_names() const;

@@ -2,18 +2,7 @@
 
 namespace wcet {
 
-WcetReport analyze_source(std::string_view asm_source, const mem::HwConfig& hw,
-                          const std::string& annotations,
-                          const AnalysisOptions& options) {
-  const isa::Image image = isa::assemble(asm_source);
-  const Analyzer analyzer(image, hw, annotations);
-  return analyzer.analyze(options);
-}
-
-BoundCheck check_bounds(const isa::Image& image, const mem::HwConfig& hw,
-                        const WcetReport& report, sim::Simulator& sim) {
-  (void)image;
-  (void)hw;
+BoundCheck check_bounds(const WcetReport& report, sim::Simulator& sim) {
   BoundCheck check;
   check.analysis_ok = report.ok;
   check.wcet_bound = report.wcet_cycles;

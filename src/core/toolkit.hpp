@@ -4,8 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <string_view>
 
 #include "isa/assembler.hpp"
 #include "isa/disasm.hpp"
@@ -15,11 +13,6 @@
 #include "wcet/analyzer.hpp"
 
 namespace wcet {
-
-// Assemble + analyze in one step (convenience for small tasks).
-WcetReport analyze_source(std::string_view asm_source, const mem::HwConfig& hw,
-                          const std::string& annotations = "",
-                          const AnalysisOptions& options = {});
 
 // Outcome of checking a static bound against an observed execution.
 struct BoundCheck {
@@ -42,7 +35,6 @@ struct BoundCheck {
 };
 
 // Run one simulation and compare against the statically computed bounds.
-BoundCheck check_bounds(const isa::Image& image, const mem::HwConfig& hw,
-                        const WcetReport& report, sim::Simulator& sim);
+BoundCheck check_bounds(const WcetReport& report, sim::Simulator& sim);
 
 } // namespace wcet

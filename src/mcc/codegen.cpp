@@ -9,6 +9,11 @@ namespace wcet::mcc {
 
 namespace {
 
+// Base addresses of the emitted sections.
+constexpr std::uint32_t text_base = 0x1000;
+constexpr std::uint32_t rodata_base = 0x8000;
+constexpr std::uint32_t data_base = 0x20000;
+
 [[noreturn]] void fail(int line, const std::string& message) {
   throw InputError("mcc line " + std::to_string(line) + ": codegen: " + message);
 }
@@ -37,12 +42,11 @@ bool is_compare(Tok op) {
 
 class Codegen {
 public:
-  Codegen(const TranslationUnit& unit, const CodegenOptions& options)
-      : unit_(unit), options_(options) {}
+  explicit Codegen(const TranslationUnit& unit) : unit_(unit) {}
 
   std::string run() {
     text_ << "; generated by mcc\n";
-    text_ << "        .text 0x" << std::hex << options_.text_base << std::dec << "\n";
+    text_ << "        .text 0x" << std::hex << text_base << std::dec << "\n";
     for (const auto& fn : unit_.functions) {
       if (fn->defined) emit_function(*fn);
     }
@@ -1190,10 +1194,10 @@ private:
 
   void emit_data() {
     std::ostringstream rodata_head;
-    rodata_head << "\n        .rodata 0x" << std::hex << options_.rodata_base << std::dec
+    rodata_head << "\n        .rodata 0x" << std::hex << rodata_base << std::dec
                 << "\n";
     std::ostringstream data;
-    data << "\n        .data 0x" << std::hex << options_.data_base << std::dec << "\n";
+    data << "\n        .data 0x" << std::hex << data_base << std::dec << "\n";
     bool any_data = false;
     for (const auto& g : unit_.globals) {
       if (g->kind != Symbol::Kind::global) continue;
@@ -1245,7 +1249,6 @@ private:
   }
 
   const TranslationUnit& unit_;
-  CodegenOptions options_;
   std::ostringstream text_;
   std::ostringstream rodata_;
   std::ostringstream data_;
@@ -1260,8 +1263,8 @@ private:
 
 } // namespace
 
-std::string generate(const TranslationUnit& unit, const CodegenOptions& options) {
-  return Codegen(unit, options).run();
+std::string generate(const TranslationUnit& unit) {
+  return Codegen(unit).run();
 }
 
 } // namespace wcet::mcc

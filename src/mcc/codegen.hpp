@@ -26,16 +26,8 @@
 
 namespace wcet::mcc {
 
-struct CodegenOptions {
-  CodegenOptions() {}
-  // Base addresses of the emitted sections.
-  std::uint32_t text_base = 0x1000;
-  std::uint32_t rodata_base = 0x8000;
-  std::uint32_t data_base = 0x20000;
-};
-
 // Generate assembly for the unit (no _start, no runtime — see
 // mcc/runtime.hpp for the full-program driver).
-std::string generate(const TranslationUnit& unit, const CodegenOptions& options = {});
+std::string generate(const TranslationUnit& unit);
 
 } // namespace wcet::mcc

@@ -11,6 +11,15 @@
 
 namespace wcet::mcc {
 
+namespace {
+
+// Memory layout of a compiled program: the initial stack pointer and
+// the bump allocator's first address.
+constexpr std::uint32_t stack_top = 0x3F000;
+constexpr std::uint32_t heap_base = 0x30000;
+
+} // namespace
+
 std::string_view runtime_prelude() {
   return R"(void* malloc(unsigned int n);
 int setjmp(int* env);
@@ -20,9 +29,9 @@ int* __va_start(void);
 )";
 }
 
-std::string runtime_c(const CompileOptions& options) {
+std::string runtime_c() {
   std::ostringstream os;
-  os << "static unsigned int __heap_ptr = " << options.heap_base << "u;\n";
+  os << "static unsigned int __heap_ptr = " << heap_base << "u;\n";
   os << R"MCC(
 void* malloc(unsigned int n) {
   unsigned int p = __heap_ptr;
@@ -302,14 +311,14 @@ int __f32_to_i32(unsigned int x) {
   return os.str();
 }
 
-std::string runtime_asm(const CompileOptions& options) {
+std::string runtime_asm() {
   std::ostringstream os;
   os << R"(
 ; ---- mcc runtime (assembly part) ----
         .entry _start
         .global _start
 _start:
-        movi sp, )" << options.stack_top << R"(
+        movi sp, )" << stack_top << R"(
         call main
         mov  a1, a0              ; exit code = main()'s result
         movi a0, 0               ; EcallFn::exit
@@ -358,7 +367,7 @@ longjmp:
   return os.str();
 }
 
-CompileResult compile_program(std::string_view user_source, const CompileOptions& options) {
+CompileResult compile_program(std::string_view user_source) {
   CompileResult result;
 
   // MISRA audit runs on the user code alone (prelude offset corrected)
@@ -366,25 +375,22 @@ CompileResult compile_program(std::string_view user_source, const CompileOptions
   const std::string prelude(runtime_prelude());
   const int prelude_lines =
       static_cast<int>(std::count(prelude.begin(), prelude.end(), '\n'));
-  if (options.run_misra) {
-    const std::string audit_source = prelude + std::string(user_source);
-    auto audit_unit = parse(audit_source);
-    analyze(*audit_unit);
-    result.violations = check_misra(*audit_unit);
-    for (auto& violation : result.violations) {
-      violation.line -= prelude_lines;
-    }
+  const std::string audit_source = prelude + std::string(user_source);
+  auto audit_unit = parse(audit_source);
+  analyze(*audit_unit);
+  result.violations = check_misra(*audit_unit);
+  for (auto& violation : result.violations) {
+    violation.line -= prelude_lines;
   }
 
   // Full build: prelude + user + runtime C, then runtime assembly.
-  const std::string full_source =
-      prelude + std::string(user_source) + runtime_c(options);
+  const std::string full_source = prelude + std::string(user_source) + runtime_c();
   auto unit = parse(full_source);
   analyze(*unit);
   if (unit->find_function("main") == nullptr || !unit->find_function("main")->defined) {
     throw InputError("mcc: program has no main()");
   }
-  result.assembly = generate(*unit) + runtime_asm(options);
+  result.assembly = generate(*unit) + runtime_asm();
   result.image = isa::assemble(result.assembly);
   return result;
 }

@@ -21,13 +21,6 @@
 
 namespace wcet::mcc {
 
-struct CompileOptions {
-  CompileOptions() {}
-  bool run_misra = true;
-  std::uint32_t stack_top = 0x3F000;
-  std::uint32_t heap_base = 0x30000;
-};
-
 struct CompileResult {
   isa::Image image;
   std::string assembly; // full program assembly (user + runtime)
@@ -36,12 +29,11 @@ struct CompileResult {
 
 // Compile a user translation unit into a runnable/analyzable image.
 // Throws InputError on lex/parse/sema/codegen errors.
-CompileResult compile_program(std::string_view user_source,
-                              const CompileOptions& options = {});
+CompileResult compile_program(std::string_view user_source);
 
 // Exposed for tests.
 std::string_view runtime_prelude();
-std::string runtime_c(const CompileOptions& options);
-std::string runtime_asm(const CompileOptions& options);
+std::string runtime_c();
+std::string runtime_asm();
 
 } // namespace wcet::mcc

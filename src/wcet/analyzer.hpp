@@ -33,8 +33,9 @@ namespace wcet {
 struct AnalysisOptions {
   AnalysisOptions() {}
   std::string mode;            // operating mode; empty = all behaviours
-  bool use_annotations = true; // off: measure the un-annotated baseline
-  int max_decode_rounds = 3;   // value-analysis -> decode feedback trips
+  // Fixed settings, still readable as members of an options value.
+  static constexpr bool use_annotations = true; // annotations always apply
+  static constexpr int max_decode_rounds = 3;   // value-analysis -> decode feedback trips
   // Worker threads for the per-instance parallel schedules (value
   // analysis rounds, IPET sub-ILPs, classification sweeps). Every
   // parallel schedule is deterministic by construction, so computed

@@ -111,7 +111,7 @@ void verify_warm_value(AnalysisContext& ctx) {
 void value_phase(AnalysisContext& ctx) {
   phase_boundary(ctx, "phase:value");
   analysis::ValueAnalysis::Options va_options;
-  if (ctx.options.use_annotations) va_options.access_facts = ctx.annotations.access_facts;
+  va_options.access_facts = ctx.annotations.access_facts;
   ctx.transfers = std::make_unique<analysis::TransferCache>(*ctx.supergraph);
   ctx.values = std::make_unique<analysis::ValueAnalysis>(
       *ctx.supergraph, *ctx.forest, ctx.hw.memory, va_options, ctx.schedule);
@@ -145,39 +145,37 @@ void loop_bounds_phase(AnalysisContext& ctx) {
     info.detail = lr.detail;
     if (lr.irreducible) ++report.irreducible_loops;
 
-    if (ctx.options.use_annotations) {
-      // An annotation "loop at X" applies to the innermost loop whose
-      // body covers X.
-      std::optional<std::uint64_t> annotated;
-      for (const annot::LoopBoundFact& fact : ctx.annotations.loop_bounds) {
-        if (!fact.mode.empty() && fact.mode != ctx.options.mode) continue;
-        bool covers = false;
-        for (const int node_id : loop.nodes) {
+    // An annotation "loop at X" applies to the innermost loop whose
+    // body covers X.
+    std::optional<std::uint64_t> annotated;
+    for (const annot::LoopBoundFact& fact : ctx.annotations.loop_bounds) {
+      if (!fact.mode.empty() && fact.mode != ctx.options.mode) continue;
+      bool covers = false;
+      for (const int node_id : loop.nodes) {
+        const cfg::CfgBlock& block = *supergraph.node(node_id).block;
+        if (fact.addr >= block.begin && fact.addr < block.end) {
+          covers = true;
+          break;
+        }
+      }
+      if (!covers) continue;
+      // Innermost: no child loop also covers the address.
+      bool child_covers = false;
+      for (const int child : loop.children) {
+        for (const int node_id : forest.loop(child).nodes) {
           const cfg::CfgBlock& block = *supergraph.node(node_id).block;
           if (fact.addr >= block.begin && fact.addr < block.end) {
-            covers = true;
+            child_covers = true;
             break;
           }
         }
-        if (!covers) continue;
-        // Innermost: no child loop also covers the address.
-        bool child_covers = false;
-        for (const int child : loop.children) {
-          for (const int node_id : forest.loop(child).nodes) {
-            const cfg::CfgBlock& block = *supergraph.node(node_id).block;
-            if (fact.addr >= block.begin && fact.addr < block.end) {
-              child_covers = true;
-              break;
-            }
-          }
-          if (child_covers) break;
-        }
-        if (child_covers) continue;
-        annotated = annotated ? std::min(*annotated, fact.max_iterations)
-                              : fact.max_iterations;
+        if (child_covers) break;
       }
-      info.annotated_bound = annotated;
+      if (child_covers) continue;
+      annotated = annotated ? std::min(*annotated, fact.max_iterations)
+                            : fact.max_iterations;
     }
+    info.annotated_bound = annotated;
 
     if (info.analyzed_bound && info.annotated_bound) {
       info.used_bound = std::min(*info.analyzed_bound, *info.annotated_bound);
@@ -248,16 +246,14 @@ analysis::IpetOptions ipet_options_for(const AnalysisContext& ctx) {
   ipet_options.loop_bounds = ctx.merged_bounds;
   ipet_options.decomposition = ctx.options.decomposition;
   ipet_options.governor = ctx.governor;
-  if (ctx.options.use_annotations) {
-    for (const annot::FlowCapFact& cap : ctx.annotations.flow_caps) {
-      if (cap.mode.empty() || cap.mode == ctx.options.mode) {
-        ipet_options.flow_caps.push_back(cap);
-      }
+  for (const annot::FlowCapFact& cap : ctx.annotations.flow_caps) {
+    if (cap.mode.empty() || cap.mode == ctx.options.mode) {
+      ipet_options.flow_caps.push_back(cap);
     }
-    ipet_options.flow_ratios = ctx.annotations.flow_ratios;
-    ipet_options.infeasible_pairs = ctx.annotations.infeasible_pairs;
-    ipet_options.excluded_addrs = ctx.annotations.excluded_addrs(ctx.options.mode);
   }
+  ipet_options.flow_ratios = ctx.annotations.flow_ratios;
+  ipet_options.infeasible_pairs = ctx.annotations.infeasible_pairs;
+  ipet_options.excluded_addrs = ctx.annotations.excluded_addrs(ctx.options.mode);
   return ipet_options;
 }
 
@@ -463,7 +459,7 @@ void run_phases(AnalysisContext& ctx,
   // Front half (decode + value) with the Figure-1 feedback edge: value
   // analysis resolves indirect branches and triggers a re-decode,
   // bounded by max_decode_rounds.
-  for (int round = 0; round < std::max(1, ctx.options.max_decode_rounds); ++round) {
+  for (int round = 0; round < AnalysisOptions::max_decode_rounds; ++round) {
     timed(decode_phase, ctx, t.decode_ms);
     if (round == 0 && after_first_decode) after_first_decode(ctx);
     timed(value_phase, ctx, t.value_ms);
@@ -494,10 +490,8 @@ void run_figure1(AnalysisContext& ctx, ThreadPool& pool,
           "truncated)";
     throw InputError(os.str());
   }
-  if (ctx.options.use_annotations) {
-    ctx.hints.indirect_targets = ctx.annotations.indirect_targets;
-    ctx.sg_options.recursion_depths = ctx.annotations.recursion_depths;
-  }
+  ctx.hints.indirect_targets = ctx.annotations.indirect_targets;
+  ctx.sg_options.recursion_depths = ctx.annotations.recursion_depths;
   ctx.pool = &pool;
 
   // One governor per analysis: the budget tracker / cancellation hub

@@ -28,11 +28,15 @@ loop at "main" max 8
 loop at "main"+0x4 max 4 in mode GROUND
 )", image);
   ASSERT_EQ(db.loop_bounds.size(), 3u);
-  EXPECT_EQ(db.loop_bound_for(0x1234, ""), 16u);
-  EXPECT_EQ(db.loop_bound_for(0x1000, ""), 8u);
-  EXPECT_EQ(db.loop_bound_for(0x1004, "GROUND"), 4u);
-  EXPECT_EQ(db.loop_bound_for(0x1004, ""), std::nullopt);
-  EXPECT_EQ(db.loop_bound_for(0x9999, ""), std::nullopt);
+  EXPECT_EQ(db.loop_bounds[0].addr, 0x1234u);
+  EXPECT_EQ(db.loop_bounds[0].max_iterations, 16u);
+  EXPECT_EQ(db.loop_bounds[0].mode, "");
+  EXPECT_EQ(db.loop_bounds[1].addr, 0x1000u);
+  EXPECT_EQ(db.loop_bounds[1].max_iterations, 8u);
+  EXPECT_EQ(db.loop_bounds[1].mode, "");
+  EXPECT_EQ(db.loop_bounds[2].addr, 0x1004u);
+  EXPECT_EQ(db.loop_bounds[2].max_iterations, 4u);
+  EXPECT_EQ(db.loop_bounds[2].mode, "GROUND");
 }
 
 TEST(Annotations, ModeSpecificBoundTightensGlobal) {
@@ -41,8 +45,13 @@ TEST(Annotations, ModeSpecificBoundTightensGlobal) {
 loop at 0x2000 max 100
 loop at 0x2000 max 10 in mode AIR
 )", image);
-  EXPECT_EQ(db.loop_bound_for(0x2000, ""), 100u);
-  EXPECT_EQ(db.loop_bound_for(0x2000, "AIR"), 10u);
+  ASSERT_EQ(db.loop_bounds.size(), 2u);
+  EXPECT_EQ(db.loop_bounds[0].addr, 0x2000u);
+  EXPECT_EQ(db.loop_bounds[0].max_iterations, 100u);
+  EXPECT_EQ(db.loop_bounds[0].mode, "");
+  EXPECT_EQ(db.loop_bounds[1].addr, 0x2000u);
+  EXPECT_EQ(db.loop_bounds[1].max_iterations, 10u);
+  EXPECT_EQ(db.loop_bounds[1].mode, "AIR");
 }
 
 TEST(Annotations, RecursionAndTargets) {

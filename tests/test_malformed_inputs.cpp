@@ -218,11 +218,20 @@ region "scratch" at 0x50000 size 64 read 1 write 1
 // are both claims the user makes, and the analysis takes the minimum.
 TEST(MalformedInputs, DuplicateLoopBoundsMergeToMinimum) {
   const isa::Image image = valid_image();
-  const annot::AnnotationDb db = annot::parse_annotations(R"(
+  const std::string annotations = R"(
 loop at "lp" max 10
 loop at "lp" max 6
-)", image);
-  EXPECT_EQ(db.loop_bound_for(image.find_symbol("lp")->addr, ""), 6u);
+)";
+  const annot::AnnotationDb db = annot::parse_annotations(annotations, image);
+  ASSERT_EQ(db.loop_bounds.size(), 2u);
+  const std::uint32_t lp = image.find_symbol("lp")->addr;
+  EXPECT_EQ(db.loop_bounds[0].addr, lp);
+  EXPECT_EQ(db.loop_bounds[0].max_iterations, 10u);
+  EXPECT_EQ(db.loop_bounds[1].addr, lp);
+  EXPECT_EQ(db.loop_bounds[1].max_iterations, 6u);
+  const WcetReport report = Analyzer(image, mem::typical_hw(), annotations).analyze({});
+  ASSERT_EQ(report.loops.size(), 1u);
+  EXPECT_EQ(report.loops[0].annotated_bound, 6u);
 }
 
 } // namespace

@@ -14,10 +14,8 @@ namespace wcet::mcc {
 namespace {
 
 std::vector<MisraViolation> audit(const std::string& source) {
-  CompileOptions options;
-  options.run_misra = true;
-  // Use the full driver so the prelude is present; no main required for
-  // an audit, so call the pieces directly.
+  // The driver's audit path: prelude + user source, but no main
+  // required for an audit, so call the pieces directly.
   const std::string full = std::string(runtime_prelude()) + source;
   auto unit = parse(full);
   analyze(*unit);

@@ -234,7 +234,7 @@ TEST(ParallelAnalysis, ParallelBoundsMatchSimulation) {
   const WcetReport report = analyzer.analyze(options);
   ASSERT_TRUE(report.ok) << report.to_string();
   sim::Simulator sim(built.image, hw);
-  const auto check = check_bounds(built.image, hw, report, sim);
+  const auto check = check_bounds(report, sim);
   EXPECT_TRUE(check.sound()) << "observed " << check.observed_cycles << " not in ["
                              << check.bcet_bound << ", " << check.wcet_bound << "]";
 }
