@@ -66,6 +66,7 @@ if(failures EQUAL 0)
       "perfbench/run.py")
   require_content(docs/ARCHITECTURE.md
       "run_figure1"
+      "Dense per-run scratch"
       "AnalysisContext"
       "TransferCache"
       "instance_rounds.hpp"

@@ -98,76 +98,100 @@ bool Dominators::dominates(int a, int b) const {
 
 namespace {
 
-// Tarjan SCC restricted to a node universe and enabled edges.
-std::vector<std::vector<int>> sccs_of(const Supergraph& sg, const std::vector<int>& universe,
-                                      const std::vector<bool>& edge_enabled) {
-  const std::size_t n = sg.nodes().size();
-  std::vector<bool> in_universe(n, false);
-  for (const int v : universe) in_universe[static_cast<std::size_t>(v)] = true;
+// v[i] for a node or edge id.
+template <typename Vec>
+auto& at(Vec& v, int i) {
+  return v[static_cast<std::size_t>(i)];
+}
 
-  std::vector<int> index(n, -1), low(n, 0);
-  std::vector<bool> on_stack(n, false);
-  std::vector<int> stack;
-  std::vector<std::vector<int>> result;
-  int counter = 0;
+} // namespace
+
+// Scratch shared by every level of the loop discovery: Tarjan's
+// per-node state and the per-loop marks, each reset on the nodes it
+// touched before its next use, and the edge mask, whose back edges are
+// severed in place. A severed edge lies inside its loop, so no other
+// loop of the same level sees it.
+struct LoopForest::Scratch {
+  explicit Scratch(const Supergraph& sg)
+      : index(sg.nodes().size(), -1), low(sg.nodes().size(), 0),
+        on_stack(sg.nodes().size(), 0), in_universe(sg.nodes().size(), 0),
+        in_scc(sg.nodes().size(), 0), is_entry(sg.nodes().size(), 0),
+        edge_enabled(sg.edges().size(), 1) {}
 
   struct Frame {
     int node;
     std::size_t child = 0;
   };
+  std::vector<int> index, low;
+  std::vector<char> on_stack, in_universe, in_scc, is_entry;
+  std::vector<char> edge_enabled;
+  std::vector<int> stack;
+  std::vector<Frame> frames;
+};
+
+namespace {
+
+// Tarjan SCC restricted to a node universe and the enabled edges.
+std::vector<std::vector<int>> sccs_of(const Supergraph& sg, const std::vector<int>& universe,
+                                      LoopForest::Scratch& s) {
+  for (const int v : universe) at(s.in_universe, v) = 1;
+
+  std::vector<std::vector<int>> result;
+  int counter = 0;
   for (const int root : universe) {
-    if (index[static_cast<std::size_t>(root)] >= 0) continue;
-    std::vector<Frame> frames{{root, 0}};
-    index[static_cast<std::size_t>(root)] = low[static_cast<std::size_t>(root)] = counter++;
-    stack.push_back(root);
-    on_stack[static_cast<std::size_t>(root)] = true;
-    while (!frames.empty()) {
-      Frame& frame = frames.back();
+    if (at(s.index, root) >= 0) continue;
+    s.frames.push_back({root, 0});
+    at(s.index, root) = at(s.low, root) = counter++;
+    s.stack.push_back(root);
+    at(s.on_stack, root) = 1;
+    while (!s.frames.empty()) {
+      LoopForest::Scratch::Frame& frame = s.frames.back();
       const auto& succs = sg.node(frame.node).succ_edges;
       bool descended = false;
       while (frame.child < succs.size()) {
         const int eid = succs[frame.child++];
-        if (!edge_enabled[static_cast<std::size_t>(eid)]) continue;
+        if (!at(s.edge_enabled, eid)) continue;
         const int next = sg.edge(eid).to;
-        if (!in_universe[static_cast<std::size_t>(next)]) continue;
-        if (index[static_cast<std::size_t>(next)] < 0) {
-          index[static_cast<std::size_t>(next)] = low[static_cast<std::size_t>(next)] = counter++;
-          stack.push_back(next);
-          on_stack[static_cast<std::size_t>(next)] = true;
-          frames.push_back({next, 0});
+        if (!at(s.in_universe, next)) continue;
+        if (at(s.index, next) < 0) {
+          at(s.index, next) = at(s.low, next) = counter++;
+          s.stack.push_back(next);
+          at(s.on_stack, next) = 1;
+          s.frames.push_back({next, 0});
           descended = true;
           break;
         }
-        if (on_stack[static_cast<std::size_t>(next)]) {
-          low[static_cast<std::size_t>(frame.node)] =
-              std::min(low[static_cast<std::size_t>(frame.node)], index[static_cast<std::size_t>(next)]);
+        if (at(s.on_stack, next)) {
+          at(s.low, frame.node) = std::min(at(s.low, frame.node), at(s.index, next));
         }
       }
       if (descended) continue;
-      if (low[static_cast<std::size_t>(frame.node)] == index[static_cast<std::size_t>(frame.node)]) {
+      if (at(s.low, frame.node) == at(s.index, frame.node)) {
         std::vector<int> scc;
         for (;;) {
-          const int member = stack.back();
-          stack.pop_back();
-          on_stack[static_cast<std::size_t>(member)] = false;
+          const int member = s.stack.back();
+          s.stack.pop_back();
+          at(s.on_stack, member) = 0;
           scc.push_back(member);
           if (member == frame.node) break;
         }
         result.push_back(std::move(scc));
       }
       const int done = frame.node;
-      frames.pop_back();
-      if (!frames.empty()) {
-        low[static_cast<std::size_t>(frames.back().node)] =
-            std::min(low[static_cast<std::size_t>(frames.back().node)],
-                     low[static_cast<std::size_t>(done)]);
+      s.frames.pop_back();
+      if (!s.frames.empty()) {
+        at(s.low, s.frames.back().node) = std::min(at(s.low, s.frames.back().node), at(s.low, done));
       }
     }
+  }
+  for (const int v : universe) {
+    at(s.in_universe, v) = 0;
+    at(s.index, v) = -1;
   }
   return result;
 }
 
-bool has_self_edge(const Supergraph& sg, int node, const std::vector<bool>& edge_enabled) {
+bool has_self_edge(const Supergraph& sg, int node, const std::vector<char>& edge_enabled) {
   for (const int e : sg.node(node).succ_edges) {
     if (edge_enabled[static_cast<std::size_t>(e)] && sg.edge(e).to == node) return true;
   }
@@ -181,8 +205,13 @@ LoopForest::LoopForest(const Supergraph& sg) {
   std::vector<int> universe;
   universe.reserve(sg.nodes().size());
   for (const SgNode& node : sg.nodes()) universe.push_back(node.id);
-  std::vector<bool> edge_enabled(sg.edges().size(), true);
-  discover(sg, universe, edge_enabled, -1);
+  Scratch scratch(sg);
+  discover(sg, universe, -1, scratch);
+  for (const Loop& loop : loops_) {
+    if (loop.parent >= 0) {
+      loops_[static_cast<std::size_t>(loop.parent)].children.push_back(loop.id);
+    }
+  }
   // Compute depths.
   for (Loop& loop : loops_) {
     int depth = 0;
@@ -191,15 +220,17 @@ LoopForest::LoopForest(const Supergraph& sg) {
   }
 }
 
-void LoopForest::discover(const Supergraph& sg, const std::vector<int>& universe,
-                          const std::vector<bool>& edge_enabled, int parent) {
-  const auto sccs = sccs_of(sg, universe, edge_enabled);
+// `universe` is read only by sccs_of, before this call adds a loop: a
+// recursive call's universe is a loop's node list, which growing
+// `loops_` moves.
+void LoopForest::discover(const Supergraph& sg, const std::vector<int>& universe, int parent,
+                          Scratch& scratch) {
+  const auto sccs = sccs_of(sg, universe, scratch);
   for (const auto& scc : sccs) {
-    const bool trivial = scc.size() == 1 && !has_self_edge(sg, scc[0], edge_enabled);
+    const bool trivial = scc.size() == 1 && !has_self_edge(sg, scc[0], scratch.edge_enabled);
     if (trivial) continue;
 
-    std::vector<bool> in_scc(sg.nodes().size(), false);
-    for (const int v : scc) in_scc[static_cast<std::size_t>(v)] = true;
+    for (const int v : scc) at(scratch.in_scc, v) = 1;
 
     Loop loop;
     loop.id = static_cast<int>(loops_.size());
@@ -212,8 +243,8 @@ void LoopForest::discover(const Supergraph& sg, const std::vector<int>& universe
     for (const int v : loop.nodes) {
       bool is_entry = false;
       for (const int e : sg.node(v).pred_edges) {
-        if (!edge_enabled[static_cast<std::size_t>(e)]) continue;
-        if (!in_scc[static_cast<std::size_t>(sg.edge(e).from)]) {
+        if (!at(scratch.edge_enabled, e)) continue;
+        if (!at(scratch.in_scc, sg.edge(e).from)) {
           is_entry = true;
           loop.entry_edges.push_back(e);
         }
@@ -228,25 +259,27 @@ void LoopForest::discover(const Supergraph& sg, const std::vector<int>& universe
     loop.irreducible = loop.entries.size() > 1;
     loop.header = loop.entries.front();
 
-    std::vector<bool> is_entry_node(sg.nodes().size(), false);
-    for (const int v : loop.entries) is_entry_node[static_cast<std::size_t>(v)] = true;
+    for (const int v : loop.entries) at(scratch.is_entry, v) = 1;
 
     // Back edges (inside -> entry) and exit edges (inside -> outside).
-    std::vector<bool> next_enabled = edge_enabled;
+    // Each edge is read once, so severing a back edge as it is found
+    // leaves the rest of this scan unchanged.
     for (const int v : loop.nodes) {
       for (const int e : sg.node(v).succ_edges) {
-        if (!edge_enabled[static_cast<std::size_t>(e)]) continue;
+        if (!at(scratch.edge_enabled, e)) continue;
         const int to = sg.edge(e).to;
-        if (in_scc[static_cast<std::size_t>(to)]) {
-          if (is_entry_node[static_cast<std::size_t>(to)]) {
+        if (at(scratch.in_scc, to)) {
+          if (at(scratch.is_entry, to)) {
             loop.back_edges.push_back(e);
-            next_enabled[static_cast<std::size_t>(e)] = false; // sever for nesting
+            at(scratch.edge_enabled, e) = 0; // sever for nesting
           }
         } else {
           loop.exit_edges.push_back(e);
         }
       }
     }
+    for (const int v : loop.nodes) at(scratch.in_scc, v) = 0;
+    for (const int v : loop.entries) at(scratch.is_entry, v) = 0;
 
     const int loop_id = loop.id;
     // Overwrite unconditionally: recursion visits outer loops first, so
@@ -259,19 +292,7 @@ void LoopForest::discover(const Supergraph& sg, const std::vector<int>& universe
     loops_.push_back(std::move(loop));
 
     // Recurse into the body with the severed back edges: nested loops.
-    discover(sg, loops_[static_cast<std::size_t>(loop_id)].nodes, next_enabled, loop_id);
-    if (parent < 0) {
-      // fixup children lists lazily below
-    }
-  }
-  // Wire children lists (single pass at the end of each level).
-  for (Loop& loop : loops_) {
-    loop.children.clear();
-  }
-  for (const Loop& loop : loops_) {
-    if (loop.parent >= 0) {
-      loops_[static_cast<std::size_t>(loop.parent)].children.push_back(loop.id);
-    }
+    discover(sg, loops_[static_cast<std::size_t>(loop_id)].nodes, loop_id, scratch);
   }
 }
 

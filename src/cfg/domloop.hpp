@@ -70,9 +70,12 @@ public:
   bool loop_contains(int loop_id, int node) const;
   bool has_irreducible_loops() const;
 
+  // Discovery scratch shared by every loop (defined in domloop.cpp).
+  struct Scratch;
+
 private:
-  void discover(const Supergraph& sg, const std::vector<int>& universe,
-                const std::vector<bool>& edge_enabled, int parent);
+  void discover(const Supergraph& sg, const std::vector<int>& universe, int parent,
+                Scratch& scratch);
 
   std::vector<Loop> loops_;
   std::vector<int> loop_of_;

@@ -1,7 +1,7 @@
 #include "cfg/program.hpp"
 
 #include <algorithm>
-#include <deque>
+#include <memory>
 #include <sstream>
 
 #include "isa/disasm.hpp"
@@ -20,6 +20,70 @@ const CfgBlock& CfgFunction::block_at(std::uint32_t addr) const {
 
 namespace {
 
+// Decoder-local view of the image for one reconstruct call. Word reads
+// go through a cursor on the section the last read hit, so a fetch in
+// the current section does not scan the section table as
+// Image::read_word does. Function names and jump-table sizes come from
+// a sorted index of the symbols that start at an address. Nothing is
+// cached in the Image itself: batch mode decodes on several pool
+// workers at once, all reading one Image.
+class ImageView {
+public:
+  explicit ImageView(const isa::Image& image) : image_(image) {
+    std::vector<const isa::Symbol*> starting;
+    for (const isa::Symbol& s : image.symbols()) {
+      // Image::symbol_covering treats a size-0 symbol as 1 byte, and a
+      // symbol whose end wraps past 2^32 covers nothing.
+      const std::uint32_t size = std::max<std::uint32_t>(s.size, 1);
+      if (size <= 0xFFFFFFFFu - s.addr) starting.push_back(&s);
+    }
+    std::stable_sort(starting.begin(), starting.end(),
+                     [](const isa::Symbol* a, const isa::Symbol* b) { return a->addr < b->addr; });
+    // symbol_covering's tie rule at one address: the last function
+    // symbol wins, else the first symbol.
+    for (std::size_t i = 0; i < starting.size();) {
+      const isa::Symbol* best = starting[i];
+      std::size_t j = i;
+      for (; j < starting.size() && starting[j]->addr == best->addr; ++j) {
+        if (starting[j]->kind == isa::Symbol::Kind::function) best = starting[j];
+      }
+      starts_.push_back(best);
+      i = j;
+    }
+  }
+
+  const isa::Image& image() const { return image_; }
+
+  // Same result as Image::section_at: non-empty sections never overlap.
+  const isa::Section* section_at(std::uint32_t addr) {
+    if (last_ != nullptr && last_->contains(addr)) return last_;
+    const isa::Section* s = image_.section_at(addr);
+    if (s != nullptr) last_ = s;
+    return s;
+  }
+
+  // Same result as Image::read_word.
+  std::optional<std::uint32_t> read_word(std::uint32_t addr) {
+    const isa::Section* s = section_at(addr);
+    if (s == nullptr) return std::nullopt;
+    return s->read_word(addr);
+  }
+
+  // Image::symbol_covering(addr) when the symbol it returns starts at
+  // `addr`, nullptr when it returns none or one that starts earlier.
+  const isa::Symbol* symbol_at(std::uint32_t addr) const {
+    const auto it = std::lower_bound(
+        starts_.begin(), starts_.end(), addr,
+        [](const isa::Symbol* s, std::uint32_t a) { return s->addr < a; });
+    return it != starts_.end() && (*it)->addr == addr ? *it : nullptr;
+  }
+
+private:
+  const isa::Image& image_;
+  const isa::Section* last_ = nullptr;
+  std::vector<const isa::Symbol*> starts_; // one per start address, ascending
+};
+
 // Statically-known control flow — fall-through, conditional branches,
 // direct jumps and calls — is part of the input, not of the analysis:
 // a static successor outside the mapped image means the binary is
@@ -28,19 +92,18 @@ namespace {
 // value-analysis resolutions, jump-table matches) stay DecodeIssue
 // obstructions instead: they may be over-approximations, and an
 // over-approximate target set must never turn into a hard error.
-void require_mapped(const isa::Image& image, std::uint32_t from_pc, std::uint32_t target,
+void require_mapped(ImageView& view, std::uint32_t from_pc, std::uint32_t target,
                     const char* what) {
-  if (image.read_word(target)) return;
+  if (view.read_word(target)) return;
   std::ostringstream os;
-  os << what << " at " << image.describe(from_pc) << " leads to unmapped address 0x"
+  os << what << " at " << view.image().describe(from_pc) << " leads to unmapped address 0x"
      << std::hex << target << " (truncated or mislinked image)";
   throw InputError(os.str());
 }
 
 // Decoded instruction fetch with diagnostics.
-std::optional<Inst> fetch(const isa::Image& image, std::uint32_t pc,
-                          std::vector<DecodeIssue>& issues) {
-  const auto word = image.read_word(pc);
+std::optional<Inst> fetch(ImageView& view, std::uint32_t pc, std::vector<DecodeIssue>& issues) {
+  const auto word = view.read_word(pc);
   if (!word) {
     issues.push_back({pc, "control flow reaches unmapped address"});
     return std::nullopt;
@@ -53,9 +116,9 @@ std::optional<Inst> fetch(const isa::Image& image, std::uint32_t pc,
   return inst;
 }
 
-// Recognize the bounds-checked jump-table idiom ending in `inst` (a
-// non-return jalr) at `pc`. Walks the instruction window backwards
-// looking for
+// Recognize the bounds-checked jump-table idiom ending in `jalr` (a
+// non-return jalr); `window` holds the instructions of its linear run,
+// in order. Walks the window backwards looking for
 //     lui  rB, hi(table)     (or movi expansion)
 //     ori  rB, rB, lo(table)
 //     slli rI, rIdx, 2
@@ -65,43 +128,42 @@ std::optional<Inst> fetch(const isa::Image& image, std::uint32_t pc,
 // and reads the table from a read-only section. The element count comes
 // from the table's object symbol size — tables must be emitted with a
 // .global symbol (mcc's switch lowering does this).
-std::vector<std::uint32_t> match_jump_table(const isa::Image& image,
-                                            const std::vector<std::pair<std::uint32_t, Inst>>& window,
+std::vector<std::uint32_t> match_jump_table(ImageView& view, const std::vector<Inst>& window,
                                             const Inst& jalr) {
   if (jalr.imm != 0) return {};
   // Find the defining load of the jalr operand.
   int load_at = -1;
   for (int i = static_cast<int>(window.size()) - 1; i >= 0; --i) {
-    const Inst& inst = window[static_cast<std::size_t>(i)].second;
+    const Inst& inst = window[static_cast<std::size_t>(i)];
     if (inst.writes_rd() && inst.rd == jalr.rs1) {
       if (inst.op == Opcode::lw && inst.imm == 0) load_at = i;
       break;
     }
   }
   if (load_at < 0) return {};
-  const Inst load = window[static_cast<std::size_t>(load_at)].second;
+  const Inst load = window[static_cast<std::size_t>(load_at)];
   // Find `add base, base, index` defining the load address.
   int add_at = -1;
   for (int i = load_at - 1; i >= 0; --i) {
-    const Inst& inst = window[static_cast<std::size_t>(i)].second;
+    const Inst& inst = window[static_cast<std::size_t>(i)];
     if (inst.writes_rd() && inst.rd == load.rs1) {
       if (inst.op == Opcode::add) add_at = i;
       break;
     }
   }
   if (add_at < 0) return {};
-  const Inst add = window[static_cast<std::size_t>(add_at)].second;
+  const Inst add = window[static_cast<std::size_t>(add_at)];
   // One operand must resolve to a constant via lui/ori, the other may be
   // anything (the scaled index).
   const auto resolve_constant = [&](std::uint8_t reg, int before) -> std::optional<std::uint32_t> {
     std::optional<std::uint32_t> upper;
     for (int i = before - 1; i >= 0; --i) {
-      const Inst& inst = window[static_cast<std::size_t>(i)].second;
+      const Inst& inst = window[static_cast<std::size_t>(i)];
       if (!inst.writes_rd() || inst.rd != reg) continue;
       if (inst.op == Opcode::ori && inst.rs1 == reg) {
         // Keep scanning for the lui that feeds it.
         for (int j = i - 1; j >= 0; --j) {
-          const Inst& def = window[static_cast<std::size_t>(j)].second;
+          const Inst& def = window[static_cast<std::size_t>(j)];
           if (!def.writes_rd() || def.rd != reg) continue;
           if (def.op == Opcode::lui) {
             upper = (static_cast<std::uint32_t>(def.imm) << 16) |
@@ -119,14 +181,14 @@ std::vector<std::uint32_t> match_jump_table(const isa::Image& image,
   std::optional<std::uint32_t> table = resolve_constant(add.rs1, add_at);
   if (!table) table = resolve_constant(add.rs2, add_at);
   if (!table) return {};
-  // Element count from the covering object symbol.
-  const isa::Symbol* sym = image.symbol_covering(*table);
-  if (sym == nullptr || sym->addr != *table || sym->size < 4) return {};
-  const isa::Section* sec = image.section_at(*table);
+  // Element count from the object symbol at the table address.
+  const isa::Symbol* sym = view.symbol_at(*table);
+  if (sym == nullptr || sym->size < 4) return {};
+  const isa::Section* sec = view.section_at(*table);
   if (sec == nullptr || sec->writable) return {}; // table must be immutable
   std::vector<std::uint32_t> targets;
   for (std::uint32_t off = 0; off + 4 <= sym->size; off += 4) {
-    const auto entry = image.read_word(*table + off);
+    const auto entry = view.read_word(*table + off);
     if (!entry) return {};
     targets.push_back(*entry);
   }
@@ -135,22 +197,133 @@ std::vector<std::uint32_t> match_jump_table(const isa::Image& image,
   return targets;
 }
 
+// Decode marks of one word. A visited, decoded or leader mark counts
+// only while it carries the generation of the function being decoded,
+// so moving on to the next function clears nothing. `function` is set
+// once per reconstruct call, when a function entry is first queued.
+struct WordSlot {
+  std::uint32_t visited = 0;
+  std::uint32_t decoded = 0;
+  std::uint32_t leader = 0;
+  bool function = false;
+  Inst inst; // valid while `decoded` is current
+};
+
+// The slots of one reconstruct call, one per word of every executable
+// section, indexed by pc. They are allocated a page at a time on first
+// touch, so a large section with little reachable code costs little.
+// A pc off its section's 4-byte grid or outside the executable
+// sections (hints and jump-table entries can produce both) takes an
+// ordered side table.
+class WordSlots {
+public:
+  explicit WordSlots(const isa::Image& image) {
+    std::size_t words = 0;
+    for (const isa::Section& s : image.sections()) {
+      if (!s.executable || s.bytes.empty()) continue;
+      ranges_.push_back({s.vaddr, s.end(), words});
+      words += (s.bytes.size() + 3) / 4;
+    }
+    pages_.resize((words + page_words - 1) / page_words);
+  }
+
+  WordSlot& at(std::uint32_t pc) {
+    const std::size_t i = index(pc);
+    if (i == npos) return other_[pc];
+    auto& page = pages_[i / page_words];
+    if (!page) page = std::make_unique<WordSlot[]>(page_words);
+    return page[i % page_words];
+  }
+
+  const WordSlot* find(std::uint32_t pc) const {
+    if (const std::size_t i = index(pc); i != npos) {
+      const auto& page = pages_[i / page_words];
+      return page ? &page[i % page_words] : nullptr;
+    }
+    const auto it = other_.find(pc);
+    return it != other_.end() ? &it->second : nullptr;
+  }
+
+private:
+  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+  static constexpr std::size_t page_words = 1024;
+  struct Range {
+    std::uint32_t begin;
+    std::uint32_t end;
+    std::size_t base;
+  };
+
+  std::size_t index(std::uint32_t pc) const {
+    for (const Range& r : ranges_) {
+      if (pc < r.begin || pc >= r.end) continue;
+      const std::uint32_t off = pc - r.begin;
+      return off % 4 == 0 ? r.base + off / 4 : npos;
+    }
+    return npos;
+  }
+
+  std::vector<Range> ranges_;
+  std::vector<std::unique_ptr<WordSlot[]>> pages_;
+  std::map<std::uint32_t, WordSlot> other_;
+};
+
 struct Decoder {
-  const isa::Image& image;
+  ImageView view;
+  WordSlots slots;
   const ResolutionHints& hints;
   std::vector<DecodeIssue>& issues;
-  std::deque<std::uint32_t> pending_functions;
-  std::set<std::uint32_t> known_functions;
+  // Every function entry queued so far, in discovery order; the ones
+  // from `next_function` on are still to be decoded.
+  std::vector<std::uint32_t> functions;
+  std::size_t next_function = 0;
+  // Per-function scratch, reused across functions.
+  std::uint32_t generation = 0;
+  std::vector<std::uint32_t> work;    // run starts, FIFO via `work_head`
+  std::vector<std::uint32_t> decoded; // pcs decoded, sorted before slicing
+  std::vector<Inst> window;           // the current run (pass A) or block (pass B)
+  std::vector<std::pair<std::uint32_t, std::vector<std::uint32_t>>> resolved_indirect;
+
+  Decoder(const isa::Image& image, const ResolutionHints& hints_in,
+          std::vector<DecodeIssue>& issues_out)
+      : view(image), slots(image), hints(hints_in), issues(issues_out) {}
 
   void enqueue_function(std::uint32_t entry) {
-    if (known_functions.insert(entry).second) pending_functions.push_back(entry);
+    WordSlot& slot = slots.at(entry);
+    if (slot.function) return;
+    slot.function = true;
+    functions.push_back(entry);
+  }
+
+  void add_leader(std::uint32_t pc) { slots.at(pc).leader = generation; }
+
+  void add_run(std::uint32_t pc) {
+    add_leader(pc);
+    work.push_back(pc);
+  }
+
+  bool is_leader(std::uint32_t pc) const {
+    const WordSlot* slot = slots.find(pc);
+    return slot != nullptr && slot->leader == generation;
+  }
+
+  bool is_decoded(std::uint32_t pc) const {
+    const WordSlot* slot = slots.find(pc);
+    return slot != nullptr && slot->decoded == generation;
+  }
+
+  std::vector<std::uint32_t> take_resolved(std::uint32_t pc) {
+    const auto it = std::lower_bound(
+        resolved_indirect.begin(), resolved_indirect.end(), pc,
+        [](const auto& entry, std::uint32_t p) { return entry.first < p; });
+    WCET_CHECK(it != resolved_indirect.end() && it->first == pc,
+               "indirect transfer without a resolution record");
+    return std::move(it->second);
   }
 
   CfgFunction decode_function(std::uint32_t entry) {
     CfgFunction fn;
     fn.entry = entry;
-    if (const isa::Symbol* sym = image.symbol_covering(entry);
-        sym != nullptr && sym->addr == entry) {
+    if (const isa::Symbol* sym = view.symbol_at(entry)) {
       fn.name = sym->name;
     } else {
       std::ostringstream os;
@@ -159,54 +332,52 @@ struct Decoder {
     }
 
     // Pass A: explore reachable instructions, collect leaders and edges.
-    std::map<std::uint32_t, Inst> insts;
-    std::set<std::uint32_t> leaders{entry};
-    std::deque<std::uint32_t> work{entry};
-    std::set<std::uint32_t> visited;
-    // Sliding window per linear run for the jump-table matcher.
-    std::map<std::uint32_t, std::vector<std::uint32_t>> resolved_indirect;
+    ++generation;
+    work.clear();
+    decoded.clear();
+    resolved_indirect.clear();
+    add_run(entry);
 
-    while (!work.empty()) {
-      std::uint32_t pc = work.front();
-      work.pop_front();
-      std::vector<std::pair<std::uint32_t, Inst>> window;
+    for (std::size_t work_head = 0; work_head < work.size(); ++work_head) {
+      std::uint32_t pc = work[work_head];
+      window.clear();
       bool fell_into_visited = false;
       for (;;) {
-        if (!visited.insert(pc).second) {
+        WordSlot& slot = slots.at(pc);
+        if (slot.visited == generation) {
           fell_into_visited = true;
           break;
         }
-        const auto inst_opt = fetch(image, pc, issues);
+        slot.visited = generation;
+        const auto inst_opt = fetch(view, pc, issues);
         if (!inst_opt) {
           fn.has_unresolved_indirect = true;
           break;
         }
         const Inst inst = *inst_opt;
-        insts.emplace(pc, inst);
-        window.emplace_back(pc, inst);
+        slot.decoded = generation;
+        slot.inst = inst;
+        decoded.push_back(pc);
+        window.push_back(inst);
 
         if (inst.is_conditional_branch()) {
           const std::uint32_t target = inst.target(pc);
-          require_mapped(image, pc, target, "conditional branch");
-          require_mapped(image, pc, pc + 4, "fall-through of conditional branch");
-          leaders.insert(target);
-          leaders.insert(pc + 4);
-          work.push_back(target);
-          work.push_back(pc + 4);
+          require_mapped(view, pc, target, "conditional branch");
+          require_mapped(view, pc, pc + 4, "fall-through of conditional branch");
+          add_run(target);
+          add_run(pc + 4);
           break;
         }
         if (inst.op == Opcode::jal) {
           const std::uint32_t target = inst.target(pc);
           if (inst.is_call()) {
-            require_mapped(image, pc, target, "direct call");
-            require_mapped(image, pc, pc + 4, "return path of direct call");
+            require_mapped(view, pc, target, "direct call");
+            require_mapped(view, pc, pc + 4, "return path of direct call");
             enqueue_function(target);
-            leaders.insert(pc + 4);
-            work.push_back(pc + 4);
+            add_run(pc + 4);
           } else {
-            require_mapped(image, pc, target, "direct jump");
-            leaders.insert(target);
-            work.push_back(target);
+            require_mapped(view, pc, target, "direct jump");
+            add_run(target);
           }
           break;
         }
@@ -218,7 +389,7 @@ struct Decoder {
               hint != hints.indirect_targets.end()) {
             targets = hint->second;
           } else {
-            targets = match_jump_table(image, window, inst);
+            targets = match_jump_table(view, window, inst);
           }
           if (inst.is_call()) {
             if (targets.empty()) {
@@ -226,48 +397,45 @@ struct Decoder {
               fn.has_unresolved_indirect = true;
             }
             for (const std::uint32_t callee : targets) enqueue_function(callee);
-            resolved_indirect[pc] = targets;
-            leaders.insert(pc + 4);
-            work.push_back(pc + 4);
+            add_run(pc + 4);
           } else {
             if (targets.empty()) {
               issues.push_back({pc, "unresolved indirect jump"});
               fn.has_unresolved_indirect = true;
             }
-            resolved_indirect[pc] = targets;
-            for (const std::uint32_t t : targets) {
-              leaders.insert(t);
-              work.push_back(t);
-            }
+            for (const std::uint32_t t : targets) add_run(t);
           }
+          resolved_indirect.emplace_back(pc, std::move(targets));
           break;
         }
         if (inst.op == Opcode::halt) break;
         if (inst.op == Opcode::ecall) {
-          require_mapped(image, pc, pc + 4, "fall-through of ecall");
-          leaders.insert(pc + 4);
-          work.push_back(pc + 4);
+          require_mapped(view, pc, pc + 4, "fall-through of ecall");
+          add_run(pc + 4);
           break;
         }
-        require_mapped(image, pc, pc + 4, "straight-line code");
+        require_mapped(view, pc, pc + 4, "straight-line code");
         pc += 4;
       }
       // A run that fell into already-decoded code splits the block there.
-      if (fell_into_visited && insts.count(pc) != 0) leaders.insert(pc);
+      if (fell_into_visited && is_decoded(pc)) add_leader(pc);
     }
 
-    // Pass B: slice the instruction map into basic blocks.
-    for (auto it = insts.begin(); it != insts.end();) {
-      const std::uint32_t begin = it->first;
+    // Pass B: slice the decoded pcs, in address order, into basic blocks.
+    std::sort(decoded.begin(), decoded.end());
+    std::sort(resolved_indirect.begin(), resolved_indirect.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    for (std::size_t i = 0; i < decoded.size();) {
+      const std::uint32_t begin = decoded[i];
       CfgBlock block;
       block.begin = begin;
+      window.clear(); // the block's instructions, copied out at its end
       std::uint32_t pc = begin;
-      while (it != insts.end() && it->first == pc) {
-        const Inst inst = it->second;
-        block.insts.push_back(inst);
-        ++it;
+      while (i < decoded.size() && decoded[i] == pc) {
+        const Inst inst = slots.find(pc)->inst;
+        window.push_back(inst);
+        ++i;
         const std::uint32_t next = pc + 4;
-        const bool next_is_leader = leaders.count(next) != 0;
         if (inst.ends_basic_block()) {
           // Terminator kinds and successors.
           if (inst.is_conditional_branch()) {
@@ -287,17 +455,17 @@ struct Decoder {
               block.term = Term::ret;
             } else if (inst.is_call()) {
               block.term = Term::indirect_call;
-              block.callees = resolved_indirect[pc];
+              block.callees = take_resolved(pc);
               block.indirect_unresolved = block.callees.empty();
               block.succs = {next};
             } else {
               block.term = Term::indirect_jump;
-              block.succs = resolved_indirect[pc];
+              block.succs = take_resolved(pc);
               block.indirect_unresolved = block.succs.empty();
             }
           } else if (inst.op == Opcode::ecall) {
             block.term = Term::ecall;
-            if (insts.count(next) != 0) block.succs = {next};
+            if (is_decoded(next)) block.succs = {next};
           } else {
             WCET_CHECK(inst.op == Opcode::halt, "unexpected terminator");
             block.term = Term::halt;
@@ -305,17 +473,17 @@ struct Decoder {
           pc = next;
           break;
         }
-        if (next_is_leader || it == insts.end() || it->first != next) {
+        if (is_leader(next) || i == decoded.size() || decoded[i] != next) {
           block.term = Term::fallthrough;
-          if (insts.count(next) != 0) block.succs = {next};
+          if (is_decoded(next)) block.succs = {next};
           pc = next;
           break;
         }
         pc = next;
       }
       block.end = pc;
-      fn.blocks.emplace(begin, std::move(block));
-      // Advance `it` to the next leader-aligned position (it already is).
+      block.insts.assign(window.begin(), window.end());
+      fn.blocks.emplace_hint(fn.blocks.end(), begin, std::move(block));
     }
     return fn;
   }
@@ -328,11 +496,10 @@ Program Program::reconstruct(const isa::Image& image, std::uint32_t entry,
   Program program;
   program.image_ = &image;
   program.entry_ = entry;
-  Decoder decoder{image, hints, program.issues_, {}, {}};
+  Decoder decoder(image, hints, program.issues_);
   decoder.enqueue_function(entry);
-  while (!decoder.pending_functions.empty()) {
-    const std::uint32_t fn_entry = decoder.pending_functions.front();
-    decoder.pending_functions.pop_front();
+  while (decoder.next_function < decoder.functions.size()) {
+    const std::uint32_t fn_entry = decoder.functions[decoder.next_function++];
     program.functions_.emplace(fn_entry, decoder.decode_function(fn_entry));
   }
   return program;

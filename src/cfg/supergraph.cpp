@@ -15,6 +15,8 @@ struct Expander {
   std::vector<SgNode>& nodes;
   std::vector<SgEdge>& edges;
   std::vector<Instance>& instances;
+  std::vector<std::vector<int>>& instance_nodes;
+  std::vector<int>& instance_entry;
   std::vector<SupergraphIssue>& issues;
   std::vector<std::uint32_t> call_path; // function entries on the DFS path
 
@@ -32,9 +34,19 @@ struct Expander {
     return it == options.recursion_depths.end() ? 1 : std::max(1u, it->second);
   }
 
-  // Expand `fn_entry`; returns {instance id, entry node id}.
-  std::pair<int, int> expand_function(std::uint32_t fn_entry, int caller_instance,
-                                      int call_site_node) {
+  // Node of the block starting at `addr` in `instance`, -1 if none. An
+  // instance's nodes are contiguous and ascend by block address.
+  int node_at(int instance, std::uint32_t addr) const {
+    const std::vector<int>& range = instance_nodes[static_cast<std::size_t>(instance)];
+    const auto it = std::lower_bound(range.begin(), range.end(), addr, [&](int n, std::uint32_t a) {
+      return nodes[static_cast<std::size_t>(n)].block->begin < a;
+    });
+    return it != range.end() && nodes[static_cast<std::size_t>(*it)].block->begin == addr ? *it
+                                                                                           : -1;
+  }
+
+  // Expand `fn_entry`; returns its instance id.
+  int expand_function(std::uint32_t fn_entry, int caller_instance, int call_site_node) {
     if (nodes.size() > options.max_nodes) {
       throw AnalysisError("supergraph exceeds node limit (context explosion)");
     }
@@ -44,40 +56,48 @@ struct Expander {
     call_path.push_back(fn_entry);
 
     // Create one node per block of this instance.
-    std::map<std::uint32_t, int> node_of_block;
+    std::vector<int>& range = instance_nodes.emplace_back();
+    range.reserve(fn.blocks.size());
     for (const auto& [addr, block] : fn.blocks) {
       const int id = static_cast<int>(nodes.size());
       nodes.push_back(SgNode{id, instance_id, fn_entry, &block, {}, {}});
-      node_of_block.emplace(addr, id);
+      range.push_back(id);
     }
+    const int entry_node = node_at(instance_id, fn_entry);
+    if (entry_node < 0) {
+      std::ostringstream os;
+      os << "function entry 0x" << std::hex << fn_entry << " was not decoded";
+      throw AnalysisError(os.str());
+    }
+    instance_entry.push_back(entry_node);
 
     // Intra edges + call expansion.
+    int from = instance_nodes[static_cast<std::size_t>(instance_id)].front();
     for (const auto& [addr, block] : fn.blocks) {
-      const int from = node_of_block.at(addr);
       switch (block.term) {
       case Term::branch: {
         WCET_CHECK(block.succs.size() == 2, "branch block needs 2 successors");
-        if (const auto it = node_of_block.find(block.succs[0]); it != node_of_block.end()) {
-          add_edge(from, it->second, EdgeKind::fall);
+        if (const int to = node_at(instance_id, block.succs[0]); to >= 0) {
+          add_edge(from, to, EdgeKind::fall);
         }
-        if (const auto it = node_of_block.find(block.succs[1]); it != node_of_block.end()) {
-          add_edge(from, it->second, EdgeKind::taken);
+        if (const int to = node_at(instance_id, block.succs[1]); to >= 0) {
+          add_edge(from, to, EdgeKind::taken);
         }
         break;
       }
       case Term::fallthrough:
       case Term::ecall:
         for (const std::uint32_t succ : block.succs) {
-          if (const auto it = node_of_block.find(succ); it != node_of_block.end()) {
-            add_edge(from, it->second, EdgeKind::fall);
+          if (const int to = node_at(instance_id, succ); to >= 0) {
+            add_edge(from, to, EdgeKind::fall);
           }
         }
         break;
       case Term::jump:
       case Term::indirect_jump:
         for (const std::uint32_t succ : block.succs) {
-          if (const auto it = node_of_block.find(succ); it != node_of_block.end()) {
-            add_edge(from, it->second, EdgeKind::taken);
+          if (const int to = node_at(instance_id, succ); to >= 0) {
+            add_edge(from, to, EdgeKind::taken);
           }
         }
         if (block.indirect_unresolved) {
@@ -87,8 +107,7 @@ struct Expander {
       case Term::call:
       case Term::indirect_call: {
         WCET_CHECK(block.succs.size() == 1, "call block needs a return site");
-        const auto ret_it = node_of_block.find(block.succs[0]);
-        const int return_site = ret_it == node_of_block.end() ? -1 : ret_it->second;
+        const int return_site = node_at(instance_id, block.succs[0]);
         if (block.indirect_unresolved) {
           issues.push_back({block.term_pc(), "unresolved indirect call in expanded graph"});
         }
@@ -109,20 +128,15 @@ struct Expander {
             continue;
           }
           any_callee = true;
-          const auto [callee_instance, callee_entry_node] =
-              expand_function(callee, instance_id, from);
-          add_edge(from, callee_entry_node, EdgeKind::call);
-          // Wire every return block of the callee back to the site.
-          const CfgFunction& callee_fn = program.function_at(callee);
-          for (const auto& [callee_addr, callee_block] : callee_fn.blocks) {
-            if (callee_block.term != Term::ret) continue;
-            // Find the callee instance's node for this block: nodes were
-            // appended contiguously, search the instance range.
-            for (std::size_t n = 0; n < nodes.size(); ++n) {
-              if (nodes[n].instance == callee_instance &&
-                  nodes[n].block == &callee_block && return_site >= 0) {
-                add_edge(static_cast<int>(n), return_site, EdgeKind::ret);
-              }
+          const int callee_instance = expand_function(callee, instance_id, from);
+          add_edge(from, instance_entry[static_cast<std::size_t>(callee_instance)],
+                   EdgeKind::call);
+          // Wire every return block of the callee back to the site, in
+          // block order.
+          if (return_site < 0) continue;
+          for (const int n : instance_nodes[static_cast<std::size_t>(callee_instance)]) {
+            if (nodes[static_cast<std::size_t>(n)].block->term == Term::ret) {
+              add_edge(n, return_site, EdgeKind::ret);
             }
           }
         }
@@ -138,9 +152,10 @@ struct Expander {
       case Term::halt:
         break;
       }
+      ++from;
     }
     call_path.pop_back();
-    return {instance_id, node_of_block.at(fn_entry)};
+    return instance_id;
   }
 };
 
@@ -149,19 +164,10 @@ struct Expander {
 Supergraph Supergraph::expand(const Program& program, const Options& options) {
   Supergraph sg;
   sg.program_ = &program;
-  Expander expander{program, options, sg.nodes_, sg.edges_, sg.instances_, sg.issues_, {}};
-  const auto [root_instance, entry_node] =
-      expander.expand_function(program.entry(), -1, -1);
-  sg.entry_node_ = entry_node;
-  sg.instance_nodes_.resize(sg.instances_.size());
-  sg.instance_entry_.assign(sg.instances_.size(), -1);
-  for (const SgNode& node : sg.nodes_) {
-    sg.instance_nodes_[static_cast<std::size_t>(node.instance)].push_back(node.id);
-    const Instance& inst = sg.instances_[static_cast<std::size_t>(node.instance)];
-    if (node.block->begin == inst.fn_entry) {
-      sg.instance_entry_[static_cast<std::size_t>(node.instance)] = node.id;
-    }
-  }
+  Expander expander{program,           options,           sg.nodes_,  sg.edges_, sg.instances_,
+                    sg.instance_nodes_, sg.instance_entry_, sg.issues_, {}};
+  const int root_instance = expander.expand_function(program.entry(), -1, -1);
+  sg.entry_node_ = sg.instance_entry_[static_cast<std::size_t>(root_instance)];
   for (const SgNode& node : sg.nodes_) {
     const bool root_ret =
         node.instance == root_instance && node.block->term == Term::ret;

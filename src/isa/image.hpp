@@ -22,6 +22,8 @@ struct Section {
 
   std::uint32_t end() const { return vaddr + static_cast<std::uint32_t>(bytes.size()); }
   bool contains(std::uint32_t addr) const { return addr >= vaddr && addr < end(); }
+  // The little-endian word at `addr`, if all four bytes lie here.
+  std::optional<std::uint32_t> read_word(std::uint32_t addr) const;
   bool operator==(const Section&) const = default;
 };
 

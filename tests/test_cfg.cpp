@@ -214,6 +214,20 @@ done:   ret
   EXPECT_EQ(cuts, 1);
 }
 
+TEST(Supergraph, UndecodedCalleeEntryIsAnAnalysisError) {
+  // A hinted callee whose entry could not be fetched has no blocks: the
+  // expansion refuses it as a classified analysis error.
+  const isa::Image image = assemble(R"(
+        .global main
+main:   callr t0
+        halt
+)");
+  ResolutionHints hints;
+  hints.indirect_targets[0x1000] = {0x9000};
+  const Program program = Program::reconstruct(image, image.entry(), hints);
+  EXPECT_THROW(Supergraph::expand(program), AnalysisError);
+}
+
 // ------------------------------------------------------- dominators/loops
 
 TEST(Dominators, DiamondAndLoop) {
