@@ -63,17 +63,6 @@ std::string Image::describe(std::uint32_t addr) const {
   return os.str();
 }
 
-std::optional<std::uint32_t> Section::read_word(std::uint32_t addr) const {
-  // No section reaches 2^32 (Image::add_section), so a word whose last
-  // byte wraps past it is never contained.
-  if (!contains(addr) || !contains(addr + 3)) return std::nullopt;
-  const std::size_t off = addr - vaddr;
-  return static_cast<std::uint32_t>(bytes[off]) |
-         (static_cast<std::uint32_t>(bytes[off + 1]) << 8) |
-         (static_cast<std::uint32_t>(bytes[off + 2]) << 16) |
-         (static_cast<std::uint32_t>(bytes[off + 3]) << 24);
-}
-
 std::optional<std::uint32_t> Image::read_word(std::uint32_t addr) const {
   const Section* s = section_at(addr);
   if (s == nullptr) return std::nullopt;

@@ -22,8 +22,18 @@ struct Section {
 
   std::uint32_t end() const { return vaddr + static_cast<std::uint32_t>(bytes.size()); }
   bool contains(std::uint32_t addr) const { return addr >= vaddr && addr < end(); }
-  // The little-endian word at `addr`, if all four bytes lie here.
-  std::optional<std::uint32_t> read_word(std::uint32_t addr) const;
+  // The little-endian word at `addr`, if all four bytes lie here. No
+  // section reaches 2^32 (Image::add_section), so a word whose last
+  // byte wraps past it is never contained. Inline: it is the decoder's
+  // instruction fetch.
+  std::optional<std::uint32_t> read_word(std::uint32_t addr) const {
+    if (!contains(addr) || !contains(addr + 3)) return std::nullopt;
+    const std::size_t off = addr - vaddr;
+    return static_cast<std::uint32_t>(bytes[off]) |
+           (static_cast<std::uint32_t>(bytes[off + 1]) << 8) |
+           (static_cast<std::uint32_t>(bytes[off + 2]) << 16) |
+           (static_cast<std::uint32_t>(bytes[off + 3]) << 24);
+  }
   bool operator==(const Section&) const = default;
 };
 
