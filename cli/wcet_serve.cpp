@@ -3,10 +3,10 @@
 // (cli_common.hpp); exit 0 means every analysis stated a bound.
 //
 // One server instance is constructed per process invocation and fed
-// every request: `--repeat N` resubmits each input N times (the
+// every input in order: `--repeat N` resubmits each input N times (the
 // steady-state requests are served from the exact-match report cache),
-// `--batch` shards the inputs as one independent fleet across the
-// worker pool, and `--stats` dumps the server counters after the last
+// a `serve:` line after each report prints the server counters of that
+// request, and `--stats` dumps the cumulative counters after the last
 // request — the text endpoint the `serve_repeat_hits` ctest greps.
 #include <algorithm>
 #include <cstdint>
@@ -34,8 +34,6 @@ void print_usage(std::ostream& os) {
         "  --validate           run the independent validation oracles per request\n"
         "  --repeat N           submit each input N times (default 1); repeats are\n"
         "                       served from the exact-match report cache\n"
-        "  --batch              analyze the inputs as one independent fleet sharded\n"
-        "                       across the pool (one worker per job)\n"
         "  --cache-capacity N   report-cache LRU capacity (default 8)\n"
         "  --stats              print server counters after the last request\n"
         "\n"
@@ -47,7 +45,6 @@ struct CliArgs {
   std::vector<std::string> input_paths;
   std::string annotations_path;
   std::uint64_t repeat = 1;
-  bool batch = false;
   bool stats = false;
   wcet::serve::ServeOptions serve;
 };
@@ -75,8 +72,6 @@ CliArgs parse_args(int argc, char** argv) {
       args.serve.analysis.validate = true;
     } else if (arg == "--repeat") {
       args.repeat = std::max<std::uint64_t>(1, parse_u64(arg, value_of(i, arg)));
-    } else if (arg == "--batch") {
-      args.batch = true;
     } else if (arg == "--cache-capacity") {
       args.serve.report_cache_capacity =
           static_cast<std::size_t>(parse_u64(arg, value_of(i, arg)));
@@ -106,36 +101,21 @@ int run(int argc, char** argv) {
   wcet::serve::AnalysisServer server(wcet::mem::typical_hw(), args.serve);
   bool all_ok = true;
 
-  if (args.batch) {
-    std::vector<wcet::serve::BatchJob> jobs(images.size());
-    for (std::size_t i = 0; i < images.size(); ++i) {
-      jobs[i].image = &images[i];
-      jobs[i].annotation_text = annotations;
-    }
+  for (std::size_t i = 0; i < images.size(); ++i) {
+    wcet::WcetReport report;
+    std::uint64_t dirty_before = 0;
     for (std::uint64_t r = 0; r < args.repeat; ++r) {
-      const std::vector<wcet::WcetReport> reports = server.submit_batch(jobs);
-      if (r + 1 < args.repeat) continue; // print the final round only
-      for (std::size_t i = 0; i < reports.size(); ++i) {
-        std::cout << "--- " << args.input_paths[i] << " ---\n"
-                  << reports[i].to_string();
-        check_validation(reports[i]);
-        all_ok = all_ok && reports[i].ok;
-      }
+      dirty_before = server.stats().dirty_instances;
+      report = server.submit(images[i], annotations);
     }
-  } else {
-    for (std::size_t i = 0; i < images.size(); ++i) {
-      wcet::WcetReport report;
-      for (std::uint64_t r = 0; r < args.repeat; ++r) {
-        report = server.submit(images[i], annotations);
-      }
-      if (images.size() > 1) std::cout << "--- " << args.input_paths[i] << " ---\n";
-      std::cout << report.to_string();
-      std::cout << "serve: request " << report.serve_requests << ", fingerprint hits "
-                << report.serve_fingerprint_hits << ", dirty instances "
-                << report.serve_dirty_instances << '\n';
-      check_validation(report);
-      all_ok = all_ok && report.ok;
-    }
+    const wcet::serve::ServeStats& stats = server.stats();
+    if (images.size() > 1) std::cout << "--- " << args.input_paths[i] << " ---\n";
+    std::cout << report.to_string();
+    std::cout << "serve: request " << stats.requests << ", fingerprint hits "
+              << stats.fingerprint_hits << ", dirty instances "
+              << stats.dirty_instances - dirty_before << '\n';
+    check_validation(report);
+    all_ok = all_ok && report.ok;
   }
 
   if (args.stats) std::cout << server.stats().to_string();

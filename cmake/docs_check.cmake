@@ -101,7 +101,7 @@ if(failures EQUAL 0)
       "WarmHandoff"
       "verified, never trusted"
       "warm_guard_ok"
-      "submit_batch")
+      "ServeStats")
 endif()
 
 if(failures GREATER 0)

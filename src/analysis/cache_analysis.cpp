@@ -1371,15 +1371,13 @@ void CacheAnalysis::persistence_tree(const std::vector<int>& loop_ids) {
   }
 }
 
-void CacheAnalysis::run() { (void)run(nullptr, nullptr); }
-
-bool CacheAnalysis::run(const CacheAnalysis* prev, const std::vector<char>* instance_clean) {
+CacheAnalysis::Start CacheAnalysis::run(const CacheAnalysis* prev,
+                                        const std::vector<char>* instance_clean) {
   // Both the candidate-line tables and the per-node transfer recipes
   // the fixpoint replays (once per decode round, fanned out over the
   // pool into dense per-node slots).
   transfers_->build_cache_recipes(memmap_, iconfig_, dconfig_, pool_);
-  bool warm_used = false;
-  warm_fallback_ = false;
+  Start start = Start::cold;
   if (schedule_ == Schedule::priority) {
     const bool try_warm =
         prev != nullptr && instance_clean != nullptr && !prev->degraded_ &&
@@ -1387,12 +1385,11 @@ bool CacheAnalysis::run(const CacheAnalysis* prev, const std::vector<char>* inst
         instance_clean->size() == sg_.instances().size() &&
         prev->in_i_.size() == in_i_.size() && warm_guard_ok(*instance_clean);
     if (try_warm) {
-      warm_used = fixpoint_instance_rounds(prev, instance_clean);
-      if (!warm_used) {
+      start = fixpoint_instance_rounds(prev, instance_clean) ? Start::warm : Start::fallback;
+      if (start == Start::fallback) {
         // Divergence: every state (frozen or partially iterated) is
         // suspect — discard wholesale and rerun the cold fixpoint, so
         // the published classifications are exactly the cold result.
-        warm_fallback_ = true;
         const std::size_t n = sg_.nodes().size();
         in_i_.assign(n, CachePair{AbsCache::cold(iconfig_, true),
                                   AbsCache::cold(iconfig_, false)});
@@ -1441,7 +1438,7 @@ bool CacheAnalysis::run(const CacheAnalysis* prev, const std::vector<char>* inst
   };
   parallel_for(pool_, sg_.nodes().size(), record_node);
   persistence();
-  return warm_used;
+  return start;
 }
 
 CacheAnalysis::Stats CacheAnalysis::stats() const {

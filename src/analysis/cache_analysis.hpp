@@ -122,10 +122,6 @@ public:
   bool join_with(const AbsCache& other); // true if changed
   bool operator==(const AbsCache& other) const;
 
-  // Pointer identity of the full set-image vector: true implies equal
-  // states (the reverse does not hold). Exposed for tests.
-  bool same_state_as(const AbsCache& other) const { return sets_.same_as(other.sets_); }
-
   // ---- overlay interface ----------------------------------------------
   // The fixpoint replays each node's per-set access programs
   // (TransferCache::CacheRecipe::fetch_groups / data_groups) against
@@ -237,6 +233,10 @@ public:
   // the least fixpoint is provably schedule-independent: both
   // schedules, at any worker count, reach the identical classification.
   enum class Schedule { priority, round_robin };
+  // How run() started its fixpoint: cold (no warm start attempted),
+  // warm (the warm fixpoint was committed) or fallback (a warm attempt
+  // diverged and the cold fixpoint re-ran).
+  enum class Start { cold, warm, fallback };
 
   // `schedule_priorities`: the shared per-node fixpoint priorities
   // (cfg::rpo_priorities; the round-robin reference ignores them).
@@ -264,8 +264,6 @@ public:
   // True when a budget/deadline trip truncated the fixpoint.
   bool degraded() const { return degraded_; }
 
-  void run();
-
   // Incremental warm-start (src/serve): `prev` is the previous
   // converged analysis of a structurally identical supergraph and
   // `instance_clean` flags instances whose code words AND value states
@@ -280,12 +278,10 @@ public:
   // feasible dirty->clean boundary edge stays feasible and delivers a
   // bit-identical out-state. Any violation discards the warm states
   // and reruns the cold fixpoint, so the published classifications are
-  // always exactly the cold result. Returns true when the warm
-  // fixpoint was committed (false: cold path ran, possibly after a
-  // divergence fallback — see warm_fallback()).
-  bool run(const CacheAnalysis* prev, const std::vector<char>* instance_clean);
-  // True when the last run() attempted a warm start that diverged.
-  bool warm_fallback() const { return warm_fallback_; }
+  // always exactly the cold result. Without `prev` the fixpoint runs
+  // cold.
+  Start run(const CacheAnalysis* prev = nullptr,
+            const std::vector<char>* instance_clean = nullptr);
 
   // Per node: classification of each instruction fetch (index-aligned
   // with the block's instruction list).
@@ -381,7 +377,6 @@ private:
   ThreadPool* pool_ = nullptr;
   const AnalysisGovernor* governor_ = nullptr;
   bool degraded_ = false;
-  bool warm_fallback_ = false;
   std::vector<CachePair> in_i_;
   std::vector<CachePair> in_d_;
   // unsigned char, not vector<bool>: parallel instance rounds mark

@@ -7,7 +7,6 @@
 #include "support/budget.hpp"
 #include "support/diag.hpp"
 #include "support/fault_inject.hpp"
-#include "support/fixpoint.hpp"
 #include "support/instance_rounds.hpp"
 #include "support/thread_pool.hpp"
 
@@ -27,18 +26,6 @@ constexpr unsigned widen_delay = 3;
 // an access whose address interval spans more than this many words
 // widens to the region hull (TOP) instead of being enumerated.
 constexpr std::size_t max_enum_words = 64;
-
-// Mix an interval as two words (bottom tag + packed bounds): an
-// in-band sentinel for bottom could collide with a real interval and
-// make two distinct states hash identically.
-void mix_interval(StateHash& h, const Interval& iv) {
-  if (iv.is_bottom()) {
-    h.mix_pair(0, 0);
-    return;
-  }
-  h.mix_pair(1, (static_cast<std::uint64_t>(iv.umin()) << 32) |
-                    static_cast<std::uint64_t>(iv.umax()));
-}
 
 Interval sized_top(int size, bool sign_extend) {
   switch (size) {
@@ -191,20 +178,6 @@ void AbsState::widen_from(const AbsState& older) {
     }
     return !value.is_top();
   });
-}
-
-std::uint64_t AbsState::summary_hash() const {
-  StateHash h;
-  if (bottom) return h.value();
-  h.mix(1);
-  for (int r = 0; r < isa::num_registers; ++r) mix_interval(h, regs[r]);
-  h.mix(mem->size());
-  for (const auto& [addr, value] : *mem) {
-    h.mix(addr);
-    mix_interval(h, value);
-  }
-  for (const Interval& region : written) mix_interval(h, region);
-  return h.value();
 }
 
 ValueAnalysis::ValueAnalysis(const cfg::Supergraph& sg, const cfg::LoopForest& loops,

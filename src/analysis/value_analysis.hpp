@@ -59,10 +59,6 @@ struct AbsState {
   bool join_with(const AbsState& other); // returns true if changed
   void widen_from(const AbsState& older);
   bool operator==(const AbsState& other) const;
-  // Fingerprint over the full state (FNV-1a), for cross-run determinism
-  // checks and debugging summaries. Never used to gate joins: a hash
-  // match cannot prove state equality (see support/fixpoint.hpp).
-  std::uint64_t summary_hash() const;
 };
 
 struct AccessInfo {

@@ -31,8 +31,6 @@ class Dominators {
 public:
   explicit Dominators(const Supergraph& sg);
 
-  // Immediate dominator node id, -1 for the entry / unreachable nodes.
-  int idom(int node) const { return idom_[static_cast<std::size_t>(node)]; }
   bool reachable(int node) const { return reachable_[static_cast<std::size_t>(node)]; }
   bool dominates(int a, int b) const;
   // Reverse postorder of reachable nodes.

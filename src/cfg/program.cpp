@@ -25,8 +25,9 @@ namespace {
 // the current section does not scan the section table as
 // Image::read_word does. Function names and jump-table sizes come from
 // a sorted index of the symbols that start at an address. Nothing is
-// cached in the Image itself: batch mode decodes on several pool
-// workers at once, all reading one Image.
+// cached in the Image itself: the analysis reads an Image only through
+// const references, so one Image may be decoded by several threads at
+// once.
 class ImageView {
 public:
   explicit ImageView(const isa::Image& image) : image_(image) {

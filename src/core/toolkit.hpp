@@ -26,12 +26,6 @@ struct BoundCheck {
     return analysis_ok && run_completed && bcet_bound <= observed_cycles &&
            observed_cycles <= wcet_bound;
   }
-  // WCET over-estimation factor against this particular observation.
-  double wcet_ratio() const {
-    return observed_cycles == 0 ? 0.0
-                                : static_cast<double>(wcet_bound) /
-                                      static_cast<double>(observed_cycles);
-  }
 };
 
 // Run one simulation and compare against the statically computed bounds.

@@ -89,8 +89,6 @@ struct Inst {
   std::int64_t imm = 0;
 
   bool is_conditional_branch() const;
-  bool is_direct_jump() const { return op == Opcode::jal; }
-  bool is_indirect_jump() const { return op == Opcode::jalr; }
   bool is_call() const; // jal/jalr with rd == ra
   bool is_return() const; // jalr r0, ra, 0
   bool is_load() const;

@@ -193,7 +193,6 @@ struct TranslationUnit {
   std::vector<std::unique_ptr<Function>> functions;
 
   Function* find_function(const std::string& name) const;
-  Symbol* find_global(const std::string& name) const;
 };
 
 } // namespace wcet::mcc

@@ -78,13 +78,6 @@ Function* TranslationUnit::find_function(const std::string& name) const {
   return nullptr;
 }
 
-Symbol* TranslationUnit::find_global(const std::string& name) const {
-  for (const auto& g : globals) {
-    if (g->name == name) return g.get();
-  }
-  return nullptr;
-}
-
 // ------------------------------------------------------------------ sema
 
 namespace {

@@ -42,8 +42,6 @@ public:
   // disjoint. Used for annotation-supplied region refinements.
   void add_region_override(const Region& region);
   const Region& region_for(std::uint32_t addr) const;
-  const Region& default_region() const { return default_region_; }
-  void set_default_region(Region region) { default_region_ = std::move(region); }
   const std::vector<Region>& regions() const { return regions_; }
   const Region* find(const std::string& name) const;
 

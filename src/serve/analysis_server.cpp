@@ -5,6 +5,7 @@
 #include <new>
 #include <sstream>
 #include <utility>
+#include <vector>
 
 #include "support/diag.hpp"
 #include "support/fault_inject.hpp"
@@ -84,12 +85,7 @@ std::string ServeStats::to_string() const {
      << path_reuses << " sub-ILPs reused, "
      << dirty_instances << " dirty instances\n";
   os << "report cache: " << evictions << " evictions\n";
-  os << "batch: " << batch_jobs << " jobs, " << batch_errors << " errors\n";
   os << "degradations: " << degradations << '\n';
-  os << "last timings (ms): decode " << last_timings.decode_ms << ", value "
-     << last_timings.value_ms << ", loop " << last_timings.loop_ms << ", cache "
-     << last_timings.cache_ms << ", pipeline " << last_timings.pipeline_ms << ", path "
-     << last_timings.path_ms << ", total " << last_timings.total_ms << '\n';
   return os.str();
 }
 
@@ -144,11 +140,7 @@ WcetReport AnalysisServer::submit_request(const isa::Image& image,
     if (it->annotation_text != annotation_text || !(it->image == image)) continue;
     ++stats_.fingerprint_hits;
     report_cache_.splice(report_cache_.begin(), report_cache_, it);
-    WcetReport report = report_cache_.front().report;
-    report.serve_requests = stats_.requests;
-    report.serve_fingerprint_hits = stats_.fingerprint_hits;
-    report.serve_dirty_instances = 0; // nothing re-analyzed
-    return report;
+    return report_cache_.front().report;
   }
 
   auto next = std::make_unique<Converged>();
@@ -192,13 +184,12 @@ WcetReport AnalysisServer::run_pipeline(std::unique_ptr<Converged> next) {
   };
   run_figure1(ctx, *pool_, install_warm);
 
-  std::uint64_t dirty = ctx.supergraph->instances().size();
   if (ctx.warm != nullptr) {
     ++stats_.warm_runs;
-    dirty = static_cast<std::uint64_t>(ctx.warm->dirty_instances);
-    stats_.dirty_instances += dirty;
-    if (ctx.warm->cache_warm) ++stats_.warm_cache_starts;
-    if (ctx.warm->cache_fallback) ++stats_.warm_fallbacks;
+    stats_.dirty_instances += static_cast<std::uint64_t>(ctx.warm->dirty_instances);
+    using Start = analysis::CacheAnalysis::Start;
+    if (ctx.warm->cache_start == Start::warm) ++stats_.warm_cache_starts;
+    if (ctx.warm->cache_start == Start::fallback) ++stats_.warm_fallbacks;
     stats_.path_reuses += static_cast<std::uint64_t>(ctx.wcet_result.sub_ilps_reused);
   } else {
     ++stats_.cold_runs;
@@ -207,7 +198,6 @@ WcetReport AnalysisServer::run_pipeline(std::unique_ptr<Converged> next) {
   WcetReport report = std::move(ctx.report);
   report.timings.total_ms = ms_since(t_total);
   stats_.degradations += report.degradations.size();
-  stats_.last_timings = report.timings;
 
   // Promote this run to the reuse anchor.
   next->ok = report.ok;
@@ -215,10 +205,6 @@ WcetReport AnalysisServer::run_pipeline(std::unique_ptr<Converged> next) {
   // Drop the borrowed pointer into the old context before destroying it.
   ctx.warm.reset();
   current_ = std::move(next);
-
-  report.serve_requests = stats_.requests;
-  report.serve_fingerprint_hits = stats_.fingerprint_hits;
-  report.serve_dirty_instances = dirty;
   return report;
 }
 
@@ -231,53 +217,6 @@ void AnalysisServer::cache_insert(const isa::Image& image, const std::string& an
     ++stats_.evictions;
   }
   report_cache_.push_front(CacheEntry{image, annotation_text, report});
-}
-
-std::vector<WcetReport> AnalysisServer::submit_batch(const std::vector<BatchJob>& jobs) {
-  stats_.batch_jobs += jobs.size();
-  std::vector<WcetReport> reports(jobs.size());
-  std::vector<char> errored(jobs.size(), 0);
-
-  // Fleet isolation: each job runs sequentially inside one pool worker
-  // (options.threads = 1) under its own governor and budget; failures
-  // become classified error reports in the job's own slot.
-  const auto run_job = [&](std::size_t i) {
-    const BatchJob& job = jobs[i];
-    WcetReport& report = reports[i];
-    const auto fail = [&](const std::string& what) {
-      report = WcetReport{};
-      report.ok = false;
-      report.obstructions.push_back("serve: " + what);
-      errored[i] = 1;
-    };
-    try {
-      if (job.image == nullptr) throw InputError("batch job has no image");
-      AnalysisOptions options = options_.analysis;
-      options.threads = 1; // fleet parallelism is across jobs, not within
-      options.budget = job.budget;
-      const Analyzer analyzer(*job.image, base_hw_, job.annotation_text);
-      report = analyzer.analyze(options);
-    } catch (const InputError& e) {
-      fail(std::string("input error: ") + e.what());
-    } catch (const AnalysisError& e) {
-      fail(std::string("analysis error: ") + e.what());
-    } catch (const InternalError& e) {
-      fail(std::string("internal error: ") + e.what());
-    } catch (const std::bad_alloc&) {
-      fail("analysis error: out of memory");
-    } catch (const std::exception& e) {
-      fail(std::string("internal error: unclassified exception: ") + e.what());
-    }
-  };
-
-  pool_->set_governor(nullptr); // job budgets live in per-job governors
-  pool_->parallel_for(jobs.size(), run_job);
-
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    if (errored[i] != 0) ++stats_.batch_errors;
-    stats_.degradations += reports[i].degradations.size();
-  }
-  return reports;
 }
 
 } // namespace wcet::serve

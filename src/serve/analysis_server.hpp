@@ -20,24 +20,18 @@
 // operator==) and annotation text both equal a cached request's is
 // served without touching the pipeline at all.
 //
-// Batch fleet mode (`submit_batch`) shards N independent images across
-// the server's ThreadPool: each job runs sequentially inside one worker
-// with its own AnalysisGovernor and budget, so one job's degradation or
-// failure never leaks into another — a malformed image yields a
-// classified error report in its slot, the remaining jobs are
-// unaffected.
+// Server telemetry lives in ServeStats alone: reports carry only the
+// analysis, and callers read per-request counters as stats() deltas.
 #pragma once
 
 #include <cstdint>
 #include <list>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "annot/annotations.hpp"
 #include "isa/image.hpp"
 #include "mem/hwmodel.hpp"
-#include "support/budget.hpp"
 #include "wcet/analyzer.hpp"
 
 namespace wcet {
@@ -58,9 +52,9 @@ struct ServeOptions {
   std::size_t report_cache_capacity = 8;
 };
 
-// Cumulative server telemetry, exported per request into
-// WcetReport::serve_* and as text via to_string() (the --stats
-// endpoint of cli/wcet_serve.cpp).
+// Cumulative server telemetry, read through AnalysisServer::stats()
+// and as text via to_string() (the --stats endpoint of
+// cli/wcet_serve.cpp).
 struct ServeStats {
   std::uint64_t requests = 0;           // interactive submissions handled
   std::uint64_t fingerprint_hits = 0;   // served from the report cache
@@ -69,23 +63,11 @@ struct ServeStats {
   std::uint64_t warm_cache_starts = 0;  // warm cache fixpoint committed
   std::uint64_t warm_fallbacks = 0;     // warm cache attempt diverged -> cold fixpoint
   std::uint64_t path_reuses = 0;        // sub-ILPs adopted unsolved from the previous run
-  std::uint64_t dirty_instances = 0;    // cumulative code-dirty instances
+  std::uint64_t dirty_instances = 0;    // cumulative code-dirty instances of warm runs
   std::uint64_t evictions = 0;          // report-cache LRU evictions
-  std::uint64_t batch_jobs = 0;         // jobs accepted by submit_batch
-  std::uint64_t batch_errors = 0;       // ... that ended in a classified error
   std::uint64_t degradations = 0;       // cumulative degradation-ledger entries
-  // Per-phase milliseconds of the most recent pipeline run (cache hits
-  // leave it untouched).
-  PhaseTimings last_timings;
 
   std::string to_string() const;
-};
-
-// One independent image of a batch submission.
-struct BatchJob {
-  const isa::Image* image = nullptr; // caller-owned, must outlive the call
-  std::string annotation_text;
-  AnalysisBudget budget; // per-job resource envelope (cancel not owned)
 };
 
 class AnalysisServer {
@@ -98,15 +80,8 @@ public:
 
   // Analyzes `image` under the server's fixed options, serving from the
   // report cache or the incremental warm path when possible. Throws the
-  // same classified errors as Analyzer::analyze. The returned report's
-  // serve_* fields carry the server counters as of this request.
+  // same classified errors as Analyzer::analyze.
   WcetReport submit(const isa::Image& image, const std::string& annotation_text = "");
-
-  // Fleet mode: analyzes every job independently (cold, one worker
-  // each), sharded across the server pool. Reports come back in
-  // submission order; a failed job yields a classified !ok report in
-  // its slot instead of poisoning the batch.
-  std::vector<WcetReport> submit_batch(const std::vector<BatchJob>& jobs);
 
   const ServeStats& stats() const { return stats_; }
 

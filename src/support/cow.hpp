@@ -239,8 +239,6 @@ public:
   bool leaf_same_as(std::size_t i, const CowVec& other) const {
     return (*spine_)[i].same_as((*other.spine_)[i]);
   }
-  // Leaf identity token (see CowPtr::identity).
-  const void* leaf_identity(std::size_t i) const { return (*spine_)[i].identity(); }
   // Borrowed view of the contiguous leaf array (no refcount traffic).
   // A CowPtr is a single pointer, so identity scans over this array
   // vectorize — the join fast paths diff two states' leaf arrays in a

@@ -37,10 +37,7 @@
 // twice. Re-queueing decisions must come from `join`'s exact change
 // reporting — never from fingerprint comparison: a 64-bit hash match
 // cannot prove state equality, and a collision-dropped join would
-// silently understate the fixpoint (an unsound WCET bound). The
-// companion `StateHash` exists for cheap state fingerprinting where
-// exactness is not load-bearing: cross-run determinism checks and
-// debugging/telemetry summaries.
+// silently understate the fixpoint (an unsound WCET bound).
 #pragma once
 
 #include <cstddef>
@@ -113,24 +110,5 @@ void run_fixpoint(PriorityWorklist& worklist, const AnalysisGovernor* governor,
     process(node);
   }
 }
-
-// FNV-1a 64-bit accumulator for cheap state fingerprints. Not
-// cryptographic, and never a substitute for exact state comparison in
-// soundness-critical paths (see the header comment).
-class StateHash {
-public:
-  void mix(std::uint64_t v) {
-    h_ ^= v;
-    h_ *= 0x100000001b3ull;
-  }
-  void mix_pair(std::uint64_t a, std::uint64_t b) {
-    mix(a);
-    mix(b);
-  }
-  std::uint64_t value() const { return h_; }
-
-private:
-  std::uint64_t h_ = 0xcbf29ce484222325ull;
-};
 
 } // namespace wcet

@@ -126,10 +126,6 @@ public:
   void set_governor(const AnalysisGovernor* governor) { governor_ = governor; }
 
   std::size_t num_instances() const { return inst_nodes_.size(); }
-  // An instance's nodes in local iteration order.
-  const std::vector<int>& nodes_of(int instance) const {
-    return inst_nodes_[static_cast<std::size_t>(instance)];
-  }
 
   // Schedule `node` for (re-)evaluation. Callable from `process` only
   // for nodes of the instance being processed (rule 1 above); callable

@@ -100,16 +100,6 @@ void Rational::normalize() {
   check_magnitude(den_);
 }
 
-std::int64_t Rational::numerator64() const {
-  WCET_CHECK(abs128(num_) <= INT64_MAX, "rational numerator out of int64 range");
-  return static_cast<std::int64_t>(num_);
-}
-
-std::int64_t Rational::denominator64() const {
-  WCET_CHECK(den_ <= INT64_MAX, "rational denominator out of int64 range");
-  return static_cast<std::int64_t>(den_);
-}
-
 std::int64_t Rational::floor64() const {
   __int128 q = num_ / den_;
   if (num_ % den_ != 0 && num_ < 0) --q;
@@ -122,10 +112,6 @@ std::int64_t Rational::ceil64() const {
   if (num_ % den_ != 0 && num_ > 0) ++q;
   WCET_CHECK(abs128(q) <= INT64_MAX, "rational ceil out of int64 range");
   return static_cast<std::int64_t>(q);
-}
-
-double Rational::to_double() const {
-  return static_cast<double>(num_) / static_cast<double>(den_);
 }
 
 // A reduced fraction stays reduced under negation: no gcd needed.

@@ -23,13 +23,8 @@ public:
   bool is_negative() const { return num_ < 0; }
   bool is_positive() const { return num_ > 0; }
 
-  // Valid only when the value fits in 64 bits.
-  std::int64_t numerator64() const;
-  std::int64_t denominator64() const;
-
   std::int64_t floor64() const;
   std::int64_t ceil64() const;
-  double to_double() const;
 
   Rational operator-() const;
   Rational operator+(const Rational& rhs) const;

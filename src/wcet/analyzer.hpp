@@ -158,11 +158,6 @@ struct WcetReport {
   std::uint64_t measured_cycles = 0;  // replayed cycles (true lower bound)
   std::uint64_t tightness_x1000 = 0;  // wcet_cycles * 1000 / measured_cycles
 
-  // Analysis-server telemetry (src/serve), zero outside a server run.
-  std::uint64_t serve_requests = 0;         // requests the server has handled so far
-  std::uint64_t serve_fingerprint_hits = 0; // request-level cache hits so far
-  std::uint64_t serve_dirty_instances = 0;  // code-dirty instances, this request
-
   // Execution counts on the worst-case path, summed per block address.
   std::map<std::uint32_t, std::uint64_t> wcet_block_counts;
 

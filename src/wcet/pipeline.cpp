@@ -214,9 +214,8 @@ void cache_phase(AnalysisContext& ctx) {
       ctx.transfers.get(), ctx.pool);
   ctx.caches->set_governor(ctx.governor);
   if (warm_ready) {
-    ctx.warm->cache_warm =
+    ctx.warm->cache_start =
         ctx.caches->run(ctx.warm->prev->caches.get(), &ctx.warm->instance_clean);
-    ctx.warm->cache_fallback = ctx.caches->warm_fallback();
   } else {
     ctx.caches->run();
   }

@@ -93,8 +93,8 @@ struct AnalysisContext {
     // phase narrows it to instances whose value results are unchanged.
     std::vector<char> instance_clean;
     int dirty_instances = 0;               // code-dirty instance count
-    bool cache_warm = false;               // cache fixpoint warm-start committed
-    bool cache_fallback = false;           // warm attempt diverged -> cold rerun
+    // How the cache fixpoint started under this handoff.
+    analysis::CacheAnalysis::Start cache_start = analysis::CacheAnalysis::Start::cold;
   };
   std::unique_ptr<WarmHandoff> warm; // null: cold request
 

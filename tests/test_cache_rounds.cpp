@@ -21,7 +21,6 @@
 #include "cfg/supergraph.hpp"
 #include "core/toolkit.hpp"
 #include "mcc/runtime.hpp"
-#include "support/fixpoint.hpp"
 #include "support/thread_pool.hpp"
 #include "tests/differential_shapes.hpp"
 #include "tests/front_half.hpp"
@@ -191,29 +190,10 @@ TEST(CacheRounds, RecipeMemoCoherenceAcrossDecodeFeedback) {
   }
 }
 
-// FNV fingerprint over everything the cache phase feeds downstream —
-// the compact cross-run identity used by the Arg(32) sharing sweep.
-std::uint64_t classification_fingerprint(const cfg::Supergraph& sg,
-                                         const CacheAnalysis& analysis) {
-  StateHash h;
-  for (const cfg::SgNode& node : sg.nodes()) {
-    for (const auto& fc : analysis.fetch_classes(node.id)) {
-      h.mix_pair(static_cast<std::uint64_t>(fc.cls),
-                 static_cast<std::uint64_t>(fc.persistent_loop + 1));
-    }
-    for (const auto& dc : analysis.data_classes(node.id)) {
-      h.mix_pair(static_cast<std::uint64_t>(dc.cls),
-                 static_cast<std::uint64_t>(dc.persistent_loop + 1));
-      h.mix(dc.candidate_count);
-    }
-  }
-  return h.value();
-}
-
 TEST(CacheRounds, Arg32FingerprintsIdenticalAndLeavesShared) {
   // The 32-function synthetic call tree (a shape
-  // ParallelOracle.ScalingShapeBoundsPinned pins): classification
-  // fingerprints must be bit-identical for every worker count, and the
+  // ParallelOracle.ScalingShapeBoundsPinned pins): classifications
+  // must be bit-identical for every worker count, and the
   // COW states must actually share — a fixpoint whose pointer-equality
   // join gate never fires would mean every leaf is cloned and the
   // structural sharing regressed to deep copies.
@@ -230,14 +210,13 @@ TEST(CacheRounds, Arg32FingerprintsIdenticalAndLeavesShared) {
   // resolved by pointer identity, not by merging.
   EXPECT_GT(stats.join_skips, stats.joins);
 
-  const std::uint64_t expected = classification_fingerprint(p.sg, baseline);
   for (const unsigned workers : {1u, 2u, 4u, 8u}) {
     ThreadPool pool(workers);
     CacheAnalysis rounds(p.sg, p.loops, p.values, p.hw.memory, p.hw.icache, p.hw.dcache,
                          CacheAnalysis::Schedule::priority, p.schedule, &p.transfers, &pool);
     rounds.run();
-    EXPECT_EQ(classification_fingerprint(p.sg, rounds), expected)
-        << "workers " << workers;
+    expect_identical_classifications(p.sg, baseline, rounds,
+                                     "workers " + std::to_string(workers));
   }
 }
 

@@ -1,8 +1,8 @@
 // Analysis-server contract (src/serve): incremental warm re-analysis
-// must be bit-identical to a cold run of the edited image, the report
-// cache must serve a request only when its image and annotation text
-// both equal a cached request's, and batch fleet jobs must stay
-// isolated from each other's failures and budgets.
+// must be bit-identical to a cold run of the edited image, including
+// when the warm cache start refuses an edit and the fixpoint runs
+// cold, and the report cache must serve a request only when its image
+// and annotation text both equal a cached request's.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -17,6 +17,29 @@
 namespace wcet {
 namespace {
 
+// A data array, f and h around the given definition of g. main calls
+// f, g and h in sequence, or with `g_in_loop` calls g inside a counted
+// loop between f and h.
+std::string program_around(const std::string& g_def, bool g_in_loop = false) {
+  std::ostringstream os;
+  os << "int data[16] = {3,1,4,1,5,9,2,6,5,3,5,8,9,7,9,3};\n";
+  os << "int f(int x) { int i; int s = x;\n"
+        "  for (i = 0; i < 5; i++) { s += data[(s + i) & 15]; }\n"
+        "  return s; }\n";
+  os << g_def;
+  os << "int h(int x) { int i; int s = x;\n"
+        "  for (i = 0; i < 4; i++) { s += data[(s ^ i) & 15]; }\n"
+        "  return s; }\n";
+  if (g_in_loop) {
+    os << "int main(void) { int i; int t = 1; t += f(t);\n"
+          "  for (i = 0; i < 3; i++) { t += g(t); }\n"
+          "  t += h(t); return t; }\n";
+  } else {
+    os << "int main(void) { int t = 1; t += f(t); t += g(t); t += h(t); return t; }\n";
+  }
+  return os.str();
+}
+
 // main calls f, g, h sequentially — calls deliberately NOT inside any
 // loop, so no loop spans a clean/dirty instance boundary and the warm
 // cache fixpoint's structural guard admits the edit. Changing
@@ -26,21 +49,22 @@ namespace {
 // per-instance clean check is built for. `extra_g_statement` adds
 // one statement to g, shifting every later block address instead.
 std::string calls_program(int g_bound, bool extra_g_statement = false) {
-  std::ostringstream os;
-  os << "int data[16] = {3,1,4,1,5,9,2,6,5,3,5,8,9,7,9,3};\n";
-  os << "int f(int x) { int i; int s = x;\n"
-        "  for (i = 0; i < 5; i++) { s += data[(s + i) & 15]; }\n"
-        "  return s; }\n";
-  os << "int g(int x) { int i; int s = x;\n"
-        "  for (i = 0; i < "
-     << g_bound
-     << "; i++) { s += data[(s + 2 * i) & 15]; }\n"
-     << (extra_g_statement ? "  s += data[s & 15];\n" : "") << "  return s; }\n";
-  os << "int h(int x) { int i; int s = x;\n"
-        "  for (i = 0; i < 4; i++) { s += data[(s ^ i) & 15]; }\n"
-        "  return s; }\n";
-  os << "int main(void) { int t = 1; t += f(t); t += g(t); t += h(t); return t; }\n";
-  return os.str();
+  std::ostringstream g;
+  g << "int g(int x) { int i; int s = x;\n"
+       "  for (i = 0; i < "
+    << g_bound << "; i++) { s += data[(s + 2 * i) & 15]; }\n"
+    << (extra_g_statement ? "  s += data[s & 15];\n" : "") << "  return s; }\n";
+  return program_around(g.str());
+}
+
+// A g that adds one array element. data[4] == data[8] == 5, so the
+// edit K = 4 -> 8 leaves every value state outside g unchanged (f, h
+// and main stay clean after value verification), but the two words
+// sit in different 16-byte cache lines, so g hands its callers a
+// different data-cache state.
+std::string lookup_program(int k, bool g_in_loop) {
+  return program_around("int g(int x) { return x + data[" + std::to_string(k) + "]; }\n",
+                        g_in_loop);
 }
 
 isa::Image compile(const std::string& source) {
@@ -88,7 +112,7 @@ TEST(Serve, EditOneFunctionWarmEqualsCold) {
       // The edit must actually exercise the incremental machinery:
       // structure matched, exactly one instance (g) went dirty.
       EXPECT_EQ(server.stats().warm_runs, 1u) << label.str();
-      EXPECT_EQ(warm.serve_dirty_instances, 1u) << label.str();
+      EXPECT_EQ(server.stats().dirty_instances, 1u) << label.str();
       // The edit changed g's bound, so the two programs must not
       // accidentally share a WCET (that would make the oracle vacuous).
       EXPECT_NE(warm.wcet_cycles, first.wcet_cycles) << label.str();
@@ -115,6 +139,47 @@ TEST(Serve, LayoutEditRunsCold) {
   EXPECT_EQ(server.stats().cold_runs, 2u);
   const Analyzer cold_analyzer(shifted, mem::typical_hw());
   expect_same_bounds(second, cold_analyzer.analyze(), "layout edit");
+}
+
+// Submits lookup_program(4) then lookup_program(8) and checks the warm
+// report against a cold analysis of the edited image.
+serve::ServeStats submit_lookup_edit(bool g_in_loop, int threads, const std::string& label) {
+  const isa::Image base = compile(lookup_program(4, g_in_loop));
+  const isa::Image edited = compile(lookup_program(8, g_in_loop));
+  serve::ServeOptions options;
+  options.analysis.threads = threads;
+  serve::AnalysisServer server(mem::typical_hw(), options);
+  EXPECT_TRUE(server.submit(base).ok) << label;
+  const WcetReport warm = server.submit(edited);
+  EXPECT_EQ(server.stats().warm_runs, 1u) << label;
+  EXPECT_EQ(server.stats().dirty_instances, 1u) << label;
+  expect_same_bounds(warm, Analyzer(edited, mem::typical_hw()).analyze(options.analysis),
+                     label);
+  return server.stats();
+}
+
+// Divergence fallback: no loop spans g, so the warm cache start is
+// attempted, but g's changed out-state reaches the clean instance of
+// main. The warm states are discarded and the fixpoint re-runs cold.
+TEST(Serve, WarmCacheDivergenceFallsBackCold) {
+  for (const int threads : {1, 4}) {
+    const std::string label = "threads=" + std::to_string(threads);
+    const serve::ServeStats stats = submit_lookup_edit(false, threads, label);
+    EXPECT_EQ(stats.warm_fallbacks, 1u) << label;
+    EXPECT_EQ(stats.warm_cache_starts, 0u) << label;
+  }
+}
+
+// Guard refusal: main's loop spans the clean instance of main and the
+// dirty instance of g, so the warm cache start is not attempted at all.
+// The request still runs warm (the path phase may reuse sub-ILPs).
+TEST(Serve, WarmCacheGuardRefusesLoopAcrossEdit) {
+  for (const int threads : {1, 4}) {
+    const std::string label = "threads=" + std::to_string(threads);
+    const serve::ServeStats stats = submit_lookup_edit(true, threads, label);
+    EXPECT_EQ(stats.warm_cache_starts, 0u) << label;
+    EXPECT_EQ(stats.warm_fallbacks, 0u) << label;
+  }
 }
 
 // The constants of leaf 3 that the warm-edit tests vary. Each is one
@@ -197,7 +262,7 @@ TEST(Serve, WarmEditReusesUntouchedSubIlps) {
       expect_same_path(server.submit(base), base_cold, label + " first");
       EXPECT_EQ(server.stats().path_reuses, 0u) << label;
       const WcetReport resubmit = server.submit(base);
-      EXPECT_EQ(resubmit.serve_dirty_instances, 0u) << label;
+      EXPECT_EQ(server.stats().dirty_instances, 0u) << label;
       EXPECT_EQ(server.stats().path_reuses,
                 static_cast<std::uint64_t>(resubmit.ipet_sub_ilps))
           << label;
@@ -215,8 +280,9 @@ TEST(Serve, WarmEditReusesUntouchedSubIlps) {
           const std::string step =
               label + " edit " + std::to_string(e) + (back ? " undone" : "");
           const std::uint64_t before = server.stats().path_reuses;
+          const std::uint64_t dirty_before = server.stats().dirty_instances;
           const WcetReport warm = server.submit(back ? base : edited);
-          EXPECT_EQ(warm.serve_dirty_instances, 1u) << step;
+          EXPECT_EQ(server.stats().dirty_instances - dirty_before, 1u) << step;
           EXPECT_EQ(server.stats().path_reuses - before,
                     static_cast<std::uint64_t>(warm.ipet_sub_ilps - resolved))
               << step;
@@ -246,7 +312,7 @@ TEST(Serve, WarmEditReusesUntouchedSubIlps) {
 }
 
 // Resubmitting byte-identical input is served from the report cache:
-// no pipeline run, hit counters exposed through the report.
+// no pipeline run, hits counted in the server stats.
 TEST(Serve, RepeatSubmissionHitsFingerprintCache) {
   serve::AnalysisServer server(mem::typical_hw());
   const isa::Image image = compile(calls_program(6));
@@ -259,8 +325,8 @@ TEST(Serve, RepeatSubmissionHitsFingerprintCache) {
   EXPECT_EQ(server.stats().requests, 3u);
   EXPECT_EQ(server.stats().fingerprint_hits, 2u);
   EXPECT_EQ(server.stats().cold_runs, 1u);
-  EXPECT_EQ(third.serve_fingerprint_hits, 2u);
-  EXPECT_EQ(third.serve_dirty_instances, 0u); // nothing re-analyzed
+  EXPECT_EQ(server.stats().warm_runs, 0u);       // nothing re-analyzed
+  EXPECT_EQ(server.stats().dirty_instances, 0u);
 }
 
 // The report cache keys on the whole request, not on a flattening of
@@ -314,50 +380,6 @@ TEST(Serve, ReportCacheEvictsAtCapacity) {
   EXPECT_EQ(server.stats().evictions, 2u);
 }
 
-// Fleet mode: a malformed job yields a classified error report in its
-// own slot, a budget-starved job degrades soundly in its own slot, and
-// the healthy job's bound matches a standalone analysis exactly.
-TEST(Serve, BatchFleetIsolatesFailuresAndBudgets) {
-  serve::ServeOptions options;
-  options.analysis.threads = 4; // fleet parallelism across jobs
-  serve::AnalysisServer server(mem::typical_hw(), options);
-
-  const isa::Image good = compile(calls_program(6));
-  const isa::Image malformed; // empty image: entry 0 has no instruction word
-  const isa::Image starved = compile(calls_program(9));
-
-  std::vector<serve::BatchJob> jobs(3);
-  jobs[0].image = &good;
-  jobs[1].image = &malformed;
-  jobs[2].image = &starved;
-  jobs[2].budget.max_cache_visits = 1; // force a sound degradation
-
-  const std::vector<WcetReport> reports = server.submit_batch(jobs);
-  ASSERT_EQ(reports.size(), 3u);
-
-  const Analyzer oracle(good, mem::typical_hw());
-  AnalysisOptions cold_options = options.analysis;
-  cold_options.threads = 1;
-  EXPECT_TRUE(reports[0].ok);
-  EXPECT_FALSE(reports[0].degraded);
-  EXPECT_EQ(reports[0].wcet_cycles, oracle.analyze(cold_options).wcet_cycles);
-
-  EXPECT_FALSE(reports[1].ok);
-  ASSERT_FALSE(reports[1].obstructions.empty());
-  EXPECT_NE(reports[1].obstructions.front().find("serve: input error"), std::string::npos)
-      << reports[1].obstructions.front();
-
-  EXPECT_TRUE(reports[2].degraded) << "cache-visit budget of 1 must degrade";
-  if (reports[2].ok) {
-    const Analyzer starved_oracle(starved, mem::typical_hw());
-    EXPECT_GE(reports[2].wcet_cycles, starved_oracle.analyze(cold_options).wcet_cycles)
-        << "degraded bound must stay sound (no tighter than the unlimited run)";
-  }
-
-  EXPECT_EQ(server.stats().batch_jobs, 3u);
-  EXPECT_EQ(server.stats().batch_errors, 1u);
-}
-
 // Stats endpoint: the counters the CLI --stats flag prints must
 // round-trip through to_string() (the daemon smoke test greps these).
 TEST(Serve, StatsTextEndpoint) {
@@ -368,7 +390,6 @@ TEST(Serve, StatsTextEndpoint) {
   const std::string text = server.stats().to_string();
   EXPECT_NE(text.find("wcet_serve stats"), std::string::npos) << text;
   EXPECT_NE(text.find("requests: 2 (fingerprint hits 1"), std::string::npos) << text;
-  EXPECT_NE(text.find("last timings (ms)"), std::string::npos) << text;
 }
 
 } // namespace
