@@ -258,5 +258,128 @@ main:   movi t0, 0x20000
   EXPECT_EQ(stores, 1);
 }
 
+// The written-region list of AbsState: at most max_written_regions
+// disjoint intervals, merged within a 64-byte slack, collapsed to one
+// hull on overflow. These pin the list's exact contents, so a change of
+// its representation cannot change what the value analysis computes.
+Interval word_at(std::uint32_t addr) {
+  return Interval::from_unsigned(addr, static_cast<std::int64_t>(addr) + 3);
+}
+
+TEST(WrittenRegions, SixDisjointRegionsStaySix) {
+  ASSERT_EQ(AbsState::max_written_regions, 6u);
+  AbsState s = AbsState::entry_state();
+  for (std::uint32_t i = 1; i <= 6; ++i) s.add_written(word_at(0x1000 * i));
+  ASSERT_EQ(s.written.size(), 6u);
+  for (std::uint32_t i = 1; i <= 6; ++i) {
+    EXPECT_EQ(s.written[i - 1], word_at(0x1000 * i)) << "region " << i;
+  }
+  EXPECT_TRUE(s.possibly_written(Interval::constant(0x3002)));
+  EXPECT_FALSE(s.possibly_written(Interval::from_unsigned(0x3100, 0x3fff)));
+  EXPECT_FALSE(s.possibly_written(Interval::constant(0x7000)));
+}
+
+TEST(WrittenRegions, SeventhRegionCollapsesToOneHull) {
+  AbsState s = AbsState::entry_state();
+  for (std::uint32_t i = 1; i <= 7; ++i) s.add_written(word_at(0x1000 * i));
+  ASSERT_EQ(s.written.size(), 1u);
+  EXPECT_EQ(s.written[0], Interval::from_unsigned(0x1000, 0x7003));
+  // The hull covers the gaps between the old regions too.
+  EXPECT_TRUE(s.possibly_written(Interval::constant(0x1800)));
+  // After the collapse the list grows again from one region.
+  s.add_written(word_at(0x20000));
+  ASSERT_EQ(s.written.size(), 2u);
+  EXPECT_EQ(s.written[1], word_at(0x20000));
+}
+
+TEST(WrittenRegions, RegionsWithinSlackMerge) {
+  AbsState s = AbsState::entry_state();
+  s.add_written(word_at(0x100));
+  s.add_written(word_at(0x140)); // 60 bytes past the first region's end
+  ASSERT_EQ(s.written.size(), 1u);
+  EXPECT_EQ(s.written[0], Interval::from_unsigned(0x100, 0x143));
+  // Exactly 64 bytes past the end still merges; 65 bytes does not.
+  AbsState near = s;
+  near.add_written(word_at(0x183));
+  ASSERT_EQ(near.written.size(), 1u);
+  EXPECT_EQ(near.written[0], Interval::from_unsigned(0x100, 0x186));
+  AbsState far = s;
+  far.add_written(word_at(0x184));
+  ASSERT_EQ(far.written.size(), 2u);
+  EXPECT_EQ(far.written[0], Interval::from_unsigned(0x100, 0x143));
+  EXPECT_EQ(far.written[1], word_at(0x184));
+  // A range inside a region leaves the list unchanged; bottom is ignored.
+  AbsState inside = s;
+  inside.add_written(word_at(0x120));
+  inside.add_written(Interval::bottom());
+  ASSERT_EQ(inside.written.size(), 1u);
+  EXPECT_EQ(inside.written[0], Interval::from_unsigned(0x100, 0x143));
+}
+
+TEST(WrittenRegions, JoinReportsChangeExactlyWhenListChanges) {
+  AbsState base = AbsState::entry_state();
+  base.add_written(word_at(0x1000));
+  base.add_written(word_at(0x2000));
+
+  // Same list, or a subset of it: no change.
+  AbsState same = base;
+  EXPECT_FALSE(same.join_with(base));
+  AbsState sub = AbsState::entry_state();
+  sub.add_written(word_at(0x2000));
+  AbsState joined = base;
+  EXPECT_FALSE(joined.join_with(sub));
+  EXPECT_EQ(joined, base);
+
+  // A region inside an existing one: no change.
+  AbsState inner = AbsState::entry_state();
+  inner.add_written(Interval::from_unsigned(0x1001, 0x1002));
+  joined = base;
+  EXPECT_FALSE(joined.join_with(inner));
+
+  // A new disjoint region: changed, and appended.
+  AbsState extra = AbsState::entry_state();
+  extra.add_written(word_at(0x5000));
+  joined = base;
+  EXPECT_TRUE(joined.join_with(extra));
+  ASSERT_EQ(joined.written.size(), 3u);
+  EXPECT_EQ(joined.written[2], word_at(0x5000));
+
+  // A region within the slack of an existing one grows it: changed.
+  AbsState grow = AbsState::entry_state();
+  grow.add_written(word_at(0x1010));
+  joined = base;
+  EXPECT_TRUE(joined.join_with(grow));
+  ASSERT_EQ(joined.written.size(), 2u);
+  EXPECT_EQ(joined.written[0], Interval::from_unsigned(0x1000, 0x1013));
+
+  // Joining into bottom copies the other state's list.
+  AbsState bottom;
+  EXPECT_TRUE(bottom.join_with(base));
+  EXPECT_EQ(bottom, base);
+  EXPECT_FALSE(bottom.join_with(AbsState{}));
+}
+
+TEST(WrittenRegions, EqualityComparesLists) {
+  AbsState a = AbsState::entry_state();
+  AbsState b = AbsState::entry_state();
+  EXPECT_EQ(a, b);
+  a.add_written(word_at(0x1000));
+  EXPECT_FALSE(a == b);
+  b.add_written(word_at(0x2000));
+  EXPECT_FALSE(a == b);
+  b = AbsState::entry_state();
+  b.add_written(word_at(0x1000));
+  EXPECT_EQ(a, b);
+  // Same regions in another order are a different list.
+  a.add_written(word_at(0x2000));
+  AbsState c = AbsState::entry_state();
+  c.add_written(word_at(0x2000));
+  c.add_written(word_at(0x1000));
+  EXPECT_FALSE(a == c);
+  // Copies compare equal.
+  const AbsState copy = a;
+  EXPECT_EQ(copy, a);
+}
+
 } // namespace
 } // namespace wcet::analysis
