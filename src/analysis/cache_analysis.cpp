@@ -482,7 +482,7 @@ CacheAnalysis::CacheAnalysis(const cfg::Supergraph& sg, const cfg::LoopForest& l
   data_.resize(n);
 }
 
-const std::vector<std::uint32_t>& CacheAnalysis::lines_for(int node, std::size_t index) const {
+std::span<const std::uint32_t> CacheAnalysis::lines_for(int node, std::size_t index) const {
   return transfers_->data_lines(node)[index];
 }
 
@@ -582,7 +582,7 @@ void CacheAnalysis::transfer(int node, CachePair& icache, CachePair& dcache, boo
       dcache.may.access_unknown();
       break;
     case Recipe::DataKind::cached: {
-      const std::vector<std::uint32_t>& lines = lines_for(node, d.access_index);
+      const std::span<const std::uint32_t> lines = lines_for(node, d.access_index);
       dc.cls = classify(dcache, lines);
       dc.candidate_count = std::max<unsigned>(1, static_cast<unsigned>(lines.size()));
       apply_access(dcache, lines);
@@ -1145,7 +1145,7 @@ void CacheAnalysis::record_node_lazy(int node) {
       sc.d_must.age_all(); // may side: access_unknown is the identity
       break;
     case Recipe::DataKind::cached: {
-      const std::vector<std::uint32_t>& lines = lines_for(node, d.access_index);
+      const std::span<const std::uint32_t> lines = lines_for(node, d.access_index);
       if (lines.empty()) {
         dc.cls = AccessClass::not_classified;
         sc.d_must.age_all();
@@ -1224,7 +1224,7 @@ void CacheAnalysis::record_node_conservative(int node) {
       break;
     case Recipe::DataKind::cached: {
       dc.cls = AccessClass::not_classified;
-      const std::vector<std::uint32_t>& lines = lines_for(node, d.access_index);
+      const std::span<const std::uint32_t> lines = lines_for(node, d.access_index);
       dc.candidate_count = std::max<unsigned>(1, static_cast<unsigned>(lines.size()));
       break;
     }
@@ -1307,7 +1307,7 @@ void CacheAnalysis::persistence_tree(const std::vector<int>& loop_ids) {
       }
       for (const Recipe::Data& d : recipe.data) {
         if (d.kind != Recipe::DataKind::cached) continue;
-        const std::vector<std::uint32_t>& lines = lines_for(node_id, d.access_index);
+        const std::span<const std::uint32_t> lines = lines_for(node_id, d.access_index);
         if (lines.empty()) {
           d_precise = false;
           continue;
@@ -1355,7 +1355,7 @@ void CacheAnalysis::persistence_tree(const std::vector<int>& loop_ids) {
             dc.cls == AccessClass::uncached) {
           continue;
         }
-        const std::vector<std::uint32_t>& lines = lines_for(node_id, i);
+        const std::span<const std::uint32_t> lines = lines_for(node_id, i);
         if (lines.empty()) continue;
         const bool all_persist = std::all_of(lines.begin(), lines.end(), [&](std::uint32_t l) {
           return line_persists(d_counts, dconfig_, l);

@@ -317,7 +317,7 @@ private:
 
   // Memoized candidate cache lines of data access `index` in `node`
   // (index-aligned with ValueAnalysis::accesses); empty = unknown line.
-  const std::vector<std::uint32_t>& lines_for(int node, std::size_t index) const;
+  std::span<const std::uint32_t> lines_for(int node, std::size_t index) const;
   AccessClass classify(const CachePair& state, std::span<const std::uint32_t> lines) const;
   static void apply_access(CachePair& state, std::span<const std::uint32_t> lines);
   // Replays `node`'s memoized transfer recipe against the abstract

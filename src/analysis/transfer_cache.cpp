@@ -10,7 +10,6 @@ namespace wcet::analysis {
 
 TransferCache::TransferCache(const cfg::Supergraph& sg) : sg_(sg) {
   out_.resize(sg.nodes().size());
-  edge_out_.resize(sg.edges().size());
 }
 
 void TransferCache::attach(const ValueAnalysis& values) {
@@ -20,22 +19,22 @@ void TransferCache::attach(const ValueAnalysis& values) {
   // recording sweep; the lazy and once-built memos must be dropped
   // explicitly.)
   values_ = &values;
-  for (auto& slot : edge_out_) slot.reset();
+  edge_out_.assign(sg_.edges().size(), AbsState{});
+  edge_ready_.assign(sg_.edges().size(), 0);
   lines_ready_ = false;
   recipes_ready_ = false;
 }
 
 const AbsState& TransferCache::edge_state(int edge) const {
   WCET_CHECK(values_ != nullptr, "TransferCache queried before attach()");
-  auto& slot = edge_out_[static_cast<std::size_t>(edge)];
-  if (!slot) {
-    const cfg::SgEdge& e = sg_.edge(edge);
-    AbsState along = values_->edge_feasible(edge)
-                         ? values_->refine_along_edge(edge, out_state(e.from))
-                         : AbsState{};
-    slot = std::make_unique<AbsState>(std::move(along));
+  const auto e = static_cast<std::size_t>(edge);
+  if (edge_ready_[e] == 0) {
+    if (values_->edge_feasible(edge)) {
+      edge_out_[e] = values_->refine_along_edge(edge, out_state(sg_.edge(edge).from));
+    }
+    edge_ready_[e] = 1;
   }
-  return *slot;
+  return edge_out_[e];
 }
 
 Interval TransferCache::mem_word_along_edge(int edge, std::uint32_t addr) const {
@@ -46,10 +45,9 @@ Interval TransferCache::mem_word_along_edge(int edge, std::uint32_t addr) const 
   return values_->implicit_mem_word(out, addr);
 }
 
-std::vector<std::uint32_t> TransferCache::candidate_lines(const Interval& addr, int size,
-                                                          const mem::CacheConfig& config) {
-  std::vector<std::uint32_t> lines;
-  if (addr.is_bottom()) return lines;
+TransferCache::LineRange TransferCache::candidate_lines(const Interval& addr, int size,
+                                                        const mem::CacheConfig& config) {
+  if (addr.is_bottom()) return {};
   // Clamp the end to the word range: a wrap here once made a TOP address
   // interval look like a single-line access (unsound).
   const std::int64_t end =
@@ -57,11 +55,10 @@ std::vector<std::uint32_t> TransferCache::candidate_lines(const Interval& addr, 
   const std::uint32_t first = config.line_of(static_cast<std::uint32_t>(addr.umin()));
   const std::uint32_t last = config.line_of(static_cast<std::uint32_t>(end));
   if (last - first + 1 > 8) return {}; // unknown: too many candidates
-  for (std::uint32_t l = first; l <= last; ++l) lines.push_back(l);
-  return lines;
+  return {first, last - first + 1};
 }
 
-void TransferCache::build_data_lines(const mem::CacheConfig& config, ThreadPool* pool) {
+void TransferCache::build_data_lines(const mem::CacheConfig& config) {
   WCET_CHECK(values_ != nullptr, "TransferCache::build_data_lines before attach()");
   if (lines_ready_) {
     // The memo is only valid for one geometry: silently serving lines
@@ -73,25 +70,51 @@ void TransferCache::build_data_lines(const mem::CacheConfig& config, ThreadPool*
     return;
   }
   lines_config_ = config;
-  lines_.resize(sg_.nodes().size());
-  const auto build_node = [&](std::size_t n) {
-    const auto& accesses = values_->accesses(static_cast<int>(n));
-    auto& row = lines_[n];
-    row.clear();
-    row.reserve(accesses.size());
-    for (const AccessInfo& access : accesses) {
-      row.push_back(candidate_lines(access.addr, access.size, config));
+  // Sizing pass (offsets), then the fill; both are a few arithmetic
+  // operations per access, so neither is worth a pool dispatch.
+  const std::size_t num_nodes = sg_.nodes().size();
+  access_begin_.resize(num_nodes + 1);
+  std::uint32_t accesses = 0;
+  for (std::size_t n = 0; n < num_nodes; ++n) {
+    access_begin_[n] = accesses;
+    accesses += static_cast<std::uint32_t>(values_->accesses(static_cast<int>(n)).size());
+  }
+  access_begin_[num_nodes] = accesses;
+  line_begin_.resize(static_cast<std::size_t>(accesses) + 1);
+  std::uint32_t lines = 0;
+  std::size_t a = 0;
+  for (std::size_t n = 0; n < num_nodes; ++n) {
+    for (const AccessInfo& access : values_->accesses(static_cast<int>(n))) {
+      line_begin_[a++] = lines;
+      lines += candidate_lines(access.addr, access.size, config).count;
     }
-  };
-  parallel_for(pool, lines_.size(), build_node);
+  }
+  line_begin_[a] = lines;
+  line_payload_.resize(lines);
+  std::uint32_t* out = line_payload_.data();
+  for (std::size_t n = 0; n < num_nodes; ++n) {
+    for (const AccessInfo& access : values_->accesses(static_cast<int>(n))) {
+      const LineRange range = candidate_lines(access.addr, access.size, config);
+      for (std::uint32_t l = 0; l < range.count; ++l) *out++ = range.first + l;
+    }
+  }
   lines_ready_ = true;
+}
+
+TransferCache::LineTable TransferCache::data_lines(int node) const {
+  const auto n = static_cast<std::size_t>(node);
+  LineTable table;
+  table.begin_ = line_begin_.data() + access_begin_[n];
+  table.payload_ = line_payload_.data();
+  table.count_ = access_begin_[n + 1] - access_begin_[n];
+  return table;
 }
 
 void TransferCache::build_cache_recipes(const mem::MemoryMap& memmap,
                                         const mem::CacheConfig& icache,
                                         const mem::CacheConfig& dcache, ThreadPool* pool) {
   WCET_CHECK(values_ != nullptr, "TransferCache::build_cache_recipes before attach()");
-  build_data_lines(dcache, pool);
+  build_data_lines(dcache);
   if (recipes_ready_) {
     // Recipes bake in region cacheability verdicts too, so the memory
     // map is part of the geometry the memo is keyed on.
@@ -104,15 +127,59 @@ void TransferCache::build_cache_recipes(const mem::MemoryMap& memmap,
   }
   recipes_iconfig_ = icache;
   recipes_memmap_ = &memmap;
-  recipes_.resize(sg_.nodes().size());
+
+  // Sizing pass: each node's slice of every table. A data access that
+  // may reach the d-cache adds at most one op per candidate line (the
+  // op of the line's set), or one age_all op per set when its line is
+  // unknown; a node has at most one group per set, and no group
+  // without an op.
+  const std::size_t num_nodes = sg_.nodes().size();
+  inst_begin_.resize(num_nodes + 1);
+  op_begin_.resize(num_nodes + 1);
+  group_begin_.resize(num_nodes + 1);
+  std::uint32_t insts = 0;
+  std::uint32_t ops = 0;
+  std::uint32_t groups = 0;
+  for (std::size_t n = 0; n < num_nodes; ++n) {
+    inst_begin_[n] = insts;
+    op_begin_[n] = ops;
+    group_begin_[n] = groups;
+    insts += static_cast<std::uint32_t>(sg_.nodes()[n].block->insts.size());
+    const auto& accesses = values_->accesses(static_cast<int>(n));
+    std::uint32_t node_ops = 0;
+    for (std::size_t i = 0; i < accesses.size(); ++i) {
+      if (!dcache.enabled || accesses[i].is_store || accesses[i].addr.is_bottom()) continue;
+      const std::size_t a = access_begin_[n] + i;
+      const std::uint32_t lines = line_begin_[a + 1] - line_begin_[a];
+      node_ops += lines == 0 ? dcache.sets : lines;
+    }
+    ops += node_ops;
+    groups += std::min(dcache.sets, node_ops);
+  }
+  inst_begin_[num_nodes] = insts;
+  op_begin_[num_nodes] = ops;
+  group_begin_[num_nodes] = groups;
+
+  fetch_.assign(insts, CacheRecipe::Fetch{});
+  fetch_apply_.resize(insts);
+  fetch_group_lines_.resize(insts);
+  fetch_groups_.resize(insts);
+  data_.resize(access_begin_[num_nodes]);
+  op_lines_.resize(line_payload_.size());
+  ops_.resize(ops);
+  data_groups_.resize(groups);
+  recipes_.assign(num_nodes, CacheRecipe{});
+
   const auto build_node = [&](std::size_t ni) {
     const int node = static_cast<int>(ni);
     const cfg::SgNode& n = sg_.node(node);
     const auto& accesses = values_->accesses(node);
-    CacheRecipe& recipe = recipes_[ni];
-    recipe.fetch.assign(n.block->insts.size(), CacheRecipe::Fetch{});
-    recipe.data.clear();
-    recipe.fetch_apply.clear();
+    const LineTable lines_of = data_lines(node);
+    CacheRecipe::Fetch* const fetch = fetch_.data() + inst_begin_[ni];
+    std::uint32_t* const apply = fetch_apply_.data() + inst_begin_[ni];
+    CacheRecipe::Data* const data = data_.data() + access_begin_[ni];
+    std::size_t num_apply = 0;
+    std::size_t num_data = 0;
 
     std::size_t access_index = 0;
     std::uint32_t pc = n.block->begin;
@@ -121,20 +188,20 @@ void TransferCache::build_cache_recipes(const mem::MemoryMap& memmap,
     for (std::size_t i = 0; i < n.block->insts.size(); ++i, pc += 4) {
       const isa::Inst& inst = n.block->insts[i];
       // --- Instruction fetch.
-      CacheRecipe::Fetch& fetch = recipe.fetch[i];
-      fetch.line = icache.line_of(pc); // stored for every kind: the
-                                       // persistence pass probes lines
-                                       // of uncached entries too
+      CacheRecipe::Fetch& f = fetch[i];
+      f.line = icache.line_of(pc); // stored for every kind: the
+                                   // persistence pass probes lines
+                                   // of uncached entries too
       if (!memmap.region_for(pc).cacheable || !icache.enabled) {
-        fetch.kind = CacheRecipe::FetchKind::uncached;
+        f.kind = CacheRecipe::FetchKind::uncached;
       } else {
-        if (have_prev && fetch.line == prev_line) {
-          fetch.kind = CacheRecipe::FetchKind::same_line;
+        if (have_prev && f.line == prev_line) {
+          f.kind = CacheRecipe::FetchKind::same_line;
         } else {
-          fetch.kind = CacheRecipe::FetchKind::line;
-          recipe.fetch_apply.push_back(fetch.line);
+          f.kind = CacheRecipe::FetchKind::line;
+          apply[num_apply++] = f.line;
         }
-        prev_line = fetch.line;
+        prev_line = f.line;
         have_prev = true;
       }
 
@@ -144,89 +211,135 @@ void TransferCache::build_cache_recipes(const mem::MemoryMap& memmap,
                  "access list out of sync with instructions");
       if (access_index >= accesses.size()) continue;
       const AccessInfo& access = accesses[access_index];
-      const std::vector<std::uint32_t>& lines = lines_[ni][access_index];
-      CacheRecipe::Data data;
-      data.is_store = access.is_store;
-      data.pc = access.pc;
-      data.access_index = static_cast<std::uint32_t>(access_index);
-      ++access_index;
+      CacheRecipe::Data& d = data[num_data++];
+      d.is_store = access.is_store;
+      d.pc = access.pc;
+      d.access_index = static_cast<std::uint32_t>(access_index);
       if (access.is_store || access.addr.is_bottom()) {
         // Write-through no-write-allocate store, or unreachable.
-        data.kind = CacheRecipe::DataKind::bypass;
+        d.kind = CacheRecipe::DataKind::bypass;
       } else if (!memmap.all_cacheable(access.addr) || !dcache.enabled) {
         // If part of an imprecise range is cacheable, the access may
         // still disturb the cache.
-        data.kind = dcache.enabled && lines.empty() ? CacheRecipe::DataKind::disturb
-                                                    : CacheRecipe::DataKind::bypass;
+        d.kind = dcache.enabled && lines_of[access_index].empty()
+                     ? CacheRecipe::DataKind::disturb
+                     : CacheRecipe::DataKind::bypass;
       } else {
-        data.kind = CacheRecipe::DataKind::cached;
+        d.kind = CacheRecipe::DataKind::cached;
       }
-      recipe.data.push_back(data);
+      ++access_index;
     }
 
-    // --- Per-set access programs (overlay replay; see the header).
-    recipe.fetch_groups.clear();
-    recipe.data_groups.clear();
-    // Reused across nodes (one slot table per worker; the builder is a
-    // pure function of the node's recipe, so sharing buffers is safe).
-    static thread_local std::vector<int> slot;
+    // --- Per-set access programs (overlay replay; see the header),
+    // emitted set by set in ascending order. Scratch is reused across
+    // nodes (one set per worker; the builder is a pure function of the
+    // node's recipe, so sharing buffers is safe).
+    static thread_local std::vector<unsigned> sets;
+    static thread_local std::vector<unsigned char> mark;
+    static thread_local std::vector<unsigned> affected;
+    const auto set_of = [](const mem::CacheConfig& config, std::uint32_t line) {
+      return config.set_index(line * config.line_bytes);
+    };
+
+    CacheRecipe::FetchGroup* const fetch_groups = fetch_groups_.data() + inst_begin_[ni];
+    std::uint32_t* const group_lines = fetch_group_lines_.data() + inst_begin_[ni];
+    std::size_t num_fetch_groups = 0;
     {
-      slot.assign(icache.sets, -1); // set -> fetch_groups index
-      for (const std::uint32_t line : recipe.fetch_apply) {
-        const unsigned s = icache.set_index(line * icache.line_bytes);
-        if (slot[s] < 0) {
-          slot[s] = static_cast<int>(recipe.fetch_groups.size());
-          recipe.fetch_groups.push_back({s, {}});
+      sets.clear();
+      mark.assign(icache.sets, 0);
+      for (std::size_t k = 0; k < num_apply; ++k) {
+        const unsigned s = set_of(icache, apply[k]);
+        if (mark[s] == 0) {
+          mark[s] = 1;
+          sets.push_back(s);
         }
-        recipe.fetch_groups[static_cast<std::size_t>(slot[s])].lines.push_back(line);
       }
-      std::sort(recipe.fetch_groups.begin(), recipe.fetch_groups.end(),
-                [](const auto& a, const auto& b) { return a.set < b.set; });
-    }
-    {
-      slot.assign(dcache.sets, -1); // set -> data_groups index
-      const auto group_of = [&](unsigned s) -> CacheRecipe::DataGroup& {
-        if (slot[s] < 0) {
-          slot[s] = static_cast<int>(recipe.data_groups.size());
-          recipe.data_groups.push_back({s, false, {}});
+      std::sort(sets.begin(), sets.end());
+      std::size_t used = 0;
+      for (const unsigned s : sets) {
+        const std::size_t first = used;
+        for (std::size_t k = 0; k < num_apply; ++k) {
+          if (set_of(icache, apply[k]) == s) group_lines[used++] = apply[k];
         }
-        return recipe.data_groups[static_cast<std::size_t>(slot[s])];
+        fetch_groups[num_fetch_groups++] = {s, {group_lines + first, used - first}};
+      }
+    }
+
+    CacheRecipe::DataGroup* const data_groups = data_groups_.data() + group_begin_[ni];
+    CacheRecipe::DataSetOp* const ops = ops_.data() + op_begin_[ni];
+    std::uint32_t* const op_lines = op_lines_.data() + line_begin_[access_begin_[ni]];
+    std::size_t num_data_groups = 0;
+    std::size_t num_ops = 0;
+    {
+      // mark bit 0: the set has a program; bit 1: some access_one_of op
+      // lands on it. An unknown-line access ages every set, so every
+      // set's program gets an age_all op at its position.
+      constexpr unsigned char touched = 1;
+      constexpr unsigned char one_of = 2;
+      const auto unknown_line = [&](const CacheRecipe::Data& d) {
+        return d.kind == CacheRecipe::DataKind::disturb || lines_of[d.access_index].empty();
       };
-      for (const CacheRecipe::Data& d : recipe.data) {
+      sets.clear();
+      mark.assign(dcache.sets, 0);
+      bool ages_all_sets = false;
+      for (std::size_t k = 0; k < num_data; ++k) {
+        const CacheRecipe::Data& d = data[k];
         if (d.kind == CacheRecipe::DataKind::bypass) continue;
-        const std::vector<std::uint32_t>& lines =
-            lines_[ni][static_cast<std::size_t>(d.access_index)];
-        if (d.kind == CacheRecipe::DataKind::disturb || lines.empty()) {
-          // Unknown line: the must side ages every set, so every set's
-          // program gets an age_all op at this position.
-          for (unsigned s = 0; s < dcache.sets; ++s) {
-            CacheRecipe::DataSetOp op;
-            op.age_all = true;
-            group_of(s).ops.push_back(std::move(op));
-          }
+        if (unknown_line(d)) {
+          ages_all_sets = true;
           continue;
         }
-        // access_one_of, pre-split per affected set (the shared
-        // splitting rule — see for_each_candidate_set).
-        static thread_local std::vector<unsigned> affected;
-        for_each_candidate_set(dcache, lines, affected, [&](unsigned s, bool outside) {
-          CacheRecipe::DataSetOp op;
-          op.outside = outside;
-          for (const std::uint32_t line : lines) {
-            if (dcache.set_index(line * dcache.line_bytes) == s) {
-              op.lines.push_back(line);
-            }
-          }
-          CacheRecipe::DataGroup& group = group_of(s);
-          group.any_one_of = true;
-          group.ops.push_back(std::move(op));
-        });
+        for (const std::uint32_t line : lines_of[d.access_index]) {
+          const unsigned s = set_of(dcache, line);
+          if ((mark[s] & touched) == 0) sets.push_back(s);
+          mark[s] |= touched | one_of;
+        }
       }
-      std::sort(recipe.data_groups.begin(), recipe.data_groups.end(),
-                [](const auto& a, const auto& b) { return a.set < b.set; });
+      if (ages_all_sets) {
+        sets.resize(dcache.sets);
+        for (unsigned s = 0; s < dcache.sets; ++s) sets[s] = s;
+      } else {
+        std::sort(sets.begin(), sets.end());
+      }
+      std::size_t used = 0;
+      for (const unsigned s : sets) {
+        const std::size_t first_op = num_ops;
+        for (std::size_t k = 0; k < num_data; ++k) {
+          const CacheRecipe::Data& d = data[k];
+          if (d.kind == CacheRecipe::DataKind::bypass) continue;
+          if (unknown_line(d)) {
+            ops[num_ops++] = {true, false, {}};
+            continue;
+          }
+          // access_one_of restricted to `s` (the shared splitting rule,
+          // see for_each_candidate_set): the candidates mapping here,
+          // and whether some candidate maps elsewhere.
+          const std::span<const std::uint32_t> lines = lines_of[d.access_index];
+          for_each_candidate_set(dcache, lines, affected, [&](unsigned as, bool outside) {
+            if (as != s) return;
+            const std::size_t first_line = used;
+            for (const std::uint32_t line : lines) {
+              if (set_of(dcache, line) == s) op_lines[used++] = line;
+            }
+            ops[num_ops++] = {false, outside, {op_lines + first_line, used - first_line}};
+          });
+        }
+        data_groups[num_data_groups++] = {s, (mark[s] & one_of) != 0,
+                                          {ops + first_op, num_ops - first_op}};
+      }
     }
+    WCET_CHECK(num_ops <= op_begin_[ni + 1] - op_begin_[ni] &&
+                   num_data_groups <= group_begin_[ni + 1] - group_begin_[ni],
+               "cache recipe outgrew its sized slice");
+
+    CacheRecipe& recipe = recipes_[ni];
+    recipe.fetch = {fetch, n.block->insts.size()};
+    recipe.data = {data, num_data};
+    recipe.fetch_apply = {apply, num_apply};
+    recipe.fetch_groups = {fetch_groups, num_fetch_groups};
+    recipe.data_groups = {data_groups, num_data_groups};
   };
-  parallel_for(pool, recipes_.size(), build_node);
+  parallel_for(pool, num_nodes, build_node);
   recipes_ready_ = true;
 }
 

@@ -30,10 +30,21 @@
 // count. The lazy `edge_state` memo is the one exception: it is NOT
 // thread-safe and must be used from one thread (loop-bound analysis is
 // sequential).
+//
+// ## Layout
+//
+// The line tables and recipes live in a few flat arrays, not in nested
+// per-node and per-access vectors: a sizing pass gives every node a
+// slice of each array (its instructions, its accesses, its candidate
+// lines, an upper bound on its per-set ops and groups), the arrays are
+// allocated once, and the parallel build writes each node's slice.
+// Nothing reallocates after sizing, so `data_lines` and `cache_recipe`
+// hand out span views into the arrays. A build is a dozen allocations
+// whatever the node count, and so is the teardown.
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <span>
 #include <vector>
 
 #include "analysis/value_analysis.hpp"
@@ -77,21 +88,38 @@ public:
   Interval mem_word_along_edge(int edge, std::uint32_t addr) const;
 
   // ---- candidate cache-line tables ----------------------------------
-  // Candidate lines of an access; empty means "unknown line". (Shared
-  // helper so cache analysis and the table builder agree bit-for-bit.)
-  static std::vector<std::uint32_t> candidate_lines(const Interval& addr, int size,
-                                                    const mem::CacheConfig& config);
+  // Candidate lines of an access: the `count` consecutive lines from
+  // `first`; a count of 0 means "unknown line". (Shared helper so cache
+  // analysis and the table builder agree bit-for-bit.)
+  struct LineRange {
+    std::uint32_t first = 0;
+    std::uint32_t count = 0;
+  };
+  static LineRange candidate_lines(const Interval& addr, int size,
+                                   const mem::CacheConfig& config);
+
+  // Candidate lines per data access of one node, index-aligned with
+  // ValueAnalysis::accesses(node); an empty span means "unknown line".
+  // A view into the flat line table.
+  class LineTable {
+  public:
+    std::size_t size() const { return count_; }
+    std::span<const std::uint32_t> operator[](std::size_t i) const {
+      return {payload_ + begin_[i], payload_ + begin_[i + 1]};
+    }
+
+  private:
+    friend class TransferCache;
+    const std::uint32_t* begin_ = nullptr; // size() + 1 offsets into payload_
+    const std::uint32_t* payload_ = nullptr;
+    std::size_t count_ = 0;
+  };
 
   // Builds lines for every data access of every node under the data
-  // cache geometry (parallel over nodes on the pool).
-  // Idempotent for one config; rebuilding under a *different* geometry
-  // is a contract violation and is checked.
-  void build_data_lines(const mem::CacheConfig& config, ThreadPool* pool);
-  // Candidate lines per data access of `node`, index-aligned with
-  // ValueAnalysis::accesses(node).
-  const std::vector<std::vector<std::uint32_t>>& data_lines(int node) const {
-    return lines_[static_cast<std::size_t>(node)];
-  }
+  // cache geometry. Idempotent for one config; rebuilding under a
+  // *different* geometry is a contract violation and is checked.
+  void build_data_lines(const mem::CacheConfig& config);
+  LineTable data_lines(int node) const;
 
   // ---- cache transfer recipes ---------------------------------------
   // A recipe is the decode-invariant part of one node's cache transfer:
@@ -99,7 +127,8 @@ public:
   // order, same-line repeats collapsed) and what each data access does
   // to the abstract d-cache. The cache fixpoint replays recipes against
   // the abstract must/may states instead of re-deriving memory regions,
-  // line numbers and cacheability per visit.
+  // line numbers and cacheability per visit. A recipe is a set of views
+  // into the flat tables.
   struct CacheRecipe {
     // Per instruction, aligned with the block's instruction list.
     enum class FetchKind : std::uint8_t {
@@ -125,11 +154,11 @@ public:
       // Index into ValueAnalysis::accesses(node) / data_lines(node).
       std::uint32_t access_index = 0;
     };
-    std::vector<Fetch> fetch;
-    std::vector<Data> data;
+    std::span<const Fetch> fetch;
+    std::span<const Data> data;
     // Fixpoint replay list: the `line` fields of the FetchKind::line
     // entries, in order (the only fetches that mutate the i-cache).
-    std::vector<std::uint32_t> fetch_apply;
+    std::span<const std::uint32_t> fetch_apply;
 
     // ---- per-set access programs (the overlay replay) ----------------
     // The node's whole transfer restricted to one cache set, in program
@@ -142,9 +171,9 @@ public:
     // replay the identical access_set sequence per set.
     struct FetchGroup {
       unsigned set = 0;
-      std::vector<std::uint32_t> lines; // FetchKind::line fetches of `set`
+      std::span<const std::uint32_t> lines; // FetchKind::line fetches of `set`
     };
-    std::vector<FetchGroup> fetch_groups; // ascending set index
+    std::span<const FetchGroup> fetch_groups; // ascending set index
 
     struct DataSetOp {
       // age_all: an unknown-line access (DataKind::disturb, or a cached
@@ -155,14 +184,14 @@ public:
       // (the untouched-alternative join).
       bool age_all = false;
       bool outside = false;
-      std::vector<std::uint32_t> lines;
+      std::span<const std::uint32_t> lines;
     };
     struct DataGroup {
       unsigned set = 0;
-      bool any_one_of = false;    // false: ops are pure must-side aging
-      std::vector<DataSetOp> ops; // program order
+      bool any_one_of = false;           // false: ops are pure must-side aging
+      std::span<const DataSetOp> ops;    // program order
     };
-    std::vector<DataGroup> data_groups; // ascending set index
+    std::span<const DataGroup> data_groups; // ascending set index
   };
 
   // Builds the recipe of every node for the given memory map and cache
@@ -181,10 +210,36 @@ private:
   const cfg::Supergraph& sg_;
   const ValueAnalysis* values_ = nullptr;
   std::vector<AbsState> out_;
-  mutable std::vector<std::unique_ptr<AbsState>> edge_out_;
-  std::vector<std::vector<std::vector<std::uint32_t>>> lines_;
+  // Edge-state memo: one slot per edge, valid where the flag is set.
+  mutable std::vector<AbsState> edge_out_;
+  mutable std::vector<unsigned char> edge_ready_;
+
+  // Candidate-line table: node n's accesses are [access_begin_[n],
+  // access_begin_[n + 1]); access a's lines are line_payload_[
+  // line_begin_[a] .. line_begin_[a + 1]).
+  std::vector<std::uint32_t> access_begin_;
+  std::vector<std::uint32_t> line_begin_;
+  std::vector<std::uint32_t> line_payload_;
   bool lines_ready_ = false;
   mem::CacheConfig lines_config_;
+
+  // Recipe tables. Node n owns the slices [inst_begin_[n], inst_begin_[n
+  // + 1]) of the instruction-sized arrays, its access slice of data_,
+  // its line slice of op_lines_ (each candidate line lands in exactly
+  // one per-set op), and [op_begin_[n], op_begin_[n + 1]) /
+  // [group_begin_[n], group_begin_[n + 1]) of ops_ / data_groups_ (upper
+  // bounds from the line table). recipes_ holds the views.
+  std::vector<std::uint32_t> inst_begin_;
+  std::vector<std::uint32_t> op_begin_;
+  std::vector<std::uint32_t> group_begin_;
+  std::vector<CacheRecipe::Fetch> fetch_;
+  std::vector<std::uint32_t> fetch_apply_;
+  std::vector<std::uint32_t> fetch_group_lines_;
+  std::vector<CacheRecipe::FetchGroup> fetch_groups_;
+  std::vector<CacheRecipe::Data> data_;
+  std::vector<std::uint32_t> op_lines_;
+  std::vector<CacheRecipe::DataSetOp> ops_;
+  std::vector<CacheRecipe::DataGroup> data_groups_;
   std::vector<CacheRecipe> recipes_;
   bool recipes_ready_ = false;
   mem::CacheConfig recipes_iconfig_;

@@ -49,27 +49,36 @@ AbsState AbsState::entry_state() {
   return s;
 }
 
-void AbsState::add_written(const Interval& range) {
-  if (range.is_bottom()) return;
-  for (Interval& region : written) {
-    // Merge when overlapping or nearly adjacent (64-byte slack keeps the
-    // list short for consecutive stack slots).
-    const Interval slack = Interval::from_unsigned(
-        std::max<std::int64_t>(0, range.umin() - 64), std::min<std::int64_t>(
-            Interval::word_max, range.umax() + 64));
+bool WrittenRegions::add(const Interval& range) {
+  if (range.is_bottom()) return false;
+  // Merge when overlapping or nearly adjacent (64-byte slack keeps the
+  // list short for consecutive stack slots).
+  const Interval slack = Interval::from_unsigned(
+      std::max<std::int64_t>(0, range.umin() - 64),
+      std::min<std::int64_t>(Interval::word_max, range.umax() + 64));
+  for (std::size_t i = 0; i < size_; ++i) {
+    Interval& region = regions_[i];
     if (!region.meet(slack).is_bottom()) {
-      region = region.join(range);
-      return;
+      const Interval joined = region.join(range);
+      if (joined == region) return false;
+      region = joined;
+      return true;
     }
   }
-  written.push_back(range);
-  if (written.size() > max_written_regions) {
-    // Collapse everything into one hull (sound, coarse).
-    Interval hull = Interval::bottom();
-    for (const Interval& region : written) hull = hull.join(region);
-    written.clear();
-    written.push_back(hull);
+  if (size_ < capacity) {
+    regions_[size_++] = range;
+    return true;
   }
+  // Collapse everything into one hull (sound, coarse).
+  Interval hull = range;
+  for (std::size_t i = 0; i < size_; ++i) hull = hull.join(regions_[i]);
+  regions_[0] = hull;
+  size_ = 1;
+  return true;
+}
+
+bool WrittenRegions::operator==(const WrittenRegions& other) const {
+  return std::equal(begin(), end(), other.begin(), other.end());
 }
 
 bool AbsState::possibly_written(const Interval& range) const {
@@ -102,9 +111,7 @@ bool AbsState::join_with(const AbsState& other) {
     }
   }
   for (const Interval& region : other.written) {
-    std::vector<Interval> before = written;
-    add_written(region);
-    if (written != before) changed = true;
+    if (written.add(region)) changed = true;
   }
   // Tracked words: a key absent on one side means "possibly any value
   // consistent with the written hull" there; since every tracked key is
@@ -369,10 +376,10 @@ void ValueAnalysis::write_mem(AbsState& state, const Interval& addr, int size,
   }
 }
 
-AbsState ValueAnalysis::transfer_inst(const Inst& inst, std::uint32_t pc, AbsState state,
-                                      std::uint32_t fn_entry,
-                                      std::vector<AccessInfo>* accesses) const {
-  if (state.bottom) return state;
+void ValueAnalysis::transfer_inst(const Inst& inst, std::uint32_t pc, AbsState& state,
+                                  std::uint32_t fn_entry,
+                                  std::vector<AccessInfo>* accesses) const {
+  if (state.bottom) return;
   const Interval rs1 = state.regs[inst.rs1];
   const Interval rs2 = state.regs[inst.rs2];
   const auto set_rd = [&](const Interval& value) {
@@ -467,16 +474,20 @@ AbsState ValueAnalysis::transfer_inst(const Inst& inst, std::uint32_t pc, AbsSta
   case Opcode::halt:
     break;
   }
-  return state;
 }
 
-AbsState ValueAnalysis::transfer_node(int node, AbsState state) const {
+void ValueAnalysis::transfer_block(int node, AbsState& state,
+                                   std::vector<AccessInfo>* accesses) const {
   const cfg::SgNode& n = sg_.node(node);
   std::uint32_t pc = n.block->begin;
   for (const Inst& inst : n.block->insts) {
-    state = transfer_inst(inst, pc, std::move(state), n.fn_entry, nullptr);
+    transfer_inst(inst, pc, state, n.fn_entry, accesses);
     pc += 4;
   }
+}
+
+AbsState ValueAnalysis::transfer_node(int node, AbsState state) const {
+  transfer_block(node, state, nullptr);
   return state;
 }
 
@@ -613,9 +624,14 @@ void ValueAnalysis::run(ThreadPool* pool, TransferCache* transfers,
       [&](const int instance, const int node) {
         auto& buffered = cross_out[static_cast<std::size_t>(instance)];
         ++visits[static_cast<std::size_t>(node)];
-        const AbsState out = transfer_node(node, in_[static_cast<std::size_t>(node)]);
-        for (const int eid : sg_.node(node).succ_edges) {
-          AbsState along = refine_along_edge(eid, out);
+        AbsState out = in_[static_cast<std::size_t>(node)];
+        transfer_block(node, out, nullptr);
+        const std::vector<int>& succs = sg_.node(node).succ_edges;
+        for (std::size_t k = 0; k < succs.size(); ++k) {
+          const int eid = succs[k];
+          // The last successor refines the out-state itself, not a copy.
+          AbsState along =
+              refine_along_edge(eid, k + 1 == succs.size() ? std::move(out) : AbsState(out));
           if (along.bottom) {
             // Note: feasibility is monotone — once feasible, stays
             // feasible.
@@ -677,13 +693,9 @@ void ValueAnalysis::run(ThreadPool* pool, TransferCache* transfers,
     const cfg::SgNode& n = sg_.nodes()[idx];
     auto& recorded = accesses_[idx];
     recorded.clear();
+    if (in_[idx].bottom) return;
     AbsState state = in_[idx];
-    if (state.bottom) return;
-    std::uint32_t pc = n.block->begin;
-    for (const Inst& inst : n.block->insts) {
-      state = transfer_inst(inst, pc, std::move(state), n.fn_entry, &recorded);
-      pc += 4;
-    }
+    transfer_block(n.id, state, &recorded);
     transfers->set_out_state(n.id, std::move(state));
   };
   parallel_for(pool, num_nodes, record_node);
@@ -696,7 +708,7 @@ Interval ValueAnalysis::reg_before(int node, std::uint32_t pc, std::uint8_t reg)
   std::uint32_t walk = n.block->begin;
   for (const Inst& inst : n.block->insts) {
     if (walk == pc) break;
-    state = transfer_inst(inst, walk, std::move(state), n.fn_entry, nullptr);
+    transfer_inst(inst, walk, state, n.fn_entry, nullptr);
     walk += 4;
   }
   return state.bottom ? Interval::bottom() : state.regs[reg];

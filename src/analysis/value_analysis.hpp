@@ -34,6 +34,31 @@ namespace wcet::analysis {
 
 class TransferCache;
 
+// Address regions possibly stored to since task entry, kept as a small
+// list of disjoint intervals (a single hull would let one confined
+// store poison unrelated globals across the address space). The list
+// lives inline, so copying a state never allocates for it.
+class WrittenRegions {
+public:
+  static constexpr std::size_t capacity = 6;
+
+  // Adds `range`, merging it into the first region within 64 bytes of
+  // it; one region past `capacity` collapses the list into one hull
+  // (sound, coarse). Returns true exactly when the list changed.
+  bool add(const Interval& range);
+
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  const Interval& operator[](std::size_t i) const { return regions_[i]; }
+  const Interval* begin() const { return regions_; }
+  const Interval* end() const { return regions_ + size_; }
+  bool operator==(const WrittenRegions& other) const;
+
+private:
+  Interval regions_[capacity];
+  std::uint8_t size_ = 0;
+};
+
 // Abstract machine state: register file + tracked memory words. The
 // tracked-word table is a sorted flat vector (support/flat_map.hpp):
 // joins and widenings run as linear merge-joins and iteration order is
@@ -42,17 +67,15 @@ class TransferCache;
 // merge buffers, transfer-cache out-state snapshots — shares the table,
 // and only a real mutation (`mem.mut()`) detaches it. Reads go through
 // `mem->` / `*mem`; a null pointer canonically reads as the empty table.
+// The table is the only heap memory a state owns.
 struct AbsState {
   using MemTable = FlatMap<std::uint32_t, Interval>;
   bool bottom = true; // default: unreachable
   Interval regs[isa::num_registers];
   CowPtr<MemTable> mem; // word-aligned tracked addresses
-  // Address regions possibly stored to since task entry, kept as a small
-  // list of disjoint intervals (a single hull would let one confined
-  // store poison unrelated globals across the address space).
-  std::vector<Interval> written;
-  static constexpr std::size_t max_written_regions = 6;
-  void add_written(const Interval& range);
+  WrittenRegions written;
+  static constexpr std::size_t max_written_regions = WrittenRegions::capacity;
+  void add_written(const Interval& range) { written.add(range); }
   bool possibly_written(const Interval& range) const;
 
   static AbsState entry_state();
@@ -143,8 +166,12 @@ public:
   }
 
 private:
-  AbsState transfer_inst(const isa::Inst& inst, std::uint32_t pc, AbsState state,
-                         std::uint32_t fn_entry, std::vector<AccessInfo>* accesses) const;
+  // transfer_node in place: the analysis threads one state through
+  // every instruction of a block instead of copying it per instruction.
+  // `accesses` (optional) records each memory access.
+  void transfer_block(int node, AbsState& state, std::vector<AccessInfo>* accesses) const;
+  void transfer_inst(const isa::Inst& inst, std::uint32_t pc, AbsState& state,
+                     std::uint32_t fn_entry, std::vector<AccessInfo>* accesses) const;
   Interval read_mem(const AbsState& state, const Interval& addr, int size,
                     bool sign_extend) const;
   void write_mem(AbsState& state, const Interval& addr, int size, Interval value,

@@ -93,9 +93,11 @@ std::string ServeStats::to_string() const {
 // path borrows. Heap-allocated and never moved internally — the
 // AnalysisContext holds references into hw/annotations, and the next
 // request's WarmHandoff points back at ctx, so member addresses must
-// stay stable for the object's whole lifetime.
+// stay stable for the object's whole lifetime. The image is shared with
+// the run's report-cache entry: one copy of the submitted image per
+// request.
 struct AnalysisServer::Converged {
-  std::unique_ptr<isa::Image> image;
+  std::shared_ptr<const isa::Image> image;
   std::string annotation_text;
   mem::HwConfig hw; // base map + annotation region overrides
   annot::AnnotationDb annotations;
@@ -105,7 +107,7 @@ struct AnalysisServer::Converged {
 };
 
 struct AnalysisServer::CacheEntry {
-  isa::Image image;
+  std::shared_ptr<const isa::Image> image;
   std::string annotation_text;
   WcetReport report;
 };
@@ -137,14 +139,14 @@ WcetReport AnalysisServer::submit_request(const isa::Image& image,
   ++stats_.requests;
 
   for (auto it = report_cache_.begin(); it != report_cache_.end(); ++it) {
-    if (it->annotation_text != annotation_text || !(it->image == image)) continue;
+    if (it->annotation_text != annotation_text || !(*it->image == image)) continue;
     ++stats_.fingerprint_hits;
     report_cache_.splice(report_cache_.begin(), report_cache_, it);
     return report_cache_.front().report;
   }
 
   auto next = std::make_unique<Converged>();
-  next->image = std::make_unique<isa::Image>(image);
+  next->image = std::make_shared<const isa::Image>(image);
   next->annotation_text = annotation_text;
   next->hw = base_hw_;
   next->annotations = annot::parse_annotations(annotation_text, *next->image);
@@ -152,8 +154,9 @@ WcetReport AnalysisServer::submit_request(const isa::Image& image,
     next->hw.memory.add_region_override(region);
   }
 
-  const WcetReport report = run_pipeline(std::move(next));
-  cache_insert(image, annotation_text, report);
+  std::shared_ptr<const isa::Image> cached_image = next->image;
+  WcetReport report = run_pipeline(std::move(next));
+  cache_insert(std::move(cached_image), annotation_text, report);
   return report;
 }
 
@@ -208,7 +211,8 @@ WcetReport AnalysisServer::run_pipeline(std::unique_ptr<Converged> next) {
   return report;
 }
 
-void AnalysisServer::cache_insert(const isa::Image& image, const std::string& annotation_text,
+void AnalysisServer::cache_insert(std::shared_ptr<const isa::Image> image,
+                                  const std::string& annotation_text,
                                   const WcetReport& report) {
   if (options_.report_cache_capacity == 0) return;
   while (report_cache_.size() >= options_.report_cache_capacity) {
@@ -216,7 +220,7 @@ void AnalysisServer::cache_insert(const isa::Image& image, const std::string& an
     report_cache_.pop_back();
     ++stats_.evictions;
   }
-  report_cache_.push_front(CacheEntry{image, annotation_text, report});
+  report_cache_.push_front(CacheEntry{std::move(image), annotation_text, report});
 }
 
 } // namespace wcet::serve

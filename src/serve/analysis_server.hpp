@@ -91,8 +91,8 @@ private:
 
   WcetReport submit_request(const isa::Image& image, const std::string& annotation_text);
   WcetReport run_pipeline(std::unique_ptr<Converged> next);
-  void cache_insert(const isa::Image& image, const std::string& annotation_text,
-                    const WcetReport& report);
+  void cache_insert(std::shared_ptr<const isa::Image> image,
+                    const std::string& annotation_text, const WcetReport& report);
 
   mem::HwConfig base_hw_;
   ServeOptions options_;

@@ -212,18 +212,18 @@ Interval Interval::sub(const Interval& rhs) const {
   return wrap_range(lo_ - rhs.hi_, hi_ - rhs.lo_);
 }
 
-std::vector<std::pair<std::int64_t, std::int64_t>> Interval::signed_parts() const {
-  std::vector<std::pair<std::int64_t, std::int64_t>> parts;
-  if (bottom_) return parts;
+Interval::SignedParts Interval::signed_parts() const {
+  SignedParts split;
+  if (bottom_) return split;
   if (hi_ < 0x80000000ll) {
-    parts.emplace_back(lo_, hi_);
+    split.parts[split.count++] = {lo_, hi_};
   } else if (lo_ >= 0x80000000ll) {
-    parts.emplace_back(lo_ - k_two32, hi_ - k_two32);
+    split.parts[split.count++] = {lo_ - k_two32, hi_ - k_two32};
   } else {
-    parts.emplace_back(lo_, k_smax);
-    parts.emplace_back(k_smin, hi_ - k_two32);
+    split.parts[split.count++] = {lo_, k_smax};
+    split.parts[split.count++] = {k_smin, hi_ - k_two32};
   }
-  return parts;
+  return split;
 }
 
 Interval Interval::mul(const Interval& rhs) const {

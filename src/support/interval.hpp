@@ -16,7 +16,7 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
-#include <vector>
+#include <utility>
 
 namespace wcet {
 
@@ -110,8 +110,15 @@ private:
   constexpr Interval(std::int64_t lo, std::int64_t hi) : lo_(lo), hi_(hi) {}
 
   // Split into at most two intervals whose signed readings are contiguous.
-  // Each element is a pair (signed_lo, signed_hi).
-  std::vector<std::pair<std::int64_t, std::int64_t>> signed_parts() const;
+  // Each element is a pair (signed_lo, signed_hi), stored inline: the
+  // signed transfers split every operand, so this must not allocate.
+  struct SignedParts {
+    std::pair<std::int64_t, std::int64_t> parts[2];
+    int count = 0;
+    const std::pair<std::int64_t, std::int64_t>* begin() const { return parts; }
+    const std::pair<std::int64_t, std::int64_t>* end() const { return parts + count; }
+  };
+  SignedParts signed_parts() const;
   static Interval from_signed_clamped(std::int64_t lo, std::int64_t hi);
 
   std::int64_t lo_ = word_min;
