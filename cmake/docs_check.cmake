@@ -72,6 +72,8 @@ if(failures EQUAL 0)
       "instance_rounds.hpp"
       "thread_pool.hpp"
       "build_cache_recipes"
+      "Flat recipe tables"
+      "transfer_block"
       "Recursive IPET decomposition"
       "Sparse-row simplex"
       "solve_ilp_pair"

@@ -8,6 +8,29 @@
 
 namespace wcet::analysis {
 
+namespace {
+
+// Candidate lines of an access: the `count` consecutive lines from
+// `first`; a count of 0 means "unknown line".
+struct LineRange {
+  std::uint32_t first = 0;
+  std::uint32_t count = 0;
+};
+
+LineRange candidate_lines(const Interval& addr, int size, const mem::CacheConfig& config) {
+  if (addr.is_bottom()) return {};
+  // Clamp the end to the word range: a wrap here once made a TOP address
+  // interval look like a single-line access (unsound).
+  const std::int64_t end =
+      std::min<std::int64_t>(addr.umax() + size - 1, Interval::word_max);
+  const std::uint32_t first = config.line_of(static_cast<std::uint32_t>(addr.umin()));
+  const std::uint32_t last = config.line_of(static_cast<std::uint32_t>(end));
+  if (last - first + 1 > 8) return {}; // unknown: too many candidates
+  return {first, last - first + 1};
+}
+
+} // namespace
+
 TransferCache::TransferCache(const cfg::Supergraph& sg) : sg_(sg) {
   out_.resize(sg.nodes().size());
 }
@@ -45,18 +68,6 @@ Interval TransferCache::mem_word_along_edge(int edge, std::uint32_t addr) const 
   return values_->implicit_mem_word(out, addr);
 }
 
-TransferCache::LineRange TransferCache::candidate_lines(const Interval& addr, int size,
-                                                        const mem::CacheConfig& config) {
-  if (addr.is_bottom()) return {};
-  // Clamp the end to the word range: a wrap here once made a TOP address
-  // interval look like a single-line access (unsound).
-  const std::int64_t end =
-      std::min<std::int64_t>(addr.umax() + size - 1, Interval::word_max);
-  const std::uint32_t first = config.line_of(static_cast<std::uint32_t>(addr.umin()));
-  const std::uint32_t last = config.line_of(static_cast<std::uint32_t>(end));
-  if (last - first + 1 > 8) return {}; // unknown: too many candidates
-  return {first, last - first + 1};
-}
 
 void TransferCache::build_data_lines(const mem::CacheConfig& config) {
   WCET_CHECK(values_ != nullptr, "TransferCache::build_data_lines before attach()");

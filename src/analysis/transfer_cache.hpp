@@ -88,16 +88,6 @@ public:
   Interval mem_word_along_edge(int edge, std::uint32_t addr) const;
 
   // ---- candidate cache-line tables ----------------------------------
-  // Candidate lines of an access: the `count` consecutive lines from
-  // `first`; a count of 0 means "unknown line". (Shared helper so cache
-  // analysis and the table builder agree bit-for-bit.)
-  struct LineRange {
-    std::uint32_t first = 0;
-    std::uint32_t count = 0;
-  };
-  static LineRange candidate_lines(const Interval& addr, int size,
-                                   const mem::CacheConfig& config);
-
   // Candidate lines per data access of one node, index-aligned with
   // ValueAnalysis::accesses(node); an empty span means "unknown line".
   // A view into the flat line table.
