@@ -94,7 +94,7 @@ Interval Interval::from_signed_clamped(std::int64_t lo, std::int64_t hi) {
 }
 
 std::optional<std::uint32_t> Interval::as_constant() const {
-  if (!bottom_ && lo_ == hi_) return static_cast<std::uint32_t>(lo_);
+  if (!bottom_ && umin() == umax()) return static_cast<std::uint32_t>(umin());
   return std::nullopt;
 }
 
@@ -102,48 +102,48 @@ std::int64_t Interval::smin() const {
   WCET_CHECK(!bottom_, "smin of bottom");
   // If the interval crosses the signed wrap (contains 2^31), the signed
   // minimum is -2^31; otherwise map endpoints.
-  if (lo_ < 0x80000000ll && hi_ >= 0x80000000ll) return k_smin;
-  return to_signed64(lo_);
+  if (umin() < 0x80000000ll && umax() >= 0x80000000ll) return k_smin;
+  return to_signed64(umin());
 }
 
 std::int64_t Interval::smax() const {
   WCET_CHECK(!bottom_, "smax of bottom");
-  if (lo_ < 0x80000000ll && hi_ >= 0x80000000ll) return k_smax;
-  return to_signed64(hi_);
+  if (umin() < 0x80000000ll && umax() >= 0x80000000ll) return k_smax;
+  return to_signed64(umax());
 }
 
 std::uint64_t Interval::size() const {
   if (bottom_) return 0;
-  return static_cast<std::uint64_t>(hi_ - lo_ + 1);
+  return static_cast<std::uint64_t>(umax() - umin() + 1);
 }
 
 bool Interval::contains(std::uint32_t value) const {
   if (bottom_) return false;
   const auto v = static_cast<std::int64_t>(value);
-  return lo_ <= v && v <= hi_;
+  return umin() <= v && v <= umax();
 }
 
 bool Interval::includes(const Interval& other) const {
   if (other.bottom_) return true;
   if (bottom_) return false;
-  return lo_ <= other.lo_ && other.hi_ <= hi_;
+  return umin() <= other.umin() && other.umax() <= umax();
 }
 
 bool Interval::operator==(const Interval& other) const {
   if (bottom_ || other.bottom_) return bottom_ == other.bottom_;
-  return lo_ == other.lo_ && hi_ == other.hi_;
+  return umin() == other.umin() && umax() == other.umax();
 }
 
 Interval Interval::join(const Interval& other) const {
   if (bottom_) return other;
   if (other.bottom_) return *this;
-  return Interval(std::min(lo_, other.lo_), std::max(hi_, other.hi_));
+  return Interval(std::min(umin(), other.umin()), std::max(umax(), other.umax()));
 }
 
 Interval Interval::meet(const Interval& other) const {
   if (bottom_ || other.bottom_) return bottom();
-  const std::int64_t lo = std::max(lo_, other.lo_);
-  const std::int64_t hi = std::min(hi_, other.hi_);
+  const std::int64_t lo = std::max(umin(), other.umin());
+  const std::int64_t hi = std::min(umax(), other.umax());
   if (lo > hi) return bottom();
   return Interval(lo, hi);
 }
@@ -158,21 +158,21 @@ Interval Interval::widen(const Interval& newer) const {
   static constexpr std::array<std::int64_t, 10> thresholds = {
       0ll, 1ll, 16ll, 256ll, 4096ll, 65536ll, 0x1000000ll,
       0x7FFFFFFFll, 0x80000000ll, 0xFFFFFFFFll};
-  std::int64_t lo = lo_;
-  std::int64_t hi = hi_;
-  if (newer.lo_ < lo_) {
+  std::int64_t lo = umin();
+  std::int64_t hi = umax();
+  if (newer.umin() < umin()) {
     lo = word_min;
     for (auto it = thresholds.rbegin(); it != thresholds.rend(); ++it) {
-      if (*it <= newer.lo_) {
+      if (*it <= newer.umin()) {
         lo = *it;
         break;
       }
     }
   }
-  if (newer.hi_ > hi_) {
+  if (newer.umax() > umax()) {
     hi = word_max;
     for (const auto t : thresholds) {
-      if (t >= newer.hi_) {
+      if (t >= newer.umax()) {
         hi = t;
         break;
       }
@@ -204,24 +204,24 @@ Interval wrap_range(std::int64_t lo, std::int64_t hi) {
 
 Interval Interval::add(const Interval& rhs) const {
   if (bottom_ || rhs.bottom_) return bottom();
-  return wrap_range(lo_ + rhs.lo_, hi_ + rhs.hi_);
+  return wrap_range(umin() + rhs.umin(), umax() + rhs.umax());
 }
 
 Interval Interval::sub(const Interval& rhs) const {
   if (bottom_ || rhs.bottom_) return bottom();
-  return wrap_range(lo_ - rhs.hi_, hi_ - rhs.lo_);
+  return wrap_range(umin() - rhs.umax(), umax() - rhs.umin());
 }
 
 Interval::SignedParts Interval::signed_parts() const {
   SignedParts split;
   if (bottom_) return split;
-  if (hi_ < 0x80000000ll) {
-    split.parts[split.count++] = {lo_, hi_};
-  } else if (lo_ >= 0x80000000ll) {
-    split.parts[split.count++] = {lo_ - k_two32, hi_ - k_two32};
+  if (umax() < 0x80000000ll) {
+    split.parts[split.count++] = {umin(), umax()};
+  } else if (umin() >= 0x80000000ll) {
+    split.parts[split.count++] = {umin() - k_two32, umax() - k_two32};
   } else {
-    split.parts[split.count++] = {lo_, k_smax};
-    split.parts[split.count++] = {k_smin, hi_ - k_two32};
+    split.parts[split.count++] = {umin(), k_smax};
+    split.parts[split.count++] = {k_smin, umax() - k_two32};
   }
   return split;
 }
@@ -261,10 +261,10 @@ Interval Interval::div_u(const Interval& rhs) const {
   // zero contributes the value 0.
   Interval result = bottom();
   if (rhs.contains(0)) result = result.join(constant(0));
-  const std::int64_t dlo = std::max<std::int64_t>(rhs.lo_, 1);
-  const std::int64_t dhi = rhs.hi_;
+  const std::int64_t dlo = std::max<std::int64_t>(rhs.umin(), 1);
+  const std::int64_t dhi = rhs.umax();
   if (dlo <= dhi) {
-    result = result.join(from_unsigned(lo_ / dhi, hi_ / dlo));
+    result = result.join(from_unsigned(umin() / dhi, umax() / dlo));
   }
   return result;
 }
@@ -274,13 +274,13 @@ Interval Interval::rem_u(const Interval& rhs) const {
   // tiny32: x % 0 == x.
   Interval result = bottom();
   if (rhs.contains(0)) result = result.join(*this);
-  const std::int64_t dlo = std::max<std::int64_t>(rhs.lo_, 1);
-  const std::int64_t dhi = rhs.hi_;
+  const std::int64_t dlo = std::max<std::int64_t>(rhs.umin(), 1);
+  const std::int64_t dhi = rhs.umax();
   if (dlo <= dhi) {
     if (auto dc = rhs.as_constant(); dc && *dc != 0 && is_constant()) {
-      result = result.join(constant(static_cast<std::uint32_t>(lo_) % *dc));
+      result = result.join(constant(static_cast<std::uint32_t>(umin()) % *dc));
     } else {
-      result = result.join(from_unsigned(0, std::min(hi_, dhi - 1)));
+      result = result.join(from_unsigned(0, std::min(umax(), dhi - 1)));
     }
   }
   return result;
@@ -346,9 +346,9 @@ Interval Interval::rem_s(const Interval& rhs) const {
 Interval Interval::mulh_u(const Interval& rhs) const {
   if (bottom_ || rhs.bottom_) return bottom();
   const std::uint64_t lo =
-      (static_cast<std::uint64_t>(lo_) * static_cast<std::uint64_t>(rhs.lo_)) >> 32;
+      (static_cast<std::uint64_t>(umin()) * static_cast<std::uint64_t>(rhs.umin())) >> 32;
   const std::uint64_t hi =
-      (static_cast<std::uint64_t>(hi_) * static_cast<std::uint64_t>(rhs.hi_)) >> 32;
+      (static_cast<std::uint64_t>(umax()) * static_cast<std::uint64_t>(rhs.umax())) >> 32;
   return from_unsigned(static_cast<std::int64_t>(lo), static_cast<std::int64_t>(hi));
 }
 
@@ -357,10 +357,10 @@ Interval Interval::shl(const Interval& amount) const {
   Interval result = bottom();
   // tiny32 masks shift amounts to 5 bits.
   if (amount.size() > 32) return top();
-  for (std::int64_t s = amount.lo_; s <= amount.hi_; ++s) {
+  for (std::int64_t s = amount.umin(); s <= amount.umax(); ++s) {
     const std::int64_t k = s & 31;
-    const std::int64_t lo = lo_ << k;
-    const std::int64_t hi = hi_ << k;
+    const std::int64_t lo = umin() << k;
+    const std::int64_t hi = umax() << k;
     result = result.join(wrap_range(lo, hi));
     if (result.is_top()) return result;
   }
@@ -369,11 +369,11 @@ Interval Interval::shl(const Interval& amount) const {
 
 Interval Interval::shr_u(const Interval& amount) const {
   if (bottom_ || amount.bottom_) return bottom();
-  if (amount.size() > 32) return from_unsigned(0, hi_);
+  if (amount.size() > 32) return from_unsigned(0, umax());
   Interval result = bottom();
-  for (std::int64_t s = amount.lo_; s <= amount.hi_; ++s) {
+  for (std::int64_t s = amount.umin(); s <= amount.umax(); ++s) {
     const std::int64_t k = s & 31;
-    result = result.join(from_unsigned(lo_ >> k, hi_ >> k));
+    result = result.join(from_unsigned(umin() >> k, umax() >> k));
   }
   return result;
 }
@@ -382,7 +382,7 @@ Interval Interval::shr_s(const Interval& amount) const {
   if (bottom_ || amount.bottom_) return bottom();
   if (amount.size() > 32) return top();
   Interval result = bottom();
-  for (std::int64_t s = amount.lo_; s <= amount.hi_; ++s) {
+  for (std::int64_t s = amount.umin(); s <= amount.umax(); ++s) {
     const std::int64_t k = s & 31;
     for (const auto& [plo, phi] : signed_parts()) {
       result = result.join(from_signed_clamped(plo >> k, phi >> k));
@@ -397,7 +397,7 @@ Interval Interval::bit_and(const Interval& rhs) const {
     return constant(*a & *rhs.as_constant());
   }
   // x & y <= min(x, y) for unsigned values.
-  return from_unsigned(0, std::min(hi_, rhs.hi_));
+  return from_unsigned(0, std::min(umax(), rhs.umax()));
 }
 
 namespace {
@@ -416,8 +416,8 @@ Interval Interval::bit_or(const Interval& rhs) const {
   // x | y >= max(x, y); x | y < 2^ceil(log2(max+1)+...) — bound by the
   // smallest all-ones mask covering both maxima.
   const std::int64_t hi =
-      std::min<std::int64_t>(word_max, ceil_pow2_minus1(std::max(hi_, rhs.hi_)));
-  return from_unsigned(std::max(lo_, rhs.lo_), hi);
+      std::min<std::int64_t>(word_max, ceil_pow2_minus1(std::max(umax(), rhs.umax())));
+  return from_unsigned(std::max(umin(), rhs.umin()), hi);
 }
 
 Interval Interval::bit_xor(const Interval& rhs) const {
@@ -426,7 +426,7 @@ Interval Interval::bit_xor(const Interval& rhs) const {
     return constant(*a ^ *rhs.as_constant());
   }
   const std::int64_t hi =
-      std::min<std::int64_t>(word_max, ceil_pow2_minus1(std::max(hi_, rhs.hi_)));
+      std::min<std::int64_t>(word_max, ceil_pow2_minus1(std::max(umax(), rhs.umax())));
   return from_unsigned(0, hi);
 }
 
@@ -447,16 +447,16 @@ Interval Interval::refine(Pred p, const Interval& rhs) const {
   case Pred::ne:
     if (auto c = rhs.as_constant()) {
       // Trim a constant from either end.
-      if (lo_ == hi_ && lo_ == static_cast<std::int64_t>(*c)) return bottom();
-      if (lo_ == static_cast<std::int64_t>(*c)) return Interval(lo_ + 1, hi_);
-      if (hi_ == static_cast<std::int64_t>(*c)) return Interval(lo_, hi_ - 1);
+      if (umin() == umax() && umin() == static_cast<std::int64_t>(*c)) return bottom();
+      if (umin() == static_cast<std::int64_t>(*c)) return Interval(umin() + 1, umax());
+      if (umax() == static_cast<std::int64_t>(*c)) return Interval(umin(), umax() - 1);
     }
     return *this;
   case Pred::lt_u:
-    if (rhs.hi_ == 0) return bottom(); // nothing is <u 0
-    return meet(from_unsigned(word_min, rhs.hi_ - 1));
+    if (rhs.umax() == 0) return bottom(); // nothing is <u 0
+    return meet(from_unsigned(word_min, rhs.umax() - 1));
   case Pred::ge_u:
-    return meet(from_unsigned(rhs.lo_, word_max));
+    return meet(from_unsigned(rhs.umin(), word_max));
   case Pred::lt_s: {
     // Signed refinement: this <s rhs, so signed(this) <= smax(rhs)-1.
     const std::int64_t bound = rhs.smax();
@@ -487,11 +487,11 @@ std::string Interval::to_string() const {
   std::ostringstream os;
   if (auto c = as_constant()) {
     os << *c;
-    if (*c >= 0x80000000u) os << " (" << to_signed64(lo_) << ')';
+    if (*c >= 0x80000000u) os << " (" << to_signed64(umin()) << ')';
     return os.str();
   }
-  os << '[' << lo_ << ", " << hi_ << ']';
-  if (hi_ >= 0x80000000ll) {
+  os << '[' << umin() << ", " << umax() << ']';
+  if (umax() >= 0x80000000ll) {
     os << " (s:[" << smin() << ", " << smax() << "])";
   }
   return os.str();

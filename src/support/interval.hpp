@@ -40,7 +40,7 @@ public:
   static constexpr std::int64_t word_max = 0xFFFFFFFFll;
 
   // Default-constructed interval is TOP (unknown word).
-  constexpr Interval() : lo_(word_min), hi_(word_max) {}
+  constexpr Interval() = default;
 
   static Interval top() { return Interval(); }
   static Interval bottom() {
@@ -58,7 +58,7 @@ public:
   static Interval boolean() { return from_unsigned(0, 1); }
 
   bool is_bottom() const { return bottom_; }
-  bool is_top() const { return !bottom_ && lo_ == word_min && hi_ == word_max; }
+  bool is_top() const { return !bottom_ && umin() == word_min && umax() == word_max; }
   bool is_constant() const { return !bottom_ && lo_ == hi_; }
   std::optional<std::uint32_t> as_constant() const;
 
@@ -107,7 +107,9 @@ public:
   std::string to_string() const;
 
 private:
-  constexpr Interval(std::int64_t lo, std::int64_t hi) : lo_(lo), hi_(hi) {}
+  // Callers pass bounds inside the word range (0 <= lo <= hi < 2^32).
+  constexpr Interval(std::int64_t lo, std::int64_t hi)
+      : lo_(static_cast<std::uint32_t>(lo)), hi_(static_cast<std::uint32_t>(hi)) {}
 
   // Split into at most two intervals whose signed readings are contiguous.
   // Each element is a pair (signed_lo, signed_hi), stored inline: the
@@ -121,8 +123,12 @@ private:
   SignedParts signed_parts() const;
   static Interval from_signed_clamped(std::int64_t lo, std::int64_t hi);
 
-  std::int64_t lo_ = word_min;
-  std::int64_t hi_ = word_max;
+  // The bounds are stored as 32-bit words (every arithmetic reads them
+  // widened through umin()/umax()): an abstract state is mostly
+  // intervals, so their size is the size of the states the fixpoints
+  // copy and join.
+  std::uint32_t lo_ = 0;
+  std::uint32_t hi_ = 0xFFFFFFFFu;
   bool bottom_ = false;
 };
 
