@@ -39,8 +39,8 @@
 // lines, an upper bound on its per-set ops and groups), the arrays are
 // allocated once, and the parallel build writes each node's slice.
 // Nothing reallocates after sizing, so `data_lines` and `cache_recipe`
-// hand out span views into the arrays. A build is a dozen allocations
-// whatever the node count, and so is the teardown.
+// hand out span views into the arrays. A build is about fifteen
+// allocations whatever the node count, and so is the teardown.
 #pragma once
 
 #include <cstdint>
@@ -178,8 +178,8 @@ public:
     };
     struct DataGroup {
       unsigned set = 0;
-      bool any_one_of = false;           // false: ops are pure must-side aging
-      std::span<const DataSetOp> ops;    // program order
+      bool any_one_of = false;        // false: ops are pure must-side aging
+      std::span<const DataSetOp> ops; // program order
     };
     std::span<const DataGroup> data_groups; // ascending set index
   };

@@ -48,7 +48,6 @@ public:
   bool add(const Interval& range);
 
   std::size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
   const Interval& operator[](std::size_t i) const { return regions_[i]; }
   const Interval* begin() const { return regions_; }
   const Interval* end() const { return regions_ + size_; }
