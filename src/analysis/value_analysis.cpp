@@ -42,9 +42,8 @@ Interval sized_top(int size, bool sign_extend) {
 } // namespace
 
 AbsState AbsState::entry_state() {
-  AbsState s;
+  AbsState s; // registers default to TOP
   s.bottom = false;
-  for (auto& r : s.regs) r = Interval::top();
   s.regs[isa::reg_zero] = Interval::constant(0);
   return s;
 }
