@@ -57,7 +57,7 @@ bool WrittenRegions::add(const Interval& range) {
       std::min<std::int64_t>(Interval::word_max, range.umax() + 64));
   for (std::size_t i = 0; i < size_; ++i) {
     Interval& region = regions_[i];
-    if (!region.meet(slack).is_bottom()) {
+    if (region.overlaps(slack)) {
       const Interval joined = region.join(range);
       if (joined == region) return false;
       region = joined;
@@ -82,7 +82,7 @@ bool WrittenRegions::operator==(const WrittenRegions& other) const {
 
 bool AbsState::possibly_written(const Interval& range) const {
   for (const Interval& region : written) {
-    if (!region.meet(range).is_bottom()) return true;
+    if (region.overlaps(range)) return true;
   }
   return false;
 }
@@ -229,7 +229,11 @@ Interval ValueAnalysis::implicit_word(const AbsState& state, std::uint32_t addr)
     if (state.possibly_written(cell)) return Interval::top();
   }
   // Initial contents: image bytes where mapped, zero elsewhere (the
-  // simulator's fresh-memory default).
+  // simulator's fresh-memory default). A word inside one section is
+  // read in one go.
+  if (section != nullptr) {
+    if (const auto word = section->read_word(addr)) return Interval::constant(*word);
+  }
   std::uint32_t value = 0;
   for (int i = 3; i >= 0; --i) {
     const auto byte = sg_.program().image().read_byte(addr + static_cast<std::uint32_t>(i));
@@ -248,7 +252,7 @@ Interval ValueAnalysis::read_mem(const AbsState& state, const Interval& addr, in
       if (!region.io) continue;
       const Interval span = Interval::from_unsigned(
           region.base, static_cast<std::int64_t>(region.base) + region.size - 1);
-      if (!addr.meet(span).is_bottom()) touches_io = true;
+      if (addr.overlaps(span)) touches_io = true;
     }
     if (touches_io) return sized_top(size, sign_extend);
   }

@@ -63,14 +63,6 @@ const char* to_string(Pred p) {
   return "?";
 }
 
-Interval Interval::from_unsigned(std::int64_t lo, std::int64_t hi) {
-  if (lo > hi) return bottom();
-  lo = std::max(lo, word_min);
-  hi = std::min(hi, word_max);
-  if (lo > hi) return bottom();
-  return Interval(lo, hi);
-}
-
 Interval Interval::from_signed(std::int64_t lo, std::int64_t hi) {
   if (lo > hi) return bottom();
   lo = std::max(lo, k_smin);
@@ -127,25 +119,6 @@ bool Interval::includes(const Interval& other) const {
   if (other.bottom_) return true;
   if (bottom_) return false;
   return umin() <= other.umin() && other.umax() <= umax();
-}
-
-bool Interval::operator==(const Interval& other) const {
-  if (bottom_ || other.bottom_) return bottom_ == other.bottom_;
-  return umin() == other.umin() && umax() == other.umax();
-}
-
-Interval Interval::join(const Interval& other) const {
-  if (bottom_) return other;
-  if (other.bottom_) return *this;
-  return Interval(std::min(umin(), other.umin()), std::max(umax(), other.umax()));
-}
-
-Interval Interval::meet(const Interval& other) const {
-  if (bottom_ || other.bottom_) return bottom();
-  const std::int64_t lo = std::max(umin(), other.umin());
-  const std::int64_t hi = std::min(umax(), other.umax());
-  if (lo > hi) return bottom();
-  return Interval(lo, hi);
 }
 
 Interval Interval::widen(const Interval& newer) const {

@@ -12,6 +12,7 @@
 // in binary-level value analysis (cf. Section 3.1 of the paper).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <iosfwd>
 #include <optional>
@@ -52,7 +53,12 @@ public:
     return Interval(static_cast<std::int64_t>(value), static_cast<std::int64_t>(value));
   }
   // Range of unsigned values, clamped to the word range.
-  static Interval from_unsigned(std::int64_t lo, std::int64_t hi);
+  static Interval from_unsigned(std::int64_t lo, std::int64_t hi) {
+    lo = std::max(lo, word_min);
+    hi = std::min(hi, word_max);
+    if (lo > hi) return bottom();
+    return Interval(lo, hi);
+  }
   // Range of signed values in [-2^31, 2^31-1]; wrapped into unsigned space.
   static Interval from_signed(std::int64_t lo, std::int64_t hi);
   static Interval boolean() { return from_unsigned(0, 1); }
@@ -73,11 +79,30 @@ public:
   bool contains(std::uint32_t value) const;
   bool includes(const Interval& other) const; // superset-or-equal
 
-  bool operator==(const Interval& other) const;
+  // The lattice operations are inline: the value fixpoint applies them
+  // to every register and tracked word of every state it joins.
+  bool operator==(const Interval& other) const {
+    if (bottom_ || other.bottom_) return bottom_ == other.bottom_;
+    return lo_ == other.lo_ && hi_ == other.hi_;
+  }
   bool operator!=(const Interval& other) const { return !(*this == other); }
 
-  Interval join(const Interval& other) const;
-  Interval meet(const Interval& other) const;
+  Interval join(const Interval& other) const {
+    if (bottom_) return other;
+    if (other.bottom_) return *this;
+    return Interval(std::min(umin(), other.umin()), std::max(umax(), other.umax()));
+  }
+  Interval meet(const Interval& other) const {
+    if (bottom_ || other.bottom_) return bottom();
+    const std::int64_t lo = std::max(umin(), other.umin());
+    const std::int64_t hi = std::min(umax(), other.umax());
+    if (lo > hi) return bottom();
+    return Interval(lo, hi);
+  }
+  // True when the two share a value (their meet is not bottom).
+  bool overlaps(const Interval& other) const {
+    return !bottom_ && !other.bottom_ && umin() <= other.umax() && other.umin() <= umax();
+  }
   // Widening with threshold set (word boundaries and small constants).
   Interval widen(const Interval& newer) const;
 
