@@ -282,11 +282,9 @@ void TransferCache::build_cache_recipes(const mem::MemoryMap& memmap,
     std::size_t num_data_groups = 0;
     std::size_t num_ops = 0;
     {
-      // mark bit 0: the set has a program; bit 1: some access_one_of op
-      // lands on it. An unknown-line access ages every set, so every
-      // set's program gets an age_all op at its position.
-      constexpr unsigned char touched = 1;
-      constexpr unsigned char one_of = 2;
+      // mark[s]: some access_one_of op lands on set s. An unknown-line
+      // access ages every set, so then every set has a program, with an
+      // age_all op at that access' position.
       const auto unknown_line = [&](const CacheRecipe::Data& d) {
         return d.kind == CacheRecipe::DataKind::disturb || lines_of[d.access_index].empty();
       };
@@ -302,8 +300,10 @@ void TransferCache::build_cache_recipes(const mem::MemoryMap& memmap,
         }
         for (const std::uint32_t line : lines_of[d.access_index]) {
           const unsigned s = set_of(dcache, line);
-          if ((mark[s] & touched) == 0) sets.push_back(s);
-          mark[s] |= touched | one_of;
+          if (mark[s] == 0) {
+            mark[s] = 1;
+            sets.push_back(s);
+          }
         }
       }
       if (ages_all_sets) {
@@ -335,7 +335,7 @@ void TransferCache::build_cache_recipes(const mem::MemoryMap& memmap,
             ops[num_ops++] = {false, outside, {op_lines + first_line, used - first_line}};
           });
         }
-        data_groups[num_data_groups++] = {s, (mark[s] & one_of) != 0,
+        data_groups[num_data_groups++] = {s, mark[s] != 0,
                                           {ops + first_op, num_ops - first_op}};
       }
     }
