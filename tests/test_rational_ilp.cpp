@@ -2,6 +2,7 @@
 // path analysis relies on.
 #include <gtest/gtest.h>
 
+#include "support/diag.hpp"
 #include "support/ilp.hpp"
 #include "support/rational.hpp"
 #include "support/rng.hpp"
@@ -50,6 +51,81 @@ TEST(Rational, RandomFieldAxioms) {
     ASSERT_EQ(a * (b + c), a * b + a * c);
     if (!b.is_zero()) ASSERT_EQ((a / b) * b, a);
   }
+}
+
+// The 2^62 magnitude guard: every operation whose exact result leaves
+// the guard band throws this AnalysisError instead of wrapping.
+template <typename Fn>
+void expect_overflow(Fn&& fn) {
+  try {
+    fn();
+    ADD_FAILURE() << "expected the rational overflow error";
+  } catch (const AnalysisError& e) {
+    EXPECT_STREQ(e.what(), "rational arithmetic overflow in path analysis");
+  }
+}
+
+TEST(Rational, ConstructionRejectsOutOfBandValues) {
+  expect_overflow([] { return Rational(INT64_MIN, -1); });
+  expect_overflow([] { return Rational(1, INT64_MIN); });
+  expect_overflow([] { return Rational(INT64_MIN, 2); }); // -2^62: on the guard
+  // Normalization runs wider than the stored fields: both negations
+  // below are exact, and the pair reduces to 1.
+  EXPECT_EQ(Rational(INT64_MIN, INT64_MIN), Rational(1));
+  EXPECT_EQ(Rational((std::int64_t{1} << 62) - 1, -1).to_string(), "-4611686018427387903");
+}
+
+TEST(Rational, ArithmeticCrossingTheGuardThrows) {
+  const std::int64_t top = (std::int64_t{1} << 62) - 1; // largest in-band magnitude
+  EXPECT_EQ(Rational(top - 1) + Rational(1), Rational(top));
+  expect_overflow([&] { return Rational(top) + Rational(1); });
+  expect_overflow([&] { return Rational(-top) - Rational(1); });
+  expect_overflow([] { return Rational(std::int64_t{1} << 31) * Rational(std::int64_t{1} << 31); });
+  EXPECT_EQ(Rational(std::int64_t{1} << 31) * Rational(std::int64_t{1} << 30),
+            Rational(std::int64_t{1} << 61));
+  expect_overflow([] {
+    Rational r(0);
+    r.sub_mul(Rational(std::int64_t{1} << 31), Rational(std::int64_t{1} << 31));
+    return r;
+  });
+  expect_overflow([&] {
+    Rational r(-top);
+    r.sub_mul(Rational(1), Rational(1));
+    return r;
+  });
+  // The non-integer paths carry the same guard.
+  expect_overflow([&] { return Rational(1, 3) + Rational(top); });
+  expect_overflow([&] { return Rational(top, 3) * Rational(top, 5); });
+  expect_overflow([&] {
+    Rational r(1, 3);
+    r.sub_mul(Rational(top, 7), Rational(11, 2));
+    return r;
+  });
+}
+
+TEST(Rational, CompareWithCrossProductsBeyond64Bits) {
+  const std::int64_t big = std::int64_t{1} << 61;
+  // (2^61+1)/2^61 - (2^61+3)/(2^61+2) = 2 / (2^61 * (2^61+2)) > 0; each
+  // cross product is about 2^122.
+  const Rational a(big + 1, big);
+  const Rational b(big + 3, big + 2);
+  EXPECT_LT(b, a);
+  EXPECT_LE(b, a);
+  EXPECT_FALSE(a < b);
+  EXPECT_FALSE(a <= b);
+  EXPECT_LT(-a, -b);
+  EXPECT_LE(-a, -b);
+  EXPECT_FALSE(-b < -a);
+  EXPECT_LE(a, a);
+  EXPECT_FALSE(a < a);
+}
+
+TEST(Rational, FromInt128ReducesWidePairs) {
+  const __int128 wide = static_cast<__int128>(1) << 70;
+  EXPECT_EQ(Rational::from_int128(3 * wide, 2 * wide), Rational(3, 2));
+  EXPECT_EQ(Rational::from_int128(-5 * wide, 15 * wide).to_string(), "-1/3");
+  EXPECT_EQ(Rational::from_int128(7 * wide, -wide), Rational(-7));
+  expect_overflow([&] { return Rational::from_int128(wide + 1, 3); });
 }
 
 // ------------------------------------------------------------------- LP
@@ -212,6 +288,28 @@ TEST(Ilp, DegeneratePivotsTerminate) {
   // 128 degenerate Dantzig pivots, then Bland's lowest-index rule: the
   // count pins which column each Bland step picks.
   EXPECT_EQ(s.pivots_used, 132u);
+}
+
+TEST(Ilp, DantzigTiesGoToTheLowestColumn) {
+  // Columns 1 and 2 tie on the largest reduced cost. Dantzig's rule
+  // takes the lower one, which the optimal vertex records: x1 fills its
+  // own bound first and x2 gets the rest of the shared row.
+  IlpProblem p;
+  const int x0 = p.add_variable();
+  const int x1 = p.add_variable();
+  const int x2 = p.add_variable();
+  p.set_objective(x0, 1);
+  p.set_objective(x1, 2);
+  p.set_objective(x2, 2);
+  p.add_constraint({{x1, Rational(1)}, {x2, Rational(1)}}, Cmp::le, 4);
+  p.add_constraint({{x1, Rational(1)}}, Cmp::le, 3);
+  p.add_constraint({{x2, Rational(1)}}, Cmp::le, 3);
+  p.add_constraint({{x0, Rational(1)}}, Cmp::le, 1);
+  const LpSolution s = p.solve_lp();
+  ASSERT_TRUE(s.ok());
+  EXPECT_EQ(s.objective, Rational(9));
+  EXPECT_EQ(s.values, (std::vector<Rational>{1, 3, 1}));
+  EXPECT_EQ(s.pivots_used, 3u);
 }
 
 TEST(Ilp, EmptyRowsHandled) {
