@@ -53,8 +53,8 @@ constexpr int k_bland_switch = 128;
 // warm start can append branch rows and their slack columns in place —
 // existing rows never materialize the new columns. A column index
 // (column -> rows that may store an entry there) lets a pivot visit
-// only the rows holding its column, and a pricing list lets column
-// selection scan only the columns with a positive reduced cost.
+// only the rows holding its column, and a pricing heap hands column
+// selection the largest positive reduced cost without a scan.
 class Simplex {
 public:
   // `pivot_limit`: the per-solve pivot budget ran out mid-iteration; no
@@ -397,19 +397,36 @@ public:
 
 private:
   Status primal(bool allow_artificials) {
-    // Pricing list: every allowed column with a positive reduced cost
-    // (plus stale entries, dropped as the scan meets them). A pivot
-    // changes reduced costs only at the pivot row's columns, so only
-    // those are rechecked after it.
+    // Pricing heap: a lazy max-heap of (reduced cost, column), largest
+    // cost first and ties to the lowest column. A pivot changes reduced
+    // costs only at the pivot row's columns, so after it only those get
+    // a new stamp and, when positive, a fresh entry; an entry whose
+    // stamp is out of date is dropped when it surfaces. The entries with
+    // a current stamp are therefore exactly the allowed columns with a
+    // positive reduced cost, each at its current cost, and the top is
+    // the column a full Dantzig scan in ascending column order picks.
     const auto allowed = [&](std::size_t c) { return allow_artificials || !is_artificial_[c]; };
-    std::vector<std::size_t> priced;
-    std::vector<char> in_priced(cols_, 0);
-    const auto offer = [&](std::size_t c) {
-      if (in_priced[c] || !allowed(c) || !obj_[c].is_positive()) return;
-      in_priced[c] = 1;
-      priced.push_back(c);
+    struct Priced {
+      Rational cost;
+      std::size_t col = 0;
+      std::uint32_t stamp = 0;
     };
-    for (std::size_t c = 0; c < cols_; ++c) offer(c);
+    const auto lower = [](const Priced& a, const Priced& b) {
+      return a.cost < b.cost || (a.cost == b.cost && a.col > b.col);
+    };
+    std::vector<Priced> heap;
+    std::vector<std::uint32_t> stamp(cols_, 0);
+    const auto current = [&](const Priced& p) { return p.stamp == stamp[p.col]; };
+    for (std::size_t c = 0; c < cols_; ++c) {
+      if (allowed(c) && obj_[c].is_positive()) heap.push_back({obj_[c], c, 0});
+    }
+    std::make_heap(heap.begin(), heap.end(), lower);
+    const auto reprice = [&](std::size_t c) {
+      ++stamp[c];
+      if (!allowed(c) || !obj_[c].is_positive()) return;
+      heap.push_back({obj_[c], c, stamp[c]});
+      std::push_heap(heap.begin(), heap.end(), lower);
+    };
 
     int degenerate_streak = 0;
     for (;;) {
@@ -418,24 +435,22 @@ private:
       // progress is healthy, Bland's rule (first eligible) after a
       // degenerate streak — Bland cannot cycle, so termination holds.
       // Ties go to the lowest column index under both rules, as in an
-      // ascending scan over every column.
-      const bool dantzig = degenerate_streak < k_bland_switch;
+      // ascending scan over every column. Bland's pick is rare enough
+      // to scan the heap for, dropping its out-of-date entries first.
       std::size_t enter = cols_;
-      std::size_t kept = 0;
-      for (const std::size_t c : priced) {
-        if (!obj_[c].is_positive()) {
-          in_priced[c] = 0;
-          continue;
+      if (degenerate_streak < k_bland_switch) {
+        while (!heap.empty() && !current(heap.front())) {
+          std::pop_heap(heap.begin(), heap.end(), lower);
+          heap.pop_back();
         }
-        priced[kept++] = c;
-        if (enter == cols_) {
-          enter = c;
-        } else if (dantzig ? obj_[enter] < obj_[c] || (obj_[c] == obj_[enter] && c < enter)
-                           : c < enter) {
-          enter = c;
-        }
+        if (!heap.empty()) enter = heap.front().col;
+      } else {
+        heap.erase(std::remove_if(heap.begin(), heap.end(),
+                                  [&](const Priced& p) { return !current(p); }),
+                   heap.end());
+        std::make_heap(heap.begin(), heap.end(), lower);
+        for (const Priced& p : heap) enter = std::min(enter, p.col);
       }
-      priced.resize(kept);
       if (enter == cols_) return Status::optimal;
 
       // Ratio test over the rows holding the entering column: the row
@@ -460,7 +475,7 @@ private:
       degenerate_streak = best_ratio.is_zero() ? degenerate_streak + 1 : 0;
       eliminate(leave, enter);
       finish_pivot(leave, enter);
-      for (const Ent& e : mat_[leave]) offer(e.col);
+      for (const Ent& e : mat_[leave]) reprice(e.col);
     }
   }
 

@@ -39,121 +39,77 @@ __int128 gcd128(__int128 a, __int128 b) {
   }
 }
 
-// Guard band: keep magnitudes well below the 128-bit limit so that a
-// single multiply in the next operation cannot wrap.
-constexpr __int128 k_magnitude_limit = static_cast<__int128>(1) << 62;
-
-std::string int128_to_string(__int128 v) {
-  if (v == 0) return "0";
-  const bool neg = v < 0;
-  __int128 a = neg ? -v : v;
-  std::string digits;
-  while (a > 0) {
-    digits.push_back(static_cast<char>('0' + static_cast<int>(a % 10)));
-    a /= 10;
-  }
-  if (neg) digits.push_back('-');
-  return {digits.rbegin(), digits.rend()};
-}
-
 } // namespace
 
-void Rational::check_magnitude(__int128 v) {
-  if (abs128(v) >= k_magnitude_limit) {
-    throw AnalysisError("rational arithmetic overflow in path analysis");
+// Reduces num/den (den != 0) in 128 bits, guards both parts and only
+// then narrows them.
+Rational Rational::reduced(__int128 num, __int128 den) {
+  if (den < 0) {
+    num = -num;
+    den = -den;
   }
+  if (num == 0) return Rational(0);
+  if (den != 1) {
+    const __int128 g = gcd128(num, den);
+    if (g != 1) {
+      num /= g;
+      den /= g;
+    }
+  }
+  return from_reduced(num, den);
 }
 
-Rational::Rational(std::int64_t num, std::int64_t den) : num_(num), den_(den) {
+void Rational::overflow() {
+  throw AnalysisError("rational arithmetic overflow in path analysis");
+}
+
+Rational Rational::from_reduced(__int128 num, __int128 den) {
+  check_magnitude(num);
+  check_magnitude(den);
+  Rational r;
+  r.num_ = static_cast<std::int64_t>(num);
+  r.den_ = static_cast<std::int64_t>(den);
+  return r;
+}
+
+Rational::Rational(std::int64_t num, std::int64_t den) {
   WCET_CHECK(den != 0, "rational with zero denominator");
-  normalize();
+  *this = reduced(num, den);
 }
 
 Rational Rational::from_int128(__int128 num, __int128 den) {
   WCET_CHECK(den != 0, "rational with zero denominator");
-  Rational r;
-  r.num_ = num;
-  r.den_ = den;
-  r.normalize();
-  return r;
+  return reduced(num, den);
 }
 
-void Rational::normalize() {
-  if (den_ < 0) {
-    num_ = -num_;
-    den_ = -den_;
-  }
-  if (num_ == 0) {
-    den_ = 1;
-    return;
-  }
-  if (den_ == 1) { // integer fast path: no gcd needed
-    check_magnitude(num_);
-    return;
-  }
-  const __int128 g = gcd128(num_, den_);
-  if (g != 1) {
-    num_ /= g;
-    den_ /= g;
-  }
-  check_magnitude(num_);
-  check_magnitude(den_);
-}
-
+// den_ > 0, so neither division below can overflow.
 std::int64_t Rational::floor64() const {
-  __int128 q = num_ / den_;
+  std::int64_t q = num_ / den_;
   if (num_ % den_ != 0 && num_ < 0) --q;
-  WCET_CHECK(abs128(q) <= INT64_MAX, "rational floor out of int64 range");
-  return static_cast<std::int64_t>(q);
+  return q;
 }
 
 std::int64_t Rational::ceil64() const {
-  __int128 q = num_ / den_;
+  std::int64_t q = num_ / den_;
   if (num_ % den_ != 0 && num_ > 0) ++q;
-  WCET_CHECK(abs128(q) <= INT64_MAX, "rational ceil out of int64 range");
-  return static_cast<std::int64_t>(q);
+  return q;
 }
 
-// A reduced fraction stays reduced under negation: no gcd needed.
-Rational Rational::operator-() const {
-  Rational r = *this;
-  r.num_ = -r.num_;
-  return r;
+Rational Rational::add_slow(const Rational& rhs) const {
+  const __int128 n = static_cast<__int128>(num_) * rhs.den_ + static_cast<__int128>(rhs.num_) * den_;
+  return reduced(n, static_cast<__int128>(den_) * rhs.den_);
 }
 
-Rational Rational::operator+(const Rational& rhs) const {
-  if (den_ == 1 && rhs.den_ == 1) { // integer fast path
-    Rational r;
-    r.num_ = num_ + rhs.num_;
-    check_magnitude(r.num_);
-    return r;
-  }
-  return from_int128(num_ * rhs.den_ + rhs.num_ * den_, den_ * rhs.den_);
+Rational Rational::sub_slow(const Rational& rhs) const {
+  const __int128 n = static_cast<__int128>(num_) * rhs.den_ - static_cast<__int128>(rhs.num_) * den_;
+  return reduced(n, static_cast<__int128>(den_) * rhs.den_);
 }
 
-Rational Rational::operator-(const Rational& rhs) const {
-  if (den_ == 1 && rhs.den_ == 1) { // integer fast path
-    Rational r;
-    r.num_ = num_ - rhs.num_;
-    check_magnitude(r.num_);
-    return r;
-  }
-  return from_int128(num_ * rhs.den_ - rhs.num_ * den_, den_ * rhs.den_);
-}
-
-// Fused `*this -= a * b`: the simplex pivot's row update. Normalization
-// is deferred to a single pass at the end (the lazy-normalization fast
-// path), with an all-integer shortcut that needs no gcd at all.
-void Rational::sub_mul(const Rational& a, const Rational& b) {
-  if (a.num_ == 0 || b.num_ == 0) return;
-  if (den_ == 1 && a.den_ == 1 && b.den_ == 1) {
-    num_ -= a.num_ * b.num_;
-    check_magnitude(num_);
-    return;
-  }
-  // Cross-reduce the product before combining, as operator* does. The
-  // reduced product must re-enter the guard band before the combining
-  // multiplies below, or they could wrap __int128 silently.
+// Fused `*this -= a * b` off the integer path: the product is
+// cross-reduced as in mul_slow and must re-enter the guard band before
+// the combining multiplies, so they cannot wrap __int128; the result is
+// normalized once at the end.
+void Rational::sub_mul_slow(const Rational& a, const Rational& b) {
   const __int128 g1 = gcd128(a.num_, b.den_);
   const __int128 g2 = gcd128(b.num_, a.den_);
   const __int128 pn = (a.num_ / g1) * (b.num_ / g2);
@@ -161,30 +117,19 @@ void Rational::sub_mul(const Rational& a, const Rational& b) {
   check_magnitude(pn);
   check_magnitude(pd);
   if (den_ == pd) {
-    num_ -= pn;
-    normalize();
+    *this = reduced(num_ - pn, pd);
     return;
   }
-  num_ = num_ * pd - pn * den_;
-  den_ *= pd;
-  normalize();
+  *this = reduced(num_ * pd - pn * den_, den_ * pd);
 }
 
-Rational Rational::operator*(const Rational& rhs) const {
-  if (den_ == 1 && rhs.den_ == 1) { // integer fast path
-    Rational r;
-    r.num_ = num_ * rhs.num_;
-    check_magnitude(r.num_);
-    return r;
-  }
-  // Cross-reduce before multiplying to keep magnitudes small.
+// Cross-reduce before multiplying: two reduced fractions then give an
+// already reduced product, so no gcd of the wide result is needed.
+// Neither gcd is zero: each takes a positive denominator.
+Rational Rational::mul_slow(const Rational& rhs) const {
   const __int128 g1 = gcd128(num_, rhs.den_);
   const __int128 g2 = gcd128(rhs.num_, den_);
-  const __int128 n1 = g1 == 0 ? num_ : num_ / g1;
-  const __int128 d2 = g1 == 0 ? rhs.den_ : rhs.den_ / g1;
-  const __int128 n2 = g2 == 0 ? rhs.num_ : rhs.num_ / g2;
-  const __int128 d1 = g2 == 0 ? den_ : den_ / g2;
-  return from_int128(n1 * n2, d1 * d2);
+  return from_reduced((num_ / g1) * (rhs.num_ / g2), (den_ / g2) * (rhs.den_ / g1));
 }
 
 Rational Rational::operator/(const Rational& rhs) const {
@@ -192,19 +137,13 @@ Rational Rational::operator/(const Rational& rhs) const {
   return *this * from_int128(rhs.den_, rhs.num_);
 }
 
-bool Rational::operator<(const Rational& rhs) const {
-  if (den_ == 1 && rhs.den_ == 1) return num_ < rhs.num_; // integer fast path
-  return num_ * rhs.den_ < rhs.num_ * den_;
-}
-
-bool Rational::operator<=(const Rational& rhs) const {
-  if (den_ == 1 && rhs.den_ == 1) return num_ <= rhs.num_; // integer fast path
-  return num_ * rhs.den_ <= rhs.num_ * den_;
-}
-
 std::string Rational::to_string() const {
-  if (den_ == 1) return int128_to_string(num_);
-  return int128_to_string(num_) + "/" + int128_to_string(den_);
+  std::string out = std::to_string(num_);
+  if (den_ != 1) {
+    out += '/';
+    out += std::to_string(den_);
+  }
+  return out;
 }
 
 std::ostream& operator<<(std::ostream& os, const Rational& r) {
