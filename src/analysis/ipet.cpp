@@ -1,6 +1,7 @@
 #include "analysis/ipet.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <optional>
 
 #include "support/diag.hpp"
@@ -38,6 +39,65 @@ bool same_timing(const NodeTiming& a, const NodeTiming& b) {
                              x.line_count == y.line_count;
                     });
 }
+
+// Dense id -> position map over the id span of one ascending id list:
+// O(span) to build, O(1) to look up, -1 for an id not on the list. The
+// supergraph numbers a call subtree's nodes and edges in one compact
+// range (call-DFS order), so a sub-ILP region pays for its own size,
+// not the whole supergraph's.
+class IdIndex {
+public:
+  IdIndex() = default;
+  explicit IdIndex(const std::vector<int>& ascending) {
+    if (ascending.empty()) return;
+    lo_ = ascending.front();
+    pos_.assign(static_cast<std::size_t>(ascending.back() - lo_) + 1, -1);
+    for (std::size_t i = 0; i < ascending.size(); ++i) {
+      pos_[static_cast<std::size_t>(ascending[i] - lo_)] = static_cast<int>(i);
+    }
+  }
+  int operator[](int id) const {
+    const auto k = static_cast<std::size_t>(id - lo_); // below the span wraps past it
+    return k < pos_.size() ? pos_[k] : -1;
+  }
+
+private:
+  int lo_ = 0;
+  std::vector<int> pos_;
+};
+
+// The value paired with `key` in an ascending (key, value) list, or -1.
+int lookup(const std::vector<std::pair<int, int>>& ascending, int key) {
+  const auto it = std::lower_bound(
+      ascending.begin(), ascending.end(), key,
+      [](const std::pair<int, int>& entry, int k) { return entry.first < k; });
+  return it != ascending.end() && it->first == key ? it->second : -1;
+}
+
+// Adjacency lists in two flat arrays: the entries of vertex v are
+// entries[start[v] .. start[v + 1]), in the order `added` lists them.
+template <typename T>
+struct Adjacency {
+  std::vector<int> start;
+  std::vector<T> entries;
+
+  Adjacency(int vertices, const std::vector<std::pair<int, T>>& added)
+      : start(static_cast<std::size_t>(vertices) + 1, 0), entries(added.size()) {
+    for (const auto& [v, entry] : added) ++start[static_cast<std::size_t>(v) + 1];
+    for (std::size_t v = 1; v < start.size(); ++v) start[v] += start[v - 1];
+    std::vector<int> fill(start.begin(), start.end() - 1);
+    for (const auto& [v, entry] : added) {
+      entries[static_cast<std::size_t>(fill[static_cast<std::size_t>(v)]++)] = entry;
+    }
+  }
+  template <typename Fn>
+  void for_each(int v, Fn&& fn) const {
+    for (int k = start[static_cast<std::size_t>(v)]; k < start[static_cast<std::size_t>(v) + 1];
+         ++k) {
+      if (!fn(entries[static_cast<std::size_t>(k)])) return;
+    }
+  }
+};
 
 std::optional<std::uint64_t> bound_of(const std::map<int, std::uint64_t>& bounds, int loop) {
   const auto it = bounds.find(loop);
@@ -209,9 +269,7 @@ bool Ipet::reusable(const Sub& sub, const Sub& before, const Previous& previous,
     return values_.edge_feasible(eid) == previous.values.edge_feasible(eid) &&
            pipeline_.edge_extra(eid) == previous.pipeline.edge_extra(eid);
   };
-  for (std::size_t n = 0; n < sub.member.size(); ++n) {
-    if (!sub.member[n]) continue;
-    const int node_id = static_cast<int>(n);
+  for (const int node_id : sub.nodes) {
     if (values_.node_reachable(node_id) != previous.values.node_reachable(node_id) ||
         !same_timing(pipeline_.timing(node_id), previous.pipeline.timing(node_id))) {
       return false;
@@ -291,14 +349,16 @@ std::pair<IpetResult, IpetResult> Ipet::solve_both(const IpetOptions& options,
 
   // Outer problem over the remaining nodes with one variable per
   // collapsed top-level subtree.
-  std::vector<char> outer_member(sg_.nodes().size(), 1);
+  std::vector<char> collapsed(sg_.nodes().size(), 0);
   for (const Sub& sub : subs) {
-    for (std::size_t n = 0; n < sub.member.size(); ++n) {
-      if (sub.member[n]) outer_member[n] = 0;
-    }
+    for (const int n : sub.nodes) collapsed[static_cast<std::size_t>(n)] = 1;
+  }
+  std::vector<int> outer_nodes;
+  for (std::size_t n = 0; n < collapsed.size(); ++n) {
+    if (!collapsed[n]) outer_nodes.push_back(static_cast<int>(n));
   }
   RegionSpec spec;
-  spec.member = &outer_member;
+  spec.nodes = &outer_nodes;
   spec.source_node = sg_.entry_node();
   spec.top_level = true;
   spec.children = &subs;
@@ -319,16 +379,18 @@ std::pair<IpetResult, IpetResult> Ipet::solve_both(const IpetOptions& options,
 }
 
 // The region of a collapsed subtree is the subtree minus its own
-// collapsed children; fills `member` and returns the region spec.
-Ipet::RegionSpec Ipet::sub_region_spec(Sub& sub, std::vector<char>& member) {
-  member = sub.member;
+// collapsed children; fills `nodes` and returns the region spec.
+Ipet::RegionSpec Ipet::sub_region_spec(Sub& sub, std::vector<int>& nodes) {
+  std::vector<int> holes;
   for (const Sub& child : sub.children) {
-    for (std::size_t n = 0; n < child.member.size(); ++n) {
-      if (child.member[n]) member[n] = 0;
-    }
+    holes.insert(holes.end(), child.nodes.begin(), child.nodes.end());
   }
+  std::sort(holes.begin(), holes.end());
+  nodes.clear();
+  std::set_difference(sub.nodes.begin(), sub.nodes.end(), holes.begin(), holes.end(),
+                      std::back_inserter(nodes));
   RegionSpec spec;
-  spec.member = &member;
+  spec.nodes = &nodes;
   spec.source_node = sub.entry_node;
   spec.top_level = false;
   spec.sink_ret_edges = &sub.ret_edges;
@@ -337,8 +399,8 @@ Ipet::RegionSpec Ipet::sub_region_spec(Sub& sub, std::vector<char>& member) {
 }
 
 void Ipet::solve_sub_both(Sub& sub, const IpetOptions& options) const {
-  std::vector<char> member;
-  const RegionSpec spec = sub_region_spec(sub, member);
+  std::vector<int> nodes;
+  const RegionSpec spec = sub_region_spec(sub, nodes);
   const bool has_children = !sub.children.empty();
   std::map<int, std::uint64_t> edge_counts_max;
   std::map<int, std::uint64_t> edge_counts_min;
@@ -352,12 +414,9 @@ void Ipet::solve_sub_both(Sub& sub, const IpetOptions& options) const {
   merge_sub_results(sub.result_bcet, sub.children, edge_counts_min, /*bcet_sense=*/true);
 }
 
-std::size_t Ipet::reachable_in(const std::vector<char>& member) const {
-  std::size_t count = 0;
-  for (std::size_t n = 0; n < member.size(); ++n) {
-    if (member[n] && values_.node_reachable(static_cast<int>(n))) ++count;
-  }
-  return count;
+std::size_t Ipet::reachable_in(const std::vector<int>& nodes) const {
+  return static_cast<std::size_t>(std::count_if(
+      nodes.begin(), nodes.end(), [&](int n) { return values_.node_reachable(n); }));
 }
 
 std::vector<Ipet::Sub> Ipet::plan_decomposition() const {
@@ -421,7 +480,7 @@ std::vector<Ipet::Sub> Ipet::plan_region(int root_instance, std::size_t region_s
     Sub sub;
     if (subtree_eligible(instance, children, exit_set, sub)) {
       sub.children =
-          plan_region(instance, reachable_in(sub.member), children, subtree_nodes, exit_set);
+          plan_region(instance, reachable_in(sub.nodes), children, subtree_nodes, exit_set);
       subs.push_back(std::move(sub));
     } else {
       push_children(instance);
@@ -458,17 +517,17 @@ bool Ipet::subtree_eligible(int instance, const std::vector<std::vector<int>>& c
     const int i = inst_stack.back();
     inst_stack.pop_back();
     for (const int n : sg_.instance_nodes(i)) sub.member[static_cast<std::size_t>(n)] = 1;
+    sub.nodes.insert(sub.nodes.end(), sg_.instance_nodes(i).begin(), sg_.instance_nodes(i).end());
     for (const int c : children[static_cast<std::size_t>(i)]) inst_stack.push_back(c);
   }
+  std::sort(sub.nodes.begin(), sub.nodes.end());
 
   // Boundary and interior scan: the only inbound edge is the call edge;
   // every outbound edge is a ret edge of THIS instance onto one return
   // site; no task exit and no reachable dead end inside (either would
   // let flow end within the subtree, which the collapsed model cannot
   // express).
-  for (std::size_t n = 0; n < sub.member.size(); ++n) {
-    if (!sub.member[n]) continue;
-    const int node_id = static_cast<int>(n);
+  for (const int node_id : sub.nodes) {
     if (exit_set.count(node_id) != 0) return false;
     const cfg::SgNode& node = sg_.node(node_id);
     bool any_feasible_out = false;
@@ -525,10 +584,8 @@ std::vector<Ipet::Sub> Ipet::prune_pinned(std::vector<Sub> subs,
                                           const std::vector<char>& pinned) {
   std::vector<Sub> kept;
   for (Sub& sub : subs) {
-    bool touched = false;
-    for (std::size_t n = 0; n < sub.member.size() && !touched; ++n) {
-      touched = sub.member[n] != 0 && pinned[n] != 0;
-    }
+    const bool touched = std::any_of(sub.nodes.begin(), sub.nodes.end(),
+                                     [&](int n) { return pinned[static_cast<std::size_t>(n)] != 0; });
     // A fact inside a nested child pins the whole ancestor chain (the
     // child's member nodes are the ancestors' member nodes too), so the
     // recursion drops exactly the chain while unpinned siblings — and
@@ -574,28 +631,32 @@ std::vector<Ipet::Sub> Ipet::prune_pinned(std::vector<Sub> subs,
 
 struct Ipet::RegionBuild {
   IlpProblem ilp;
-  std::vector<int> edge_var;     // supergraph edge -> ilp variable (or -1)
-  std::vector<char> region_node; // reachable nodes of this region
+  std::vector<int> members; // the region's node ids, ascending
+  IdIndex member_pos;       // node id -> position in members
+  std::vector<int> edges;   // edges holding a variable, ascending
+  IdIndex edge_var;         // edge id -> its variable (its position in edges)
+  std::vector<std::pair<int, int>> child_calls; // (call edge, child index), ascending
   std::vector<Rational> obj_max; // internal maximize sense (WCET)
   std::vector<Rational> obj_min; // internal maximize sense (BCET: negated costs)
   Rational offset_max;           // virtual-source objective constants
   Rational offset_min;
   IpetResult early; // early-exit verdict carrier + missing-bound list
+
+  bool in_region(int node) const { return member_pos[node] >= 0; }
 };
 
-int Ipet::append_in_flow(const RegionSpec& spec, const std::vector<int>& edge_var,
-                         int node_id, const Rational& scale,
-                         std::vector<LinTerm>& terms) const {
+int Ipet::append_in_flow(const RegionSpec& spec, const RegionBuild& build, int node_id,
+                         const Rational& scale, std::vector<LinTerm>& terms) const {
   const cfg::SgNode& node = sg_.node(node_id);
   for (const int eid : node.pred_edges) {
-    const int ev = edge_var[static_cast<std::size_t>(eid)];
+    const int ev = build.edge_var[eid];
     if (ev >= 0) terms.push_back({ev, scale});
   }
   if (spec.children != nullptr) {
     // A collapsed child's flow re-emerges at its return site.
     for (const Sub& sub : *spec.children) {
       if (sub.return_site != node_id) continue;
-      const int yv = edge_var[static_cast<std::size_t>(sub.call_edge)];
+      const int yv = build.edge_var[sub.call_edge];
       if (yv >= 0) terms.push_back({yv, scale});
     }
   }
@@ -604,52 +665,58 @@ int Ipet::append_in_flow(const RegionSpec& spec, const std::vector<int>& edge_va
 
 bool Ipet::build_region(const RegionSpec& spec, const IpetOptions& options,
                         RegionBuild& build) const {
-  const auto in_region = [&](int node) {
-    return spec.member == nullptr || (*spec.member)[static_cast<std::size_t>(node)] != 0;
-  };
   IlpProblem& ilp = build.ilp;
+  if (spec.nodes != nullptr) {
+    build.members = *spec.nodes;
+  } else {
+    build.members.resize(sg_.nodes().size());
+    for (std::size_t n = 0; n < build.members.size(); ++n) build.members[n] = static_cast<int>(n);
+  }
+  build.member_pos = IdIndex(build.members);
+  const auto region_node = [&](int node) {
+    return build.in_region(node) && values_.node_reachable(node);
+  };
 
   // Collapsed-child lookups.
-  std::vector<int> child_of_call_edge(sg_.edges().size(), -1);
-  std::vector<int> child_of_ret_edge(sg_.edges().size(), -1);
+  std::vector<std::pair<int, int>> child_rets; // (ret edge, child index), ascending
   if (spec.children != nullptr) {
     for (std::size_t c = 0; c < spec.children->size(); ++c) {
       const Sub& sub = (*spec.children)[c];
-      child_of_call_edge[static_cast<std::size_t>(sub.call_edge)] = static_cast<int>(c);
-      for (const int eid : sub.ret_edges) {
-        child_of_ret_edge[static_cast<std::size_t>(eid)] = static_cast<int>(c);
-      }
+      build.child_calls.push_back({sub.call_edge, static_cast<int>(c)});
+      for (const int eid : sub.ret_edges) child_rets.push_back({eid, static_cast<int>(c)});
     }
+    std::sort(build.child_calls.begin(), build.child_calls.end());
+    std::sort(child_rets.begin(), child_rets.end());
   }
-  std::vector<char> is_sink_edge(sg_.edges().size(), 0);
-  if (spec.sink_ret_edges != nullptr) {
-    for (const int eid : *spec.sink_ret_edges) is_sink_edge[static_cast<std::size_t>(eid)] = 1;
-  }
+  const auto is_sink_edge = [&](int eid) {
+    return spec.sink_ret_edges != nullptr &&
+           std::find(spec.sink_ret_edges->begin(), spec.sink_ret_edges->end(), eid) !=
+               spec.sink_ret_edges->end();
+  };
 
   // Variables: one per feasible internal edge and one super-edge
   // variable per collapsed child (its call edge: the subtree's 0/1
-  // entry count). Sink and persistence-miss variables follow.
-  build.region_node.assign(sg_.nodes().size(), 0);
-  for (const cfg::SgNode& node : sg_.nodes()) {
-    if (in_region(node.id) && values_.node_reachable(node.id)) {
-      build.region_node[static_cast<std::size_t>(node.id)] = 1;
+  // entry count), in ascending edge id. Every such edge leaves a
+  // region node or is a child's call edge. Sink and persistence-miss
+  // variables follow.
+  std::vector<int> candidates;
+  for (const int n : build.members) {
+    if (!values_.node_reachable(n)) continue;
+    const std::vector<int>& out = sg_.node(n).succ_edges;
+    candidates.insert(candidates.end(), out.begin(), out.end());
+  }
+  for (const auto& [eid, child] : build.child_calls) candidates.push_back(eid);
+  std::sort(candidates.begin(), candidates.end());
+  candidates.erase(std::unique(candidates.begin(), candidates.end()), candidates.end());
+  for (const int eid : candidates) {
+    const cfg::SgEdge& edge = sg_.edge(eid);
+    if (lookup(build.child_calls, eid) >= 0 ||
+        (values_.edge_feasible(eid) && region_node(edge.from) && region_node(edge.to))) {
+      build.edges.push_back(eid);
     }
   }
-  build.edge_var.assign(sg_.edges().size(), -1);
-  std::vector<int>& edge_var = build.edge_var;
-  for (const cfg::SgEdge& edge : sg_.edges()) {
-    const int child = child_of_call_edge[static_cast<std::size_t>(edge.id)];
-    if (child >= 0) {
-      edge_var[static_cast<std::size_t>(edge.id)] = ilp.add_variable();
-      continue;
-    }
-    if (!values_.edge_feasible(edge.id)) continue;
-    if (!build.region_node[static_cast<std::size_t>(edge.from)] ||
-        !build.region_node[static_cast<std::size_t>(edge.to)]) {
-      continue;
-    }
-    edge_var[static_cast<std::size_t>(edge.id)] = ilp.add_variable();
-  }
+  build.edge_var = IdIndex(build.edges);
+  for (std::size_t i = 0; i < build.edges.size(); ++i) ilp.add_variable();
 
   const auto add_obj = [](std::vector<Rational>& obj, int var, const Rational& coeff) {
     if (obj.size() <= static_cast<std::size_t>(var)) {
@@ -662,18 +729,19 @@ bool Ipet::build_region(const RegionSpec& spec, const IpetOptions& options,
   // subtree's ret edges, and the node weights folded onto the inbound
   // flow.
   std::vector<int> exit_vars;
-  // Balance-row index per region node plus the owning node of every
+  // Balance-row index per region member plus the owning node of every
   // sink variable: the flow-network shape the crash basis is built on.
-  std::vector<int> balance_row(sg_.nodes().size(), -1);
+  std::vector<int> balance_row(build.members.size(), -1);
   std::vector<std::pair<int, int>> sink_var_node; // (variable, node)
   {
     std::set<int> exit_set;
     if (spec.top_level) exit_set.insert(sg_.exit_nodes().begin(), sg_.exit_nodes().end());
-    for (const cfg::SgNode& node : sg_.nodes()) {
-      if (!build.region_node[static_cast<std::size_t>(node.id)]) continue;
-      balance_row[static_cast<std::size_t>(node.id)] = ilp.num_constraints();
+    for (std::size_t pos = 0; pos < build.members.size(); ++pos) {
+      const cfg::SgNode& node = sg_.node(build.members[pos]);
+      if (!values_.node_reachable(node.id)) continue;
+      balance_row[pos] = ilp.num_constraints();
       std::vector<LinTerm> terms;
-      const int src = append_in_flow(spec, edge_var, node.id, Rational(1), terms);
+      const int src = append_in_flow(spec, build, node.id, Rational(1), terms);
       const std::size_t in_count = terms.size();
 
       const NodeTiming& timing = pipeline_.timing(node.id);
@@ -690,12 +758,12 @@ bool Ipet::build_region(const RegionSpec& spec, const IpetOptions& options,
 
       bool made_sink = false;
       for (const int eid : node.succ_edges) {
-        const int ev = edge_var[static_cast<std::size_t>(eid)];
+        const int ev = build.edge_var[eid];
         if (ev >= 0) {
           terms.push_back({ev, Rational(-1)});
           continue;
         }
-        if (is_sink_edge[static_cast<std::size_t>(eid)] != 0 && values_.edge_feasible(eid)) {
+        if (is_sink_edge(eid) && values_.edge_feasible(eid)) {
           // Subtree ret edge: flow leaves the region here; the sink
           // variable carries the edge's extra cost (taken-branch
           // penalty convention) in the objective.
@@ -717,10 +785,8 @@ bool Ipet::build_region(const RegionSpec& spec, const IpetOptions& options,
         sink_var_node.push_back({sv, node.id});
         terms.push_back({sv, Rational(-1)});
       } else if (!made_sink &&
-                 (node.succ_edges.empty() ||
-                  std::all_of(node.succ_edges.begin(), node.succ_edges.end(), [&](int eid) {
-                    return edge_var[static_cast<std::size_t>(eid)] < 0;
-                  }))) {
+                 std::all_of(node.succ_edges.begin(), node.succ_edges.end(),
+                             [&](int eid) { return build.edge_var[eid] < 0; })) {
         // Dead end that is not an exit (e.g. unresolved indirect): treat
         // as a sink so the system stays feasible; the driver reports the
         // obstruction separately.
@@ -753,18 +819,18 @@ bool Ipet::build_region(const RegionSpec& spec, const IpetOptions& options,
     std::set<int> seen_children;
     has_virtual_entry = false;
     for (const int eid : loop.entry_edges) {
-      const int ev = edge_var[static_cast<std::size_t>(eid)];
+      const int ev = build.edge_var[eid];
       if (ev >= 0) {
         terms.push_back({ev, Rational(1)});
         continue;
       }
       const cfg::SgEdge& e = sg_.edge(eid);
-      if (in_region(e.from)) continue; // infeasible or unreachable: no flow
-      const int child = child_of_ret_edge[static_cast<std::size_t>(eid)];
+      if (build.in_region(e.from)) continue; // infeasible or unreachable: no flow
+      const int child = lookup(child_rets, eid);
       if (child >= 0) {
         if (seen_children.insert(child).second) {
-          const int yv = edge_var[static_cast<std::size_t>(
-              (*spec.children)[static_cast<std::size_t>(child)].call_edge)];
+          const int yv =
+              build.edge_var[(*spec.children)[static_cast<std::size_t>(child)].call_edge];
           if (yv >= 0) terms.push_back({yv, Rational(1)});
         }
         continue;
@@ -776,12 +842,22 @@ bool Ipet::build_region(const RegionSpec& spec, const IpetOptions& options,
 
   // Loop bounds for loops that live in this region (loops never span a
   // collapsed boundary: a cycle through the subtree would have to pass
-  // the call site, which eligibility requires to be loop-free).
-  for (const cfg::Loop& loop : loops_.loops()) {
-    if (!in_region(loop.header)) continue;
+  // the call site, which eligibility requires to be loop-free), in
+  // ascending loop id. The loops containing a node are its innermost
+  // loop and that loop's ancestors, so each member's chain yields the
+  // loops it heads.
+  std::vector<int> region_loops;
+  for (const int n : build.members) {
+    for (int l = loops_.innermost_loop_of(n); l >= 0; l = loops_.loop(l).parent) {
+      if (loops_.loop(l).header == n) region_loops.push_back(l);
+    }
+  }
+  std::sort(region_loops.begin(), region_loops.end());
+  for (const int loop_id : region_loops) {
+    const cfg::Loop& loop = loops_.loop(loop_id);
     std::vector<LinTerm> back_terms;
     for (const int eid : loop.back_edges) {
-      const int ev = edge_var[static_cast<std::size_t>(eid)];
+      const int ev = build.edge_var[eid];
       if (ev >= 0) back_terms.push_back({ev, Rational(1)});
     }
     if (back_terms.empty()) continue; // cycle already broken by infeasibility
@@ -816,9 +892,9 @@ bool Ipet::build_region(const RegionSpec& spec, const IpetOptions& options,
                                       std::vector<LinTerm>& terms, Rational& constant) {
       bool covered = false;
       for (const int node_id : sg_.nodes_covering(addr)) {
-        if (!build.region_node[static_cast<std::size_t>(node_id)]) continue;
+        if (!region_node(node_id)) continue;
         covered = true;
-        if (append_in_flow(spec, edge_var, node_id, scale, terms) != 0) constant += scale;
+        if (append_in_flow(spec, build, node_id, scale, terms) != 0) constant += scale;
       }
       return covered;
     };
@@ -877,15 +953,15 @@ bool Ipet::build_region(const RegionSpec& spec, const IpetOptions& options,
   // Persistence-miss terms: misses are bounded by the node's executions
   // and by line_count per loop entry. Emitted for both senses (see the
   // header comment: the minimize optimum pins every miss to zero).
-  for (const cfg::SgNode& node : sg_.nodes()) {
-    if (!build.region_node[static_cast<std::size_t>(node.id)]) continue;
-    const NodeTiming& timing = pipeline_.timing(node.id);
+  for (const int node_id : build.members) {
+    if (!values_.node_reachable(node_id)) continue;
+    const NodeTiming& timing = pipeline_.timing(node_id);
     for (const PsTerm& ps : timing.ps_terms) {
       const cfg::Loop& loop = loops_.loop(ps.loop_id);
       const int mv = ilp.add_variable();
       // misses <= executions of the node
       std::vector<LinTerm> exec_terms{{mv, Rational(1)}};
-      const int src = append_in_flow(spec, edge_var, node.id, Rational(-1), exec_terms);
+      const int src = append_in_flow(spec, build, node_id, Rational(-1), exec_terms);
       ilp.add_constraint(std::move(exec_terms), Cmp::le, Rational(src));
       // misses <= line_count * loop entries
       bool has_virtual_entry = false;
@@ -901,15 +977,15 @@ bool Ipet::build_region(const RegionSpec& spec, const IpetOptions& options,
   }
 
   // Edge extra costs and collapsed-child objectives.
-  for (const cfg::SgEdge& edge : sg_.edges()) {
-    const int ev = edge_var[static_cast<std::size_t>(edge.id)];
-    if (ev < 0) continue;
-    const unsigned extra = pipeline_.edge_extra(edge.id);
+  for (std::size_t i = 0; i < build.edges.size(); ++i) {
+    const int eid = build.edges[i];
+    const int ev = static_cast<int>(i);
+    const unsigned extra = pipeline_.edge_extra(eid);
     if (extra != 0) {
       add_obj(build.obj_max, ev, Rational(static_cast<std::int64_t>(extra)));
       add_obj(build.obj_min, ev, Rational(-static_cast<std::int64_t>(extra)));
     }
-    const int child = child_of_call_edge[static_cast<std::size_t>(edge.id)];
+    const int child = lookup(build.child_calls, eid);
     if (child >= 0) {
       // Super edge: one unit of flow buys the subtree's optimal cost.
       const Sub& sub = (*spec.children)[static_cast<std::size_t>(child)];
@@ -926,9 +1002,11 @@ void Ipet::emit_crash_basis(const RegionSpec& spec, RegionBuild& build,
                             const std::vector<int>& balance_row,
                             const std::vector<std::pair<int, int>>& sink_var_node,
                             int sum_row) const {
-  if (spec.source_node < 0 || balance_row[static_cast<std::size_t>(spec.source_node)] < 0) {
-    return;
-  }
+  const auto row_of = [&](int node) {
+    const int pos = build.member_pos[node];
+    return pos < 0 ? -1 : balance_row[static_cast<std::size_t>(pos)];
+  };
+  if (spec.source_node < 0 || row_of(spec.source_node) < 0) return;
 
   // The equality rows are a flow network: one vertex per balance row
   // plus one for the sink-sum row, and every variable is an arc — an
@@ -951,39 +1029,36 @@ void Ipet::emit_crash_basis(const RegionSpec& spec, RegionBuild& build,
     bool back = false; // loop back edge (or self arc): barred from the unit path
   };
   const int rows = sum_row + 1;
-  std::vector<int> child_of_call_edge(sg_.edges().size(), -1);
-  if (spec.children != nullptr) {
-    for (std::size_t c = 0; c < spec.children->size(); ++c) {
-      child_of_call_edge[static_cast<std::size_t>((*spec.children)[c].call_edge)] =
-          static_cast<int>(c);
+  // A back edge leaves a node of its loop, so its loop is on the chain
+  // of loops containing the edge's source.
+  const auto is_back_edge = [&](const cfg::SgEdge& edge) {
+    for (int l = loops_.innermost_loop_of(edge.from); l >= 0; l = loops_.loop(l).parent) {
+      const std::vector<int>& back = loops_.loop(l).back_edges;
+      if (std::find(back.begin(), back.end(), edge.id) != back.end()) return true;
     }
-  }
-  std::vector<char> edge_is_back(sg_.edges().size(), 0);
-  for (const cfg::Loop& loop : loops_.loops()) {
-    for (const int eid : loop.back_edges) edge_is_back[static_cast<std::size_t>(eid)] = 1;
-  }
+    return false;
+  };
   std::vector<Arc> arcs;
   arcs.reserve(static_cast<std::size_t>(build.ilp.num_variables()));
-  for (const cfg::SgEdge& edge : sg_.edges()) {
-    const int ev = build.edge_var[static_cast<std::size_t>(edge.id)];
-    if (ev < 0) continue;
+  for (std::size_t i = 0; i < build.edges.size(); ++i) {
+    const cfg::SgEdge& edge = sg_.edge(build.edges[i]);
     Arc arc;
-    arc.var = ev;
-    const int child = child_of_call_edge[static_cast<std::size_t>(edge.id)];
+    arc.var = static_cast<int>(i);
+    const int child = lookup(build.child_calls, edge.id);
     if (child >= 0) {
       const Sub& sub = (*spec.children)[static_cast<std::size_t>(child)];
-      arc.tail = balance_row[static_cast<std::size_t>(sub.call_site)];
-      arc.head = balance_row[static_cast<std::size_t>(sub.return_site)];
+      arc.tail = row_of(sub.call_site);
+      arc.head = row_of(sub.return_site);
     } else {
-      arc.tail = balance_row[static_cast<std::size_t>(edge.from)];
-      arc.head = balance_row[static_cast<std::size_t>(edge.to)];
+      arc.tail = row_of(edge.from);
+      arc.head = row_of(edge.to);
     }
     if (arc.tail < 0 || arc.head < 0) return; // half-attached arc: no usable basis
-    arc.back = edge_is_back[static_cast<std::size_t>(edge.id)] != 0 || arc.tail == arc.head;
+    arc.back = arc.tail == arc.head || is_back_edge(edge);
     arcs.push_back(arc);
   }
   for (const auto& [sv, node] : sink_var_node) {
-    const int tail = balance_row[static_cast<std::size_t>(node)];
+    const int tail = row_of(node);
     if (tail < 0) return;
     arcs.push_back({sv, tail, sum_row, false});
   }
@@ -991,26 +1066,28 @@ void Ipet::emit_crash_basis(const RegionSpec& spec, RegionBuild& build,
   // Unit path: BFS from the source row to the sink-sum row along
   // forward arcs, skipping back edges (deterministic: arcs are visited
   // in emission order).
-  std::vector<std::vector<int>> out(static_cast<std::size_t>(rows));
+  std::vector<std::pair<int, int>> arcs_by_tail; // (tail row, arc)
+  arcs_by_tail.reserve(arcs.size());
   for (std::size_t a = 0; a < arcs.size(); ++a) {
-    out[static_cast<std::size_t>(arcs[a].tail)].push_back(static_cast<int>(a));
+    arcs_by_tail.push_back({arcs[a].tail, static_cast<int>(a)});
   }
-  const int src_row = balance_row[static_cast<std::size_t>(spec.source_node)];
+  const Adjacency<int> out(rows, arcs_by_tail);
+  const int src_row = row_of(spec.source_node);
   std::vector<int> via_arc(static_cast<std::size_t>(rows), -1);
   std::vector<char> seen(static_cast<std::size_t>(rows), 0);
   std::vector<int> queue{src_row};
   seen[static_cast<std::size_t>(src_row)] = 1;
   for (std::size_t qi = 0; qi < queue.size() && seen[static_cast<std::size_t>(sum_row)] == 0;
        ++qi) {
-    for (const int a : out[static_cast<std::size_t>(queue[qi])]) {
-      if (arcs[static_cast<std::size_t>(a)].back) continue;
+    out.for_each(queue[qi], [&](int a) {
+      if (arcs[static_cast<std::size_t>(a)].back) return true;
       const int to = arcs[static_cast<std::size_t>(a)].head;
-      if (seen[static_cast<std::size_t>(to)] != 0) continue;
+      if (seen[static_cast<std::size_t>(to)] != 0) return true;
       seen[static_cast<std::size_t>(to)] = 1;
       via_arc[static_cast<std::size_t>(to)] = a;
       queue.push_back(to);
-      if (to == sum_row) break;
-    }
+      return to != sum_row;
+    });
   }
   // No back-edge-free route to an exit (e.g. flow trapped behind an
   // unstructured cycle): the crash solution would be infeasible, so
@@ -1028,20 +1105,21 @@ void Ipet::emit_crash_basis(const RegionSpec& spec, RegionBuild& build,
     }
     return r;
   };
-  std::vector<std::vector<std::pair<int, int>>> adj(static_cast<std::size_t>(rows));
+  std::vector<std::pair<int, std::pair<int, int>>> tree_ends; // (row, (arc var, other row))
   const auto add_tree_arc = [&](const Arc& arc) {
     const int ra = find(arc.tail);
     const int rb = find(arc.head);
     if (ra == rb) return;
     uf[static_cast<std::size_t>(ra)] = rb;
-    adj[static_cast<std::size_t>(arc.tail)].push_back({arc.var, arc.head});
-    adj[static_cast<std::size_t>(arc.head)].push_back({arc.var, arc.tail});
+    tree_ends.push_back({arc.tail, {arc.var, arc.head}});
+    tree_ends.push_back({arc.head, {arc.var, arc.tail}});
   };
   for (int r = sum_row; via_arc[static_cast<std::size_t>(r)] >= 0;
        r = arcs[static_cast<std::size_t>(via_arc[static_cast<std::size_t>(r)])].tail) {
     add_tree_arc(arcs[static_cast<std::size_t>(via_arc[static_cast<std::size_t>(r)])]);
   }
   for (const Arc& arc : arcs) add_tree_arc(arc);
+  const Adjacency<std::pair<int, int>> adj(rows, tree_ends);
 
   // Root the sink-sum component at the sink-sum row and every other
   // component at its smallest row; each covered row's basic column is
@@ -1058,12 +1136,15 @@ void Ipet::emit_crash_basis(const RegionSpec& spec, RegionBuild& build,
     const std::size_t start = order.size();
     order.push_back(root);
     for (std::size_t i = start; i < order.size(); ++i) {
-      for (const auto& [var, other] : adj[static_cast<std::size_t>(order[i])]) {
-        if (visited[static_cast<std::size_t>(other)] != 0) continue;
-        visited[static_cast<std::size_t>(other)] = 1;
-        parent_arc[static_cast<std::size_t>(other)] = var;
-        order.push_back(other);
-      }
+      adj.for_each(order[i], [&](const std::pair<int, int>& end) {
+        const auto [var, other] = end;
+        if (visited[static_cast<std::size_t>(other)] == 0) {
+          visited[static_cast<std::size_t>(other)] = 1;
+          parent_arc[static_cast<std::size_t>(other)] = var;
+          order.push_back(other);
+        }
+        return true;
+      });
     }
   };
   root_bfs(sum_row);
@@ -1122,22 +1203,20 @@ IpetResult Ipet::extract_region(const RegionBuild& build, const RegionSpec& spec
   // internal-maximize optimum can only loosen the outer bound upward.
   if (result.degraded) return result;
   // Witness: recover the node counts from the inbound flow.
-  for (const cfg::SgNode& node : sg_.nodes()) {
-    if (!build.region_node[static_cast<std::size_t>(node.id)]) continue;
+  for (const int node_id : build.members) {
+    if (!values_.node_reachable(node_id)) continue;
     std::vector<LinTerm> terms;
-    Rational count(append_in_flow(spec, build.edge_var, node.id, Rational(1), terms));
+    Rational count(append_in_flow(spec, build, node_id, Rational(1), terms));
     for (const LinTerm& t : terms) count += solution.values[static_cast<std::size_t>(t.var)];
     if (!count.is_zero()) {
-      result.node_counts[node.id] = static_cast<std::uint64_t>(count.floor64());
+      result.node_counts[node_id] = static_cast<std::uint64_t>(count.floor64());
     }
   }
   if (edge_counts_out != nullptr) {
-    for (const cfg::SgEdge& edge : sg_.edges()) {
-      const int ev = build.edge_var[static_cast<std::size_t>(edge.id)];
-      if (ev < 0) continue;
-      const Rational& count = solution.values[static_cast<std::size_t>(ev)];
+    for (std::size_t ev = 0; ev < build.edges.size(); ++ev) {
+      const Rational& count = solution.values[ev];
       if (!count.is_zero()) {
-        (*edge_counts_out)[edge.id] = static_cast<std::uint64_t>(count.floor64());
+        (*edge_counts_out)[build.edges[ev]] = static_cast<std::uint64_t>(count.floor64());
       }
     }
   }

@@ -106,6 +106,7 @@ public:
     int return_site = -1; // every boundary exit targets this node
     std::vector<int> ret_edges;
     std::vector<char> member; // per-node membership bitmap (incl. children)
+    std::vector<int> nodes;   // the member node ids, ascending
     std::vector<Sub> children;
     // Per-solve state: subtree optima in internal maximize sense (the
     // WCET/maximize optimum and the BCET/minimize one), plus the region
@@ -163,7 +164,7 @@ public:
 
 private:
   struct RegionSpec {
-    const std::vector<char>* member = nullptr; // null: whole supergraph
+    const std::vector<int>* nodes = nullptr; // ascending node ids; null: whole supergraph
     int source_node = -1;                      // virtual source, flow 1
     bool top_level = true; // sinks at task exits (else at sink_ret_edges)
     const std::vector<int>* sink_ret_edges = nullptr;
@@ -190,7 +191,7 @@ private:
   // Append the inbound-flow terms of a node (in-edges plus the
   // super-edges of children returning here), scaled; returns the
   // virtual-source constant (1 at the region source).
-  int append_in_flow(const RegionSpec& spec, const std::vector<int>& edge_var, int node_id,
+  int append_in_flow(const RegionSpec& spec, const RegionBuild& build, int node_id,
                      const Rational& scale, std::vector<LinTerm>& terms) const;
   // Solve one collapsed subtree's region (children already solved) in
   // both senses off one shared build, filling both objectives and
@@ -198,8 +199,8 @@ private:
   void solve_sub_both(Sub& sub, const IpetOptions& options) const;
   // Region spec of a collapsed subtree (its nodes minus its collapsed
   // children, virtual source at the callee entry, sinks at the ret
-  // edges); `member` receives the membership bitmap the spec points at.
-  static RegionSpec sub_region_spec(Sub& sub, std::vector<char>& member);
+  // edges); `nodes` receives the node list the spec points at.
+  static RegionSpec sub_region_spec(Sub& sub, std::vector<int>& nodes);
   // The reuse rule of solve_both for one sub against its previous
   // counterpart (children already decided).
   bool reusable(const Sub& sub, const Sub& before, const Previous& previous,
@@ -233,14 +234,15 @@ private:
   // back-edge-free source-to-sink path exists, with or without
   // design-level fact rows (a fact the crash solution violates costs
   // phase-1 pivots on that row only); otherwise a no-op and the solver
-  // runs its ordinary phase 1.
+  // runs its ordinary phase 1. `balance_row` holds the balance row of
+  // each region node by its position in the region (-1: unreachable).
   void emit_crash_basis(const RegionSpec& spec, RegionBuild& build,
                         const std::vector<int>& balance_row,
                         const std::vector<std::pair<int, int>>& sink_var_node,
                         int sum_row) const;
   bool subtree_eligible(int instance, const std::vector<std::vector<int>>& children,
                         const std::set<int>& exit_set, Sub& sub) const;
-  std::size_t reachable_in(const std::vector<char>& member) const;
+  std::size_t reachable_in(const std::vector<int>& nodes) const;
   // Per-subtree flow-fact eligibility: the reachable nodes constrained
   // by any flow cap / ratio / infeasible pair / exclusion in `options`
   // (empty when no facts are present).
