@@ -135,6 +135,7 @@ public:
     obj_.assign(cols_, Rational(0));
 
     std::vector<LinTerm> terms; // sort scratch, reused across rows
+    const auto by_var = [](const LinTerm& a, const LinTerm& b) { return a.var < b.var; };
     std::size_t next_slack = n_;
     std::size_t next_art = n_ + num_slack;
     for (std::size_t r = 0; r < m_; ++r) {
@@ -144,12 +145,17 @@ public:
       // Sort and combine the structural terms (duplicate variables add up,
       // exactly as the former dense accumulation did; exact addition is
       // order-independent). Slack/artificial columns follow the
-      // structural block, so appending them keeps the row sorted.
-      terms.assign(row.terms.begin(), row.terms.end());
-      std::sort(terms.begin(), terms.end(),
-                [](const LinTerm& a, const LinTerm& b) { return a.var < b.var; });
+      // structural block, so appending them keeps the row sorted. A
+      // row emitted in variable order is read in place.
+      const std::vector<LinTerm>* sorted = &row.terms;
+      if (!std::is_sorted(row.terms.begin(), row.terms.end(), by_var)) {
+        terms.assign(row.terms.begin(), row.terms.end());
+        std::sort(terms.begin(), terms.end(), by_var);
+        sorted = &terms;
+      }
       SparseRow& sr = mat_[r];
-      for (const LinTerm& t : terms) {
+      sr.reserve(sorted->size() + 2); // + slack and artificial
+      for (const LinTerm& t : *sorted) {
         const Rational coeff = flip ? -t.coeff : t.coeff;
         if (!sr.empty() && sr.back().col == static_cast<std::size_t>(t.var)) {
           sr.back().val += coeff;
@@ -188,6 +194,13 @@ public:
     }
 
     col_rows_.resize(cols_);
+    {
+      std::vector<std::size_t> count(cols_, 0); // one allocation per column
+      for (const SparseRow& sr : mat_) {
+        for (const Ent& e : sr) ++count[e.col];
+      }
+      for (std::size_t c = 0; c < cols_; ++c) col_rows_[c].reserve(count[c]);
+    }
     for (std::size_t r = 0; r < m_; ++r) {
       for (const Ent& e : mat_[r]) col_rows_[e.col].push_back(r);
     }
@@ -622,10 +635,12 @@ private:
     const auto self = std::find_if(cand_.begin(), cand_.end(),
                                    [&](const auto& cand) { return cand.first == pr; });
     WCET_CHECK(self != cand_.end(), "pivot on a zero tableau cell");
-    const Rational inv = Rational(1) / self->second;
     SparseRow& prow = mat_[pr];
-    for (Ent& e : prow) e.val *= inv;
-    rhs_[pr] *= inv;
+    if (self->second != Rational(1)) { // a unit pivot cell scales nothing
+      const Rational inv = Rational(1) / self->second;
+      for (Ent& e : prow) e.val *= inv;
+      rhs_[pr] *= inv;
+    }
     for (const auto& [r, factor] : cand_) {
       if (r == pr) continue;
       row_sub_scaled(r, factor, prow);

@@ -132,7 +132,7 @@ Rational Rational::mul_slow(const Rational& rhs) const {
   return from_reduced((num_ / g1) * (rhs.num_ / g2), (den_ / g2) * (rhs.den_ / g1));
 }
 
-Rational Rational::operator/(const Rational& rhs) const {
+Rational Rational::div_slow(const Rational& rhs) const {
   WCET_CHECK(rhs.num_ != 0, "rational division by zero");
   return *this * from_int128(rhs.den_, rhs.num_);
 }

@@ -56,7 +56,10 @@ public:
     if (den_ == 1 && rhs.den_ == 1) return integer(static_cast<__int128>(num_) * rhs.num_);
     return mul_slow(rhs);
   }
-  Rational operator/(const Rational& rhs) const;
+  Rational operator/(const Rational& rhs) const {
+    if (rhs.den_ == 1 && rhs.num_ == 1) return *this;
+    return div_slow(rhs);
+  }
   // Fused `*this -= a * b` with a single deferred normalization — the
   // hot operation of the simplex pivot.
   void sub_mul(const Rational& a, const Rational& b) {
@@ -108,6 +111,7 @@ private:
   Rational add_slow(const Rational& rhs) const;
   Rational sub_slow(const Rational& rhs) const;
   Rational mul_slow(const Rational& rhs) const;
+  Rational div_slow(const Rational& rhs) const;
   void sub_mul_slow(const Rational& a, const Rational& b);
 
   std::int64_t num_ = 0;
