@@ -1,6 +1,5 @@
 #include "isa/tiny32.hpp"
 
-#include <array>
 #include <unordered_map>
 
 #include "support/diag.hpp"
@@ -9,34 +8,7 @@ namespace wcet::isa {
 
 namespace {
 
-struct OpInfo {
-  const char* name;
-  Format format;
-};
-
-const std::array<OpInfo, num_opcodes>& op_table() {
-  static const std::array<OpInfo, num_opcodes> table = {{
-      {"add", Format::r},   {"sub", Format::r},   {"and", Format::r},
-      {"or", Format::r},    {"xor", Format::r},   {"sll", Format::r},
-      {"srl", Format::r},   {"sra", Format::r},   {"slt", Format::r},
-      {"sltu", Format::r},  {"mul", Format::r},   {"mulhu", Format::r},
-      {"divu", Format::r},  {"remu", Format::r},  {"div", Format::r},
-      {"rem", Format::r},   {"cmovz", Format::r}, {"cmovnz", Format::r},
-      {"addi", Format::i},  {"andi", Format::i},  {"ori", Format::i},
-      {"xori", Format::i},  {"slli", Format::i},  {"srli", Format::i},
-      {"srai", Format::i},  {"slti", Format::i},  {"sltiu", Format::i},
-      {"lui", Format::i},   {"lw", Format::i},    {"lh", Format::i},
-      {"lhu", Format::i},   {"lb", Format::i},    {"lbu", Format::i},
-      {"sw", Format::i},    {"sh", Format::i},    {"sb", Format::i},
-      {"beq", Format::b},   {"bne", Format::b},   {"blt", Format::b},
-      {"bge", Format::b},   {"bltu", Format::b},  {"bgeu", Format::b},
-      {"jal", Format::j},   {"jalr", Format::i},  {"ecall", Format::sys},
-      {"halt", Format::sys},
-  }};
-  return table;
-}
-
-bool imm_is_signed(Opcode op) {
+constexpr bool imm_is_signed(Opcode op) {
   switch (op) {
   case Opcode::andi:
   case Opcode::ori:
@@ -54,15 +26,11 @@ bool imm_is_signed(Opcode op) {
 
 } // namespace
 
-Format format_of(Opcode op) { return op_table()[static_cast<std::size_t>(op)].format; }
-
-const char* mnemonic(Opcode op) { return op_table()[static_cast<std::size_t>(op)].name; }
-
 std::optional<Opcode> opcode_from_mnemonic(const std::string& name) {
   static const auto map = [] {
     std::unordered_map<std::string, Opcode> m;
     for (int i = 0; i < num_opcodes; ++i) {
-      m.emplace(op_table()[static_cast<std::size_t>(i)].name, static_cast<Opcode>(i));
+      m.emplace(op_table[static_cast<std::size_t>(i)].name, static_cast<Opcode>(i));
     }
     return m;
   }();

@@ -21,6 +21,7 @@
 // s0..s4 (callee-saved), r13 = fp, r14 = sp, r15 = ra.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -75,8 +76,34 @@ enum class EcallFn : std::uint32_t {
 
 enum class Format { r, i, b, j, sys };
 
-Format format_of(Opcode op);
-const char* mnemonic(Opcode op);
+// Mnemonic and encoding format of every opcode, indexed by opcode. A
+// namespace-scope constant, so decoding a word reads it without a guard
+// check or a call.
+struct OpInfo {
+  const char* name;
+  Format format;
+};
+inline constexpr std::array<OpInfo, num_opcodes> op_table = {{
+    {"add", Format::r},   {"sub", Format::r},   {"and", Format::r},
+    {"or", Format::r},    {"xor", Format::r},   {"sll", Format::r},
+    {"srl", Format::r},   {"sra", Format::r},   {"slt", Format::r},
+    {"sltu", Format::r},  {"mul", Format::r},   {"mulhu", Format::r},
+    {"divu", Format::r},  {"remu", Format::r},  {"div", Format::r},
+    {"rem", Format::r},   {"cmovz", Format::r}, {"cmovnz", Format::r},
+    {"addi", Format::i},  {"andi", Format::i},  {"ori", Format::i},
+    {"xori", Format::i},  {"slli", Format::i},  {"srli", Format::i},
+    {"srai", Format::i},  {"slti", Format::i},  {"sltiu", Format::i},
+    {"lui", Format::i},   {"lw", Format::i},    {"lh", Format::i},
+    {"lhu", Format::i},   {"lb", Format::i},    {"lbu", Format::i},
+    {"sw", Format::i},    {"sh", Format::i},    {"sb", Format::i},
+    {"beq", Format::b},   {"bne", Format::b},   {"blt", Format::b},
+    {"bge", Format::b},   {"bltu", Format::b},  {"bgeu", Format::b},
+    {"jal", Format::j},   {"jalr", Format::i},  {"ecall", Format::sys},
+    {"halt", Format::sys},
+}};
+
+constexpr Format format_of(Opcode op) { return op_table[static_cast<std::size_t>(op)].format; }
+constexpr const char* mnemonic(Opcode op) { return op_table[static_cast<std::size_t>(op)].name; }
 std::optional<Opcode> opcode_from_mnemonic(const std::string& name);
 
 // Decoded instruction. `imm` is the sign/zero-extended immediate with
