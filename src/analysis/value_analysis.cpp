@@ -556,12 +556,14 @@ AbsState ValueAnalysis::refine_along_edge(int edge, AbsState state) const {
 }
 
 std::uint64_t ValueAnalysis::tracked_state_bytes() const {
+  // An interval is two 32-bit bounds; a tracked word adds its address.
+  constexpr std::uint64_t interval_bytes = 8;
+  constexpr std::uint64_t word_bytes = sizeof(std::uint32_t) + interval_bytes;
   std::uint64_t bytes = 0;
-  const std::uint64_t per_entry = sizeof(std::uint32_t) + sizeof(Interval);
   for (const AbsState& state : in_) {
     if (state.bottom) continue;
-    bytes += sizeof(AbsState);
-    bytes += per_entry * state.mem->size(); // null COW table reads as empty
+    bytes += interval_bytes * (isa::num_registers + state.written.size());
+    bytes += word_bytes * state.mem->size(); // null COW table reads as empty
   }
   return bytes;
 }

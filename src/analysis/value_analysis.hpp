@@ -178,9 +178,11 @@ private:
   Interval implicit_word(const AbsState& state, std::uint32_t addr) const;
   Interval confine(const Interval& addr, std::uint32_t fn_entry) const;
   // Logical size of all tracked per-node states, for the state-byte
-  // budget. Counts table entries per state (COW sharing ignored), so
-  // the figure is a pure function of the abstract states — identical
-  // for any worker count.
+  // budget, charged by content: 8 bytes per register and per written
+  // region (one interval each) and 12 per tracked memory word (address
+  // and interval), COW sharing ignored. The figure is a pure function
+  // of the abstract states — identical for any worker count, and
+  // unmoved by a change in how AbsState stores them.
   std::uint64_t tracked_state_bytes() const;
 
   const cfg::Supergraph& sg_;

@@ -163,6 +163,26 @@ TEST(Budgets, StateBytesBudgetDegradesSoundly) {
   EXPECT_LE(report.bcet_cycles, exact_report().bcet_cycles);
 }
 
+// The state-byte charge is defined by the abstract states' content
+// (registers, written regions, tracked words), not by sizeof(AbsState):
+// at its peak round barrier the fixed program holds 25804 logical
+// bytes, so that is the smallest budget the value analysis never trips,
+// for any worker count. A change in how AbsState stores the same
+// states must leave this figure alone.
+TEST(Budgets, StateBytesChargePinned) {
+  for (const int threads : {1, 8}) {
+    AnalysisBudget budget;
+    budget.max_state_bytes = 25804;
+    const WcetReport within = run_with(budget, threads);
+    EXPECT_FALSE(within.degraded);
+    budget.max_state_bytes = 25803;
+    const WcetReport over = run_with(budget, threads);
+    ASSERT_EQ(over.degradations.size(), 1u);
+    EXPECT_EQ(over.degradations[0].phase, "value");
+    EXPECT_EQ(over.degradations[0].trigger, "state-byte budget");
+  }
+}
+
 TEST(Budgets, DeadlineNeverBreaksSoundness) {
   // Wall clock is nondeterministic, so the only portable assertions are
   // soundness and classification: the run completes, and if anything
