@@ -960,14 +960,18 @@ bool Ipet::build_region(const RegionSpec& spec, const IpetOptions& options,
       const cfg::Loop& loop = loops_.loop(ps.loop_id);
       const int mv = ilp.add_variable();
       // misses <= executions of the node
-      std::vector<LinTerm> exec_terms{{mv, Rational(1)}};
+      std::vector<LinTerm> exec_terms;
+      exec_terms.reserve(1 + sg_.node(node_id).pred_edges.size());
+      exec_terms.push_back({mv, Rational(1)});
       const int src = append_in_flow(spec, build, node_id, Rational(-1), exec_terms);
       ilp.add_constraint(std::move(exec_terms), Cmp::le, Rational(src));
       // misses <= line_count * loop entries
       bool has_virtual_entry = false;
       const std::vector<LinTerm> entries = loop_entry_terms(loop, has_virtual_entry);
       const auto lc = static_cast<std::int64_t>(ps.line_count);
-      std::vector<LinTerm> entry_terms{{mv, Rational(1)}};
+      std::vector<LinTerm> entry_terms;
+      entry_terms.reserve(1 + entries.size());
+      entry_terms.push_back({mv, Rational(1)});
       for (const LinTerm& t : entries) entry_terms.push_back({t.var, Rational(-lc)});
       ilp.add_constraint(std::move(entry_terms), Cmp::le,
                          Rational(has_virtual_entry ? lc : 0));
@@ -1203,9 +1207,10 @@ IpetResult Ipet::extract_region(const RegionBuild& build, const RegionSpec& spec
   // internal-maximize optimum can only loosen the outer bound upward.
   if (result.degraded) return result;
   // Witness: recover the node counts from the inbound flow.
+  std::vector<LinTerm> terms;
   for (const int node_id : build.members) {
     if (!values_.node_reachable(node_id)) continue;
-    std::vector<LinTerm> terms;
+    terms.clear();
     Rational count(append_in_flow(spec, build, node_id, Rational(1), terms));
     for (const LinTerm& t : terms) count += solution.values[static_cast<std::size_t>(t.var)];
     if (!count.is_zero()) {

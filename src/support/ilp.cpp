@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <optional>
 #include <queue>
+#include <span>
 
 #include "support/diag.hpp"
 #include "support/fault_inject.hpp"
@@ -46,6 +47,55 @@ namespace {
 // Consecutive degenerate pivots before the column rule falls back from
 // Dantzig to Bland (which cannot cycle).
 constexpr int k_bland_switch = 128;
+
+// Per column, the rows that may store an entry there (see
+// Simplex::collect). Every list lives in one pool as a span; a list that
+// outgrows its span moves to the end of the pool with twice the room.
+// So building the index and copying it (a warm-start clone) cost a few
+// flat vectors instead of one allocation per column.
+class ColumnIndex {
+public:
+  // One column per count, with room for that many rows.
+  void assign(const std::vector<std::uint32_t>& counts) {
+    spans_.clear();
+    spans_.reserve(counts.size());
+    std::uint32_t next = 0;
+    for (const std::uint32_t count : counts) {
+      spans_.push_back({next, 0, count});
+      next += count;
+    }
+    pool_.assign(next, 0);
+  }
+  void add_column() { spans_.push_back({static_cast<std::uint32_t>(pool_.size()), 0, 0}); }
+  void push(std::size_t col, std::size_t row) {
+    Span& span = spans_[col];
+    if (span.size == span.cap) {
+      const auto begin = static_cast<std::uint32_t>(pool_.size());
+      const std::uint32_t cap = span.cap == 0 ? 2 : 2 * span.cap;
+      pool_.resize(pool_.size() + cap);
+      std::copy_n(pool_.begin() + span.begin, span.size, pool_.begin() + begin);
+      span.begin = begin;
+      span.cap = cap;
+    }
+    pool_[span.begin + span.size++] = static_cast<std::uint32_t>(row);
+  }
+  std::span<std::uint32_t> rows(std::size_t col) {
+    const Span& span = spans_[col];
+    return {pool_.data() + span.begin, span.size};
+  }
+  void truncate(std::size_t col, std::size_t size) {
+    spans_[col].size = static_cast<std::uint32_t>(size);
+  }
+
+private:
+  struct Span {
+    std::uint32_t begin = 0;
+    std::uint32_t size = 0;
+    std::uint32_t cap = 0;
+  };
+  std::vector<Span> spans_;
+  std::vector<std::uint32_t> pool_;
+};
 
 // Row-wise simplex tableau with explicit basis bookkeeping. Rows are
 // sparse (sorted column/value entries, no stored zeros; the rhs held
@@ -193,16 +243,15 @@ public:
       }
     }
 
-    col_rows_.resize(cols_);
     {
-      std::vector<std::size_t> count(cols_, 0); // one allocation per column
+      std::vector<std::uint32_t> count(cols_, 0);
       for (const SparseRow& sr : mat_) {
         for (const Ent& e : sr) ++count[e.col];
       }
-      for (std::size_t c = 0; c < cols_; ++c) col_rows_[c].reserve(count[c]);
+      col_rows_.assign(count);
     }
     for (std::size_t r = 0; r < m_; ++r) {
-      for (const Ent& e : mat_[r]) col_rows_[e.col].push_back(r);
+      for (const Ent& e : mat_[r]) col_rows_.push(e.col, r);
     }
     row_seen_.assign(m_, 0);
 
@@ -244,7 +293,8 @@ public:
         sr.push_back({cols_, Rational(1)});
         is_artificial_.push_back(true);
         obj_.emplace_back(0);
-        col_rows_.push_back({r});
+        col_rows_.add_column();
+        col_rows_.push(cols_, r);
         basis_[r] = cols_++;
         ++num_art_;
       }
@@ -357,7 +407,7 @@ public:
     // structural zero there, so only the bookkeeping vectors grow.
     obj_.emplace_back(0);
     is_artificial_.push_back(false);
-    col_rows_.emplace_back();
+    col_rows_.add_column();
     const std::size_t slack_col = cols_++;
 
     std::vector<Rational> new_row(cols_); // dense scratch for the one new row
@@ -381,7 +431,7 @@ public:
     for (std::size_t c = 0; c < cols_; ++c) {
       if (new_row[c].is_zero()) continue;
       compressed.push_back({c, std::move(new_row[c])});
-      col_rows_[c].push_back(m_);
+      col_rows_.push(c, m_);
     }
     mat_.push_back(std::move(compressed));
     rhs_.push_back(std::move(new_rhs));
@@ -558,9 +608,9 @@ private:
   void collect(std::size_t col) {
     cand_.clear();
     ++epoch_;
-    std::vector<std::size_t>& rows = col_rows_[col];
+    const std::span<std::uint32_t> rows = col_rows_.rows(col);
     std::size_t kept = 0;
-    for (const std::size_t r : rows) {
+    for (const std::uint32_t r : rows) {
       if (row_seen_[r] == epoch_) continue;
       const Rational* a = find_coeff(mat_[r], col);
       if (a == nullptr) continue;
@@ -568,7 +618,7 @@ private:
       rows[kept++] = r;
       if (!a->is_zero()) cand_.push_back({r, *a});
     }
-    rows.resize(kept);
+    col_rows_.truncate(col, kept);
   }
 
   // row -= factor * prow. When every pivot-row column is already stored
@@ -615,7 +665,7 @@ private:
         v.sub_mul(factor, prow[j].val);
         if (!v.is_zero()) {
           scratch_.push_back({prow[j].col, std::move(v)});
-          col_rows_[prow[j].col].push_back(r); // fill-in
+          col_rows_.push(prow[j].col, r); // fill-in
         }
         ++j;
       } else {
@@ -700,7 +750,7 @@ private:
   // Column index: per column, the rows that may store an entry there (a
   // superset; see collect()), and the per-row stamps collect() uses to
   // drop repeats.
-  std::vector<std::vector<std::size_t>> col_rows_;
+  ColumnIndex col_rows_;
   std::vector<std::uint64_t> row_seen_;
   std::uint64_t epoch_ = 0;
   std::vector<std::pair<std::size_t, Rational>> cand_; // rows gathered by collect()
