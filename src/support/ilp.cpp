@@ -653,7 +653,6 @@ private:
 
     // Splice the new columns in; shared columns were updated above.
     scratch_.clear();
-    scratch_.reserve(row.size() + missing);
     std::size_t i = 0;
     std::size_t j = 0;
     while (i < row.size() || j < prow.size()) {
@@ -674,7 +673,11 @@ private:
         ++j;
       }
     }
-    row.swap(scratch_); // scratch_ keeps the old storage for reuse
+    // Copy back rather than swap: the row keeps its own buffer (grown
+    // with headroom when the merge outgrew it) and scratch_ its large
+    // one, so a splice rarely allocates.
+    if (row.capacity() < scratch_.size()) row.reserve(2 * scratch_.size());
+    row.assign(scratch_.begin(), scratch_.end());
   }
 
   // The row arithmetic of a pivot on (pr, pc), over the rows collect(pc)
