@@ -264,7 +264,7 @@ bool Ipet::reusable(const Sub& sub, const Sub& before, const Previous& previous,
                     const IpetOptions& options) const {
   const auto exact = [](const IpetResult& r) { return r.ok() && !r.degraded; };
   if (!exact(before.result) || !exact(before.result_bcet)) return false;
-  if (sub.member != before.member) return false;
+  if (sub.nodes != before.nodes) return false;
   const auto same_edge = [&](int eid) {
     return values_.edge_feasible(eid) == previous.values.edge_feasible(eid) &&
            pipeline_.edge_extra(eid) == previous.pipeline.edge_extra(eid);
@@ -280,10 +280,13 @@ bool Ipet::reusable(const Sub& sub, const Sub& before, const Previous& previous,
       return false;
     }
   }
-  for (const cfg::Loop& loop : loops_.loops()) {
-    if (sub.member[static_cast<std::size_t>(loop.header)] &&
-        bound_of(options.loop_bounds, loop.id) != bound_of(previous.loop_bounds, loop.id)) {
-      return false;
+  // The loops headed at a member are on its chain of containing loops.
+  for (const int node_id : sub.nodes) {
+    for (int l = loops_.innermost_loop_of(node_id); l >= 0; l = loops_.loop(l).parent) {
+      if (loops_.loop(l).header == node_id &&
+          bound_of(options.loop_bounds, l) != bound_of(previous.loop_bounds, l)) {
+        return false;
+      }
     }
   }
   return true;
@@ -511,16 +514,17 @@ bool Ipet::subtree_eligible(int instance, const std::vector<std::vector<int>>& c
   }
   if (sub.call_edge < 0 || !values_.edge_feasible(sub.call_edge)) return false;
 
-  sub.member.assign(sg_.nodes().size(), 0);
   std::vector<int> inst_stack{instance};
   while (!inst_stack.empty()) {
     const int i = inst_stack.back();
     inst_stack.pop_back();
-    for (const int n : sg_.instance_nodes(i)) sub.member[static_cast<std::size_t>(n)] = 1;
     sub.nodes.insert(sub.nodes.end(), sg_.instance_nodes(i).begin(), sg_.instance_nodes(i).end());
     for (const int c : children[static_cast<std::size_t>(i)]) inst_stack.push_back(c);
   }
   std::sort(sub.nodes.begin(), sub.nodes.end());
+  const auto member = [&](int node) {
+    return std::binary_search(sub.nodes.begin(), sub.nodes.end(), node);
+  };
 
   // Boundary and interior scan: the only inbound edge is the call edge;
   // every outbound edge is a ret edge of THIS instance onto one return
@@ -533,7 +537,7 @@ bool Ipet::subtree_eligible(int instance, const std::vector<std::vector<int>>& c
     bool any_feasible_out = false;
     for (const int eid : node.succ_edges) {
       const cfg::SgEdge& e = sg_.edge(eid);
-      if (sub.member[static_cast<std::size_t>(e.to)]) {
+      if (member(e.to)) {
         any_feasible_out = any_feasible_out || values_.edge_feasible(eid);
         continue;
       }
@@ -547,7 +551,7 @@ bool Ipet::subtree_eligible(int instance, const std::vector<std::vector<int>>& c
       any_feasible_out = any_feasible_out || values_.edge_feasible(eid);
     }
     for (const int eid : node.pred_edges) {
-      if (!sub.member[static_cast<std::size_t>(sg_.edge(eid).from)] && eid != sub.call_edge) {
+      if (!member(sg_.edge(eid).from) && eid != sub.call_edge) {
         return false;
       }
     }
@@ -604,7 +608,7 @@ std::vector<Ipet::Sub> Ipet::prune_pinned(std::vector<Sub> subs,
 
 // ---------------------------------------------------------------------------
 // Region ILP emission. One routine builds every problem: the monolithic
-// whole-supergraph system (member == nullptr, top level), the outer
+// whole-supergraph system (nodes == nullptr, top level), the outer
 // problem of a decomposed solve (children collapsed to super-edge
 // variables), and the sub-ILP of a collapsed subtree (virtual source at
 // the callee entry, sinks at the ret edges).

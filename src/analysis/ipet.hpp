@@ -105,8 +105,7 @@ public:
     int entry_node = -1;  // callee entry (virtual source of the sub-ILP)
     int return_site = -1; // every boundary exit targets this node
     std::vector<int> ret_edges;
-    std::vector<char> member; // per-node membership bitmap (incl. children)
-    std::vector<int> nodes;   // the member node ids, ascending
+    std::vector<int> nodes; // member node ids, ascending (incl. children)
     std::vector<Sub> children;
     // Per-solve state: subtree optima in internal maximize sense (the
     // WCET/maximize optimum and the BCET/minimize one), plus the region

@@ -3,20 +3,23 @@
 // analysis: maximize the execution-count-weighted sum of basic-block
 // times subject to flow conservation and loop/flow-fact constraints.
 //
-// The solver is exact (all arithmetic on 128-bit rationals) but tuned
-// for the large sparse systems IPET produces:
+// The solver is exact (all arithmetic on 64-bit rationals whose every
+// intermediate is computed in 128 bits, see support/rational.hpp) but
+// tuned for the large sparse systems IPET produces:
 //   - tableau rows are stored sparsely (sorted column/value entries);
 //     a pivot merges each touched row with the pivot row in one sorted
 //     sweep, so memory and work scale with the nonzero count instead of
 //     rows * columns,
 //   - pivots touch only the nonzero columns of the pivot row,
-//   - a column index (column -> rows that may hold an entry there)
-//     lets the ratio test, each pivot and each crash elimination visit
-//     only the rows holding the pivot column instead of all of them,
+//   - a column index (column -> rows that may hold an entry there, all
+//     lists in one pool) lets the ratio test, each pivot and each crash
+//     elimination visit only the rows holding the pivot column instead
+//     of all of them,
 //   - column selection uses Dantzig's rule with an automatic fallback
 //     to Bland's rule after a degenerate-pivot streak (cycle-free),
-//     and scans a pricing list of the columns with a positive reduced
-//     cost, rechecking after a pivot only the pivot row's columns,
+//     and reads the largest reduced cost off a lazy max-heap that a
+//     pivot refreshes only at the pivot row's columns; the pick is the
+//     one a full scan makes, ties to the lowest column,
 //   - branch & bound explores nodes in best-bound order and re-solves
 //     children by appending their branch rows to the root-optimal
 //     tableau and running the dual simplex (warm start) instead of

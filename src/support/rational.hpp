@@ -8,9 +8,9 @@
 // worse than no bound.
 //
 // The all-integer cases of the hot operations (compare, +, -, *, the
-// fused sub_mul) and the guard itself are inline here: IPET's flow
-// systems pivot almost only on integer tableau cells. Every path that
-// needs a gcd stays out of line.
+// fused sub_mul, division by one) and the guard itself are inline here:
+// IPET's flow systems pivot almost only on integer tableau cells. Every
+// path that needs a gcd stays out of line.
 #pragma once
 
 #include <cstdint>

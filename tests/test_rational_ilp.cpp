@@ -10,6 +10,9 @@
 namespace wcet {
 namespace {
 
+// Two int64_t: a sparse tableau entry (column + value) stays 24 bytes.
+static_assert(sizeof(Rational) == 16);
+
 TEST(Rational, BasicArithmetic) {
   const Rational half(1, 2);
   const Rational third(1, 3);
