@@ -298,6 +298,7 @@ public:
     unsigned fetch_hit = 0, fetch_miss = 0, fetch_nc = 0, fetch_uncached = 0;
     unsigned data_hit = 0, data_miss = 0, data_nc = 0, data_uncached = 0;
     unsigned persistent = 0;
+    bool operator==(const Stats&) const = default;
   };
   Stats stats() const;
 

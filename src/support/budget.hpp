@@ -112,6 +112,7 @@ struct Degradation {
   std::string phase;    // "value", "cache", "path", ...
   std::string trigger;  // "visit budget", "deadline", "node budget", "fault:<site>"
   std::string effect;   // e.g. "un-converged cache instances classified all-miss"
+  bool operator==(const Degradation&) const = default;
 };
 
 // Per-analysis runtime tracker. One instance lives for the duration of

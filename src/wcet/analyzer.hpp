@@ -76,6 +76,7 @@ struct LoopInfo {
   std::optional<std::uint64_t> annotated_bound;
   std::optional<std::uint64_t> used_bound;
   std::string detail;
+  bool operator==(const LoopInfo&) const = default;
 };
 
 struct PhaseTimings {
@@ -88,6 +89,7 @@ struct PhaseTimings {
   double ilp_ms = 0; // inside path_ms: wall time of the WCET+BCET ILP solves
   double validate_ms = 0; // oracle validation (only with AnalysisOptions::validate)
   double total_ms = 0;
+  bool operator==(const PhaseTimings&) const = default;
 };
 
 struct WcetReport {
@@ -162,6 +164,7 @@ struct WcetReport {
   std::map<std::uint32_t, std::uint64_t> wcet_block_counts;
 
   std::string to_string() const;
+  bool operator==(const WcetReport&) const = default;
 };
 
 class Analyzer {

@@ -235,6 +235,23 @@ void expect_same_path(const WcetReport& warm, const WcetReport& cold, const std:
   EXPECT_EQ(warm.crash_basis_rows, cold.crash_basis_rows) << label;
 }
 
+// Everything a report states, except what measures the run itself:
+// the phase timings, the governor's checkpoint count and the cache
+// pass's join and set-image telemetry count work done, not results.
+void expect_same_report(WcetReport warm, WcetReport cold, const std::string& label) {
+  for (WcetReport* report : {&warm, &cold}) {
+    report->timings = {};
+    report->budget_checks = 0;
+    report->cache_joins = 0;
+    report->cache_join_skips = 0;
+    report->set_image_allocs = 0;
+    report->live_set_images_peak = 0;
+  }
+  EXPECT_TRUE(warm == cold) << label << "\nwarm:\n"
+                            << warm.to_string() << "\ncold:\n"
+                            << cold.to_string();
+}
+
 // Per-sub-ILP reuse on the warm path. With the report cache disabled, a
 // byte-identical resubmission adopts every sub-ILP unsolved; an edit
 // to one function re-solves exactly that function's sub-ILP, plus its
@@ -309,6 +326,44 @@ TEST(Serve, WarmEditReusesUntouchedSubIlps) {
   expect_same_path(server.submit(edited), edited_cold, "monolithic edit");
   EXPECT_EQ(server.stats().warm_runs, 2u);
   EXPECT_EQ(server.stats().path_reuses, 0u);
+}
+
+// A warm report equals a fresh Analyzer's in every field but the
+// run's own measurements (expect_same_report): both IPET
+// decompositions, one and four threads, flat and nested call trees,
+// and each edit of WarmEditReusesUntouchedSubIlps, applied and undone.
+TEST(Serve, WarmReportEqualsColdInEveryField) {
+  const std::vector<Leaf3> edits = {{9, 15, 2}, {6, 1, 2}, {6, 15, 9}};
+  for (const bool nested : {false, true}) {
+    const isa::Image base = compile(leaves_program(Leaf3{}, nested));
+    for (const analysis::IpetDecomposition mode :
+         {analysis::IpetDecomposition::monolithic, analysis::IpetDecomposition::recursive}) {
+      for (const int threads : {1, 4}) {
+        const std::string label = std::string(nested ? "nested" : "flat") + " mode=" +
+                                  std::to_string(static_cast<int>(mode)) +
+                                  " threads=" + std::to_string(threads);
+        serve::ServeOptions options;
+        options.report_cache_capacity = 0;
+        options.analysis.decomposition = mode;
+        options.analysis.threads = threads;
+        serve::AnalysisServer server(mem::typical_hw(), options);
+        const WcetReport base_cold = Analyzer(base, mem::typical_hw()).analyze(options.analysis);
+        expect_same_report(server.submit(base), base_cold, label + " first");
+        for (std::size_t e = 0; e < edits.size(); ++e) {
+          const isa::Image edited = compile(leaves_program(edits[e], nested));
+          const WcetReport edited_cold =
+              Analyzer(edited, mem::typical_hw()).analyze(options.analysis);
+          for (const bool back : {false, true}) {
+            expect_same_report(server.submit(back ? base : edited),
+                               back ? base_cold : edited_cold,
+                               label + " edit " + std::to_string(e) + (back ? " undone" : ""));
+          }
+        }
+        EXPECT_EQ(server.stats().warm_runs, 2 * edits.size()) << label;
+        EXPECT_EQ(server.stats().warm_fallbacks, 0u) << label;
+      }
+    }
+  }
 }
 
 // Resubmitting byte-identical input is served from the report cache:
