@@ -88,6 +88,7 @@ struct AccessInfo {
   bool is_store = false;
   int size = 0;
   Interval addr = Interval::bottom(); // bottom: instruction unreachable
+  bool operator==(const AccessInfo&) const = default;
 };
 
 class ValueAnalysis {

@@ -85,8 +85,11 @@ void decode_phase(AnalysisContext& ctx) {
 // ----------------------------------------------------------------- value
 // Incremental verification (src/serve): demote code-clean instances
 // whose fresh value-analysis results differ from the previous run's —
-// per-node in-states must compare equal and every edge whose source
-// lies in the instance must keep its feasibility verdict. The warm
+// per-node in-states and access lists must compare equal and every
+// edge whose source lies in the instance must keep its feasibility
+// verdict. The access lists matter on their own: a load reads image
+// bytes, so a data-only edit can move an access to another cache line
+// while every in-state stays equal. The warm
 // cache fixpoint keys on these *verified* verdicts, never on code
 // equality alone (per-sub-ILP reuse in the path phase compares its
 // region inputs directly). Value analysis itself always re-runs cold
@@ -99,7 +102,10 @@ void verify_warm_value(AnalysisContext& ctx) {
   for (const cfg::SgNode& n : sg.nodes()) {
     auto& flag = warm.instance_clean[static_cast<std::size_t>(n.instance)];
     if (flag == 0) continue;
-    if (!(ctx.values->state_in(n.id) == prev.values->state_in(n.id))) flag = 0;
+    if (!(ctx.values->state_in(n.id) == prev.values->state_in(n.id)) ||
+        ctx.values->accesses(n.id) != prev.values->accesses(n.id)) {
+      flag = 0;
+    }
   }
   for (const cfg::SgEdge& e : sg.edges()) {
     auto& flag = warm.instance_clean[static_cast<std::size_t>(sg.node(e.from).instance)];

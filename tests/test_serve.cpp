@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "isa/assembler.hpp"
 #include "mcc/runtime.hpp"
 #include "mem/hwmodel.hpp"
 #include "serve/analysis_server.hpp"
@@ -363,6 +364,59 @@ TEST(Serve, WarmReportEqualsColdInEveryField) {
         EXPECT_EQ(server.stats().warm_fallbacks, 0u) << label;
       }
     }
+  }
+}
+
+// A loop whose body loads a pointer from .rodata, reads through it and
+// clears both registers before the block ends; after the loop the task
+// reads tgt_a. Only the pointer word differs between the two variants.
+std::string rodata_pointer_program(const char* target) {
+  return std::string(R"(
+        .global _start
+_start: movi s0, 0
+        movi s1, 4
+loop:   la   t0, ptr
+        lw   t1, 0(t0)
+        lw   t1, 0(t1)
+        movi t0, 0
+        movi t1, 0
+        addi s0, s0, 1
+        blt  s0, s1, loop
+        la   t2, tgt_a
+        lw   a1, 0(t2)
+        halt
+        .rodata
+ptr:    .word )") + target + R"(
+        .data
+tgt_a:  .word 1
+        .space 60
+tgt_b:  .word 2
+)";
+}
+
+// A data-only edit keeps every code word and every value in-state
+// equal, yet the loop's load moves from tgt_a's cache line to tgt_b's,
+// so the read after the loop no longer always hits. The warm run must
+// see that the access changed and re-analyze the instance.
+TEST(Serve, DataOnlyEditChangesAccessLines) {
+  const isa::Image base = isa::assemble(rodata_pointer_program("tgt_a"));
+  const isa::Image edited = isa::assemble(rodata_pointer_program("tgt_b"));
+  ASSERT_EQ(base.sections().size(), edited.sections().size());
+  const WcetReport base_cold = Analyzer(base, mem::typical_hw()).analyze();
+  const WcetReport edited_cold = Analyzer(edited, mem::typical_hw()).analyze();
+  ASSERT_TRUE(base_cold.ok) << base_cold.to_string();
+  ASSERT_NE(base_cold.wcet_cycles, edited_cold.wcet_cycles);
+  for (const int threads : {1, 4}) {
+    const std::string label = "threads=" + std::to_string(threads);
+    serve::ServeOptions options;
+    options.report_cache_capacity = 0;
+    options.analysis.threads = threads;
+    serve::AnalysisServer server(mem::typical_hw(), options);
+    expect_same_report(server.submit(base), base_cold, label + " first");
+    expect_same_report(server.submit(edited), edited_cold, label + " edit");
+    expect_same_report(server.submit(base), base_cold, label + " undone");
+    EXPECT_EQ(server.stats().warm_runs, 2u) << label;
+    EXPECT_EQ(server.stats().dirty_instances, 0u) << label;
   }
 }
 
