@@ -1233,15 +1233,20 @@ void CacheAnalysis::record_node_conservative(int node) {
   }
 }
 
-void CacheAnalysis::persistence() {
+void CacheAnalysis::persistence(const CacheAnalysis* prev) {
   // Loops are processed per top-level loop tree: sibling trees have
   // disjoint node sets (the forest is an SCC decomposition), so trees
   // fan out across the pool while the depth-based "outermost qualifying
   // loop wins" resolution — which is order-independent across sibling
-  // trees — stays exact.
+  // trees — stays exact. The tree's root loop lists all of its nodes.
   std::vector<std::vector<int>> trees;
   for (const cfg::Loop& loop : loops_.loops()) {
     if (loop.parent >= 0) continue;
+    const auto adopted = [&](int node) { return rows_adopted(node); };
+    // A tree of adopted rows holds prev's final assignments already.
+    if (prev != nullptr && std::all_of(loop.nodes.begin(), loop.nodes.end(), adopted)) {
+      continue;
+    }
     std::vector<int> ids;
     std::vector<int> stack{loop.id};
     while (!stack.empty()) {
@@ -1253,7 +1258,19 @@ void CacheAnalysis::persistence() {
     std::sort(ids.begin(), ids.end());
     trees.push_back(std::move(ids));
   }
-  const auto run_tree = [&](std::size_t t) { persistence_tree(trees[t]); };
+  const auto run_tree = [&](std::size_t t) {
+    if (prev != nullptr) {
+      // A mixed tree: adopted rows restart from unassigned persistence
+      // and stop counting as adopted (their final rows may differ).
+      for (const int node : loops_.loop(trees[t].front()).nodes) {
+        if (!rows_adopted(node)) continue;
+        for (FetchClass& fc : fetch_[static_cast<std::size_t>(node)]) fc.persistent_loop = -1;
+        for (DataClass& dc : data_[static_cast<std::size_t>(node)]) dc.persistent_loop = -1;
+        rows_adopted_[static_cast<std::size_t>(node)] = 0;
+      }
+    }
+    persistence_tree(trees[t]);
+  };
   parallel_for(pool_, trees.size(), run_tree);
 }
 
@@ -1372,11 +1389,16 @@ void CacheAnalysis::persistence_tree(const std::vector<int>& loop_ids) {
 }
 
 CacheAnalysis::Start CacheAnalysis::run(const CacheAnalysis* prev,
-                                        const std::vector<char>* instance_clean) {
+                                        const std::vector<char>* instance_clean,
+                                        const std::vector<char>* node_clean) {
   // Both the candidate-line tables and the per-node transfer recipes
   // the fixpoint replays (once per decode round, fanned out over the
-  // pool into dense per-node slots).
-  transfers_->build_cache_recipes(memmap_, iconfig_, dconfig_, pool_);
+  // pool into dense per-node slots; clean nodes adopt prev's).
+  const bool adopting = prev != nullptr && node_clean != nullptr &&
+                        node_clean->size() == sg_.nodes().size();
+  transfers_->build_cache_recipes(memmap_, iconfig_, dconfig_, pool_,
+                                  adopting ? prev->transfers_ : nullptr,
+                                  adopting ? node_clean : nullptr);
   Start start = Start::cold;
   if (schedule_ == Schedule::priority) {
     const bool try_warm =
@@ -1405,6 +1427,10 @@ CacheAnalysis::Start CacheAnalysis::run(const CacheAnalysis* prev,
   } else {
     fixpoint_round_robin();
   }
+  // Rows are adopted only on top of a committed warm start: its clean
+  // in-states are then exactly prev's converged ones.
+  const CacheAnalysis* rows_from = adopting && start == Start::warm ? prev : nullptr;
+  if (rows_from != nullptr) rows_adopted_.assign(sg_.nodes().size(), 0);
   // Record classifications with the final states. Per-node work is
   // independent (reads the converged in-states, writes only this
   // node's classification rows), so it fans out across the pool. The
@@ -1414,6 +1440,14 @@ CacheAnalysis::Start CacheAnalysis::run(const CacheAnalysis* prev,
   // cross-checks the two recording implementations too.
   const auto record_node = [&](std::size_t id) {
     const cfg::SgNode& node = sg_.nodes()[id];
+    if (rows_from != nullptr && (*node_clean)[id] != 0 &&
+        transfers_->recipe_adopted(node.id) && has_state_[id] == rows_from->has_state_[id] &&
+        in_i_[id].same_as(rows_from->in_i_[id]) && in_d_[id].same_as(rows_from->in_d_[id])) {
+      fetch_[id] = rows_from->fetch_[id];
+      data_[id] = rows_from->data_[id];
+      rows_adopted_[id] = 1;
+      return;
+    }
     if (degraded_) {
       // A truncated fixpoint can leave a *reachable* node without a
       // propagated state (has_state_ == 0), so the sweep must not trust
@@ -1437,7 +1471,7 @@ CacheAnalysis::Start CacheAnalysis::run(const CacheAnalysis* prev,
     transfer(node.id, icache, dcache, true);
   };
   parallel_for(pool_, sg_.nodes().size(), record_node);
-  persistence();
+  persistence(rows_from);
   return start;
 }
 

@@ -121,6 +121,9 @@ public:
 
   bool join_with(const AbsCache& other); // true if changed
   bool operator==(const AbsCache& other) const;
+  // O(1): both hold the same COW snapshot (one is a copy of the other
+  // that no mutation has detached since).
+  bool same_as(const AbsCache& other) const { return sets_.same_as(other.sets_); }
 
   // ---- overlay interface ----------------------------------------------
   // The fixpoint replays each node's per-set access programs
@@ -280,8 +283,21 @@ public:
   // and reruns the cold fixpoint, so the published classifications are
   // always exactly the cold result. Without `prev` the fixpoint runs
   // cold.
+  //
+  // `node_clean` (with `prev`) flags nodes whose code, value in-state
+  // and access list are verified equal to `prev`'s. Such a node adopts
+  // `prev`'s transfer recipe (TransferCache::build_cache_recipes). Once
+  // the warm start committed, it also adopts `prev`'s classification
+  // rows when its recipe was adopted and its in-states are still the
+  // frozen snapshots of `prev`'s (same_as): the rows are a function of
+  // exactly these inputs. Persistence runs per top-level loop tree; a
+  // tree whose every node adopted its rows keeps `prev`'s assignments,
+  // and any other tree recomputes them from rows whose
+  // `persistent_loop` is reset, because "outermost qualifying loop
+  // wins" must not start from stale values. `prev` is only read.
   Start run(const CacheAnalysis* prev = nullptr,
-            const std::vector<char>* instance_clean = nullptr);
+            const std::vector<char>* instance_clean = nullptr,
+            const std::vector<char>* node_clean = nullptr);
 
   // Per node: classification of each instruction fetch (index-aligned
   // with the block's instruction list).
@@ -292,6 +308,17 @@ public:
   // ValueAnalysis::accesses(node)).
   const std::vector<DataClass>& data_classes(int node) const {
     return data_[static_cast<std::size_t>(node)];
+  }
+
+  // True when `node`'s final classification rows (persistence
+  // included) were adopted from the previous run; adopted_rows()
+  // counts such nodes.
+  bool rows_adopted(int node) const {
+    return !rows_adopted_.empty() && rows_adopted_[static_cast<std::size_t>(node)] != 0;
+  }
+  std::size_t adopted_rows() const {
+    return static_cast<std::size_t>(
+        std::count(rows_adopted_.begin(), rows_adopted_.end(), char{1}));
   }
 
   struct Stats {
@@ -313,6 +340,9 @@ private:
     }
     bool operator==(const CachePair& other) const {
       return must == other.must && may == other.may;
+    }
+    bool same_as(const CachePair& other) const {
+      return must.same_as(other.must) && may.same_as(other.may);
     }
   };
 
@@ -363,7 +393,8 @@ private:
   // same-line fetches stay always-hit — and every state-dependent
   // access is not-classified.
   void record_node_conservative(int node);
-  void persistence();
+  // `prev` non-null: adopt per tree as described at run().
+  void persistence(const CacheAnalysis* prev);
   void persistence_tree(const std::vector<int>& loop_ids);
 
   const cfg::Supergraph& sg_;
@@ -386,6 +417,8 @@ private:
   std::vector<unsigned char> has_state_;
   std::vector<std::vector<FetchClass>> fetch_;
   std::vector<std::vector<DataClass>> data_;
+  // Per node: rows adopted from the previous run (empty: none were).
+  std::vector<char> rows_adopted_;
 };
 
 } // namespace wcet::analysis

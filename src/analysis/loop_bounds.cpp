@@ -108,8 +108,43 @@ struct CounterUpdate {
 
 } // namespace
 
+struct LoopBoundAnalysis::Scratch {
+  struct RegWrite {
+    int node = -1;
+    int instance = -1;
+    bool is_update = false;
+    std::int32_t stride = 0;
+  };
+  struct SlotStore {
+    std::uint32_t addr = 0;
+    int node = -1;
+    std::uint32_t pc = 0;
+  };
+  struct SlotUpdate {
+    std::uint32_t addr = 0;
+    int node = -1;
+    std::uint32_t store_pc = 0;
+    std::int32_t stride = 0;
+  };
+  // (instance, reg) -> sandwich verdict, memoized per loop.
+  std::vector<std::pair<std::pair<int, std::uint8_t>, bool>> sandwiches;
+  std::vector<RegWrite> writes[isa::num_registers];
+  std::vector<SlotStore> slot_stores; // sorted by address before use
+  std::vector<Interval> wild_stores;
+  std::vector<SlotUpdate> slot_updates; // ascending address
+
+  void reset() {
+    sandwiches.clear();
+    for (auto& w : writes) w.clear();
+    slot_stores.clear();
+    wild_stores.clear();
+    slot_updates.clear();
+  }
+};
+
 std::optional<std::uint64_t> LoopBoundAnalysis::analyze_loop(const cfg::Loop& loop,
-                                                             std::string& detail) const {
+                                                             std::string& detail,
+                                                             Scratch& scratch) const {
   if (loop.irreducible) {
     detail = "irreducible loop (multiple entries): no automatic bound; "
              "annotation required";
@@ -196,14 +231,14 @@ std::optional<std::uint64_t> LoopBoundAnalysis::analyze_loop(const cfg::Loop& lo
     return true;
   };
 
-  // Cache: (instance, reg) -> sandwich verdict.
-  std::map<std::pair<int, std::uint8_t>, bool> sandwich_cache;
+  scratch.reset();
   const auto sandwiched = [&](int instance_id, std::uint8_t reg) {
     const auto key = std::make_pair(instance_id, reg);
-    const auto it = sandwich_cache.find(key);
-    if (it != sandwich_cache.end()) return it->second;
+    for (const auto& [k, verdict] : scratch.sandwiches) {
+      if (k == key) return verdict;
+    }
     const bool result = instance_sandwiches(instance_id, reg);
-    sandwich_cache.emplace(key, result);
+    scratch.sandwiches.emplace_back(key, result);
     return result;
   };
   // True when a write in `instance_id` is shielded from `base_instance`
@@ -217,13 +252,8 @@ std::optional<std::uint64_t> LoopBoundAnalysis::analyze_loop(const cfg::Loop& lo
   };
 
   // Collect register writes across the loop body.
-  struct RegWrite {
-    int node = -1;
-    int instance = -1;
-    bool is_update = false;
-    std::int32_t stride = 0;
-  };
-  std::vector<RegWrite> writes[isa::num_registers];
+  using RegWrite = Scratch::RegWrite;
+  auto& writes = scratch.writes;
   for (const int node_id : loop.nodes) {
     const cfg::SgNode& node = sg_.node(node_id);
     for (const Inst& inst : node.block->insts) {
@@ -291,30 +321,34 @@ std::optional<std::uint64_t> LoopBoundAnalysis::analyze_loop(const cfg::Loop& lo
   // loop contains exactly one store to its (constant) address, that
   // store closes a load/addi/store triple on the same slot, and no other
   // store in the loop can alias the address.
-  struct SlotUpdate {
-    int node = -1;
-    std::uint32_t store_pc = 0;
-    std::int32_t stride = 0;
-  };
-  std::map<std::uint32_t, std::vector<std::pair<int, std::uint32_t>>> slot_stores;
-  std::vector<Interval> wild_stores;
+  auto& slot_stores = scratch.slot_stores;
+  auto& wild_stores = scratch.wild_stores;
+  auto& slot_updates = scratch.slot_updates;
   for (const int node_id : loop.nodes) {
     for (const AccessInfo& access : values_.accesses(node_id)) {
       if (!access.is_store) continue;
       if (const auto addr = access.addr.as_constant(); addr && access.size == 4) {
-        slot_stores[*addr].emplace_back(node_id, access.pc);
+        slot_stores.push_back({*addr, node_id, access.pc});
       } else if (!access.addr.is_bottom()) {
         wild_stores.push_back(access.addr);
       }
     }
   }
-  std::map<std::uint32_t, SlotUpdate> slot_updates;
-  for (const auto& [addr, stores] : slot_stores) {
-    if (stores.size() != 1) continue;
+  std::stable_sort(slot_stores.begin(), slot_stores.end(),
+                   [](const Scratch::SlotStore& a, const Scratch::SlotStore& b) {
+                     return a.addr < b.addr;
+                   });
+  for (std::size_t first = 0, last = 0; first < slot_stores.size(); first = last) {
+    const std::uint32_t addr = slot_stores[first].addr;
+    for (last = first + 1; last < slot_stores.size() && slot_stores[last].addr == addr;) {
+      ++last;
+    }
+    if (last - first != 1) continue;
     const bool aliased = std::any_of(wild_stores.begin(), wild_stores.end(),
                                      [&](const Interval& iv) { return iv.contains(addr); });
     if (aliased) continue;
-    const auto [node_id, store_pc] = stores.front();
+    const int node_id = slot_stores[first].node;
+    const std::uint32_t store_pc = slot_stores[first].pc;
     const cfg::SgNode& node = sg_.node(node_id);
     // Locate the store and walk back: addi rX, rX, c then lw rX from addr.
     const auto& insts = node.block->insts;
@@ -352,8 +386,14 @@ std::optional<std::uint64_t> LoopBoundAnalysis::analyze_loop(const cfg::Loop& lo
       if (!doms_.dominates(node_id, sg_.edge(eid).from)) dominates_backedges = false;
     }
     if (!dominates_backedges) continue;
-    slot_updates[addr] = SlotUpdate{node_id, store_pc, stride};
+    slot_updates.push_back({addr, node_id, store_pc, stride});
   }
+  const auto slot_update = [&](std::uint32_t addr) -> const Scratch::SlotUpdate* {
+    const auto it = std::lower_bound(
+        slot_updates.begin(), slot_updates.end(), addr,
+        [](const Scratch::SlotUpdate& u, std::uint32_t a) { return u.addr < a; });
+    return it != slot_updates.end() && it->addr == addr ? &*it : nullptr;
+  };
 
   // Initial slot value: join over the loop entry edges.
   const auto slot_init_of = [&](std::uint32_t addr) {
@@ -381,7 +421,7 @@ std::optional<std::uint64_t> LoopBoundAnalysis::analyze_loop(const cfg::Loop& lo
                                        [&](const AccessInfo& a) { return a.pc == load_pc; });
       if (access == accesses.end()) return std::nullopt;
       const auto addr = access->addr.as_constant();
-      if (!addr || slot_updates.count(*addr) == 0) return std::nullopt;
+      if (!addr || slot_update(*addr) == nullptr) return std::nullopt;
       // No store to the slot between the load and the branch.
       for (const AccessInfo& a : accesses) {
         if (a.is_store && a.pc > load_pc && a.addr.contains(*addr)) return std::nullopt;
@@ -453,16 +493,16 @@ std::optional<std::uint64_t> LoopBoundAnalysis::analyze_loop(const cfg::Loop& lo
       stay = mirror(stay_raw, add_one_to_limit);
     } else if (const auto slot = slot_behind_reg(node_id, term.rs1)) {
       limit_reg = term.rs2;
-      stride = slot_updates[*slot].stride;
-      update_node = slot_updates[*slot].node;
+      stride = slot_update(*slot)->stride;
+      update_node = slot_update(*slot)->node;
       init = slot_init_of(*slot);
       std::ostringstream desc;
       desc << "mem[0x" << std::hex << *slot << ']';
       counter_desc = desc.str();
     } else if (const auto slot = slot_behind_reg(node_id, term.rs2)) {
       limit_reg = term.rs1;
-      stride = slot_updates[*slot].stride;
-      update_node = slot_updates[*slot].node;
+      stride = slot_update(*slot)->stride;
+      update_node = slot_update(*slot)->node;
       init = slot_init_of(*slot);
       stay = mirror(stay_raw, add_one_to_limit);
       std::ostringstream desc;
@@ -513,16 +553,51 @@ std::optional<std::uint64_t> LoopBoundAnalysis::analyze_loop(const cfg::Loop& lo
   return best;
 }
 
-std::vector<LoopBoundResult> LoopBoundAnalysis::run() const {
+bool LoopBoundAnalysis::inputs_unchanged(const cfg::Loop& loop,
+                                         const Previous& previous) const {
+  // A clean node's code, in-state, accesses and every state inside it
+  // are equal to the previous run's (see verify_warm_value), so are the
+  // register values reg_before reads and the implicit image words a
+  // slot counter's initial value reads (the slot is a store address of
+  // a loop node).
+  for (const int node_id : loop.nodes) {
+    if (previous.node_clean[static_cast<std::size_t>(node_id)] == 0) return false;
+  }
+  for (const int eid : loop.entry_edges) {
+    const bool feasible = values_.edge_feasible(eid);
+    if (feasible != previous.values.edge_feasible(eid)) return false;
+    const int from = sg_.edge(eid).from;
+    // A clean source refines an equal out-state through an equal
+    // branch, so its edge state is equal; any other entry edge's state
+    // is compared directly. The previous state is refined afresh, so
+    // the previous transfer cache's edge-state memo is not touched.
+    if (!feasible || previous.node_clean[static_cast<std::size_t>(from)] != 0) continue;
+    const AbsState before =
+        previous.values.refine_along_edge(eid, previous.transfers.out_state(from));
+    if (!(transfers_->edge_state(eid) == before)) return false;
+  }
+  return true;
+}
+
+std::vector<LoopBoundResult> LoopBoundAnalysis::run(const Previous* previous,
+                                                    std::size_t* adopted) const {
   std::vector<LoopBoundResult> results;
   results.reserve(loops_.loops().size());
+  Scratch scratch;
+  std::size_t adoptions = 0;
   for (const cfg::Loop& loop : loops_.loops()) {
+    if (previous != nullptr && inputs_unchanged(loop, *previous)) {
+      results.push_back(previous->results[static_cast<std::size_t>(loop.id)]);
+      ++adoptions;
+      continue;
+    }
     LoopBoundResult result;
     result.loop_id = loop.id;
     result.irreducible = loop.irreducible;
-    result.bound = analyze_loop(loop, result.detail);
+    result.bound = analyze_loop(loop, result.detail, scratch);
     results.push_back(std::move(result));
   }
+  if (adopted != nullptr) *adopted = adoptions;
   return results;
 }
 

@@ -45,8 +45,24 @@ public:
                     const cfg::Dominators& doms, const ValueAnalysis& values,
                     const TransferCache* transfers);
 
-  // Analyze every loop; results indexed by loop id.
-  std::vector<LoopBoundResult> run() const;
+  // A previous run over a structurally identical supergraph (shared
+  // loop forest and dominators) and the nodes whose value results are
+  // verified equal to it (src/serve: WarmHandoff::node_clean).
+  struct Previous {
+    const std::vector<LoopBoundResult>& results;
+    const ValueAnalysis& values;
+    const TransferCache& transfers;
+    const std::vector<char>& node_clean;
+  };
+
+  // Analyze every loop; results indexed by loop id. With `previous`, a
+  // loop adopts its previous result when every input analyze_loop reads
+  // compares equal: all of its nodes are clean, and each entry edge
+  // keeps its feasibility and its refined state (compared directly —
+  // the header's in-state joins the entry states with the back edges
+  // and can hide a changed one). `adopted` receives the count.
+  std::vector<LoopBoundResult> run(const Previous* previous = nullptr,
+                                   std::size_t* adopted = nullptr) const;
 
   // Exposed for tests: maximum number of iterations of an affine counter
   // i starting in `init`, stepping by `stride`, staying while
@@ -56,7 +72,11 @@ public:
                                                         const Interval& limit);
 
 private:
-  std::optional<std::uint64_t> analyze_loop(const cfg::Loop& loop, std::string& detail) const;
+  // Buffers analyze_loop reuses across the loops of one run.
+  struct Scratch;
+  std::optional<std::uint64_t> analyze_loop(const cfg::Loop& loop, std::string& detail,
+                                            Scratch& scratch) const;
+  bool inputs_unchanged(const cfg::Loop& loop, const Previous& previous) const;
 
   const cfg::Supergraph& sg_;
   const cfg::LoopForest& loops_;

@@ -14,15 +14,36 @@ PipelineAnalysis::PipelineAnalysis(const cfg::Supergraph& sg, const ValueAnalysi
   edge_extra_.assign(sg.edges().size(), 0);
 }
 
-void PipelineAnalysis::run() {
+void PipelineAnalysis::run(const PipelineAnalysis* prev, const std::vector<char>* node_clean) {
   // Unlike the value/cache phases, block timing is a single pass with
   // no inter-node state (tiny32 is in-order with additive costs), so it
   // does not ride the fixpoint engine: per-node results are
   // order-independent and a plain id-order sweep is the fastest
   // deterministic traversal.
-  for (const cfg::SgNode& node : sg_.nodes()) compute_node_timing(node.id);
+  const bool adopting = prev != nullptr && node_clean != nullptr &&
+                        node_clean->size() == timings_.size() &&
+                        prev->timings_.size() == timings_.size() &&
+                        prev->edge_extra_.size() == edge_extra_.size();
+  const auto clean = [&](int node) {
+    return adopting && (*node_clean)[static_cast<std::size_t>(node)] != 0;
+  };
+  adopted_timings_ = 0;
+  for (const cfg::SgNode& node : sg_.nodes()) {
+    if (clean(node.id) && caches_.rows_adopted(node.id)) {
+      timings_[static_cast<std::size_t>(node.id)] =
+          prev->timings_[static_cast<std::size_t>(node.id)];
+      ++adopted_timings_;
+      continue;
+    }
+    compute_node_timing(node.id);
+  }
 
   for (const cfg::SgEdge& edge : sg_.edges()) {
+    if (clean(edge.from)) {
+      edge_extra_[static_cast<std::size_t>(edge.id)] =
+          prev->edge_extra_[static_cast<std::size_t>(edge.id)];
+      continue;
+    }
     const cfg::SgNode& from = sg_.node(edge.from);
     if (from.block->term == cfg::Term::branch && edge.kind == cfg::EdgeKind::taken) {
       edge_extra_[static_cast<std::size_t>(edge.id)] = hw_.pipeline.branch_taken_penalty;

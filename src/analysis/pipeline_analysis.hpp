@@ -40,7 +40,17 @@ public:
   PipelineAnalysis(const cfg::Supergraph& sg, const ValueAnalysis& values,
                    const CacheAnalysis& caches, const mem::HwConfig& hw);
 
-  void run();
+  // With `prev` (the previous run over a structurally identical
+  // supergraph, same hardware), a node flagged in `node_clean` — code,
+  // in-state and access list verified equal — whose cache rows the
+  // cache analysis adopted (CacheAnalysis::rows_adopted) adopts
+  // `prev`'s timing, and an edge leaving such a node its extra cycles:
+  // these are exactly the inputs they are computed from. `prev` is
+  // only read.
+  void run(const PipelineAnalysis* prev = nullptr,
+           const std::vector<char>* node_clean = nullptr);
+  // Node timings adopted by the last run().
+  std::size_t adopted_timings() const { return adopted_timings_; }
 
   const NodeTiming& timing(int node) const {
     return timings_[static_cast<std::size_t>(node)];
@@ -57,6 +67,7 @@ private:
   const mem::HwConfig& hw_;
   std::vector<NodeTiming> timings_;
   std::vector<unsigned> edge_extra_;
+  std::size_t adopted_timings_ = 0;
 };
 
 } // namespace wcet::analysis

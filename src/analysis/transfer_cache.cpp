@@ -121,9 +121,20 @@ TransferCache::LineTable TransferCache::data_lines(int node) const {
   return table;
 }
 
+namespace {
+
+bool same_geometry(const mem::CacheConfig& a, const mem::CacheConfig& b) {
+  return a.enabled == b.enabled && a.sets == b.sets && a.ways == b.ways &&
+         a.line_bytes == b.line_bytes;
+}
+
+} // namespace
+
 void TransferCache::build_cache_recipes(const mem::MemoryMap& memmap,
                                         const mem::CacheConfig& icache,
-                                        const mem::CacheConfig& dcache, ThreadPool* pool) {
+                                        const mem::CacheConfig& dcache, ThreadPool* pool,
+                                        const TransferCache* prev,
+                                        const std::vector<char>* node_clean) {
   WCET_CHECK(values_ != nullptr, "TransferCache::build_cache_recipes before attach()");
   build_data_lines(dcache);
   if (recipes_ready_) {
@@ -181,7 +192,76 @@ void TransferCache::build_cache_recipes(const mem::MemoryMap& memmap,
   data_groups_.resize(groups);
   recipes_.assign(num_nodes, CacheRecipe{});
 
+  // Adoption needs the previous tables of the same node count, built
+  // under equal geometries and an equal memory map.
+  const bool adopting =
+      prev != nullptr && node_clean != nullptr && prev->recipes_ready_ &&
+      prev->recipes_.size() == num_nodes && node_clean->size() == num_nodes &&
+      same_geometry(prev->recipes_iconfig_, icache) &&
+      same_geometry(prev->lines_config_, dcache) && prev->recipes_memmap_ != nullptr &&
+      *prev->recipes_memmap_ == memmap;
+  recipe_adopted_.assign(adopting ? num_nodes : 0, 0);
+
+  // Copies node ni's recipe from prev: the node's slices have the same
+  // sizes in both tables (same instructions, same accesses, same line
+  // tables), and the spans inside the groups are rebased onto ours.
+  const auto adopt_node = [&](std::size_t ni) {
+    const CacheRecipe& old = prev->recipes_[ni];
+    CacheRecipe& recipe = recipes_[ni];
+    CacheRecipe::Fetch* const fetch = fetch_.data() + inst_begin_[ni];
+    std::uint32_t* const apply = fetch_apply_.data() + inst_begin_[ni];
+    std::uint32_t* const group_lines = fetch_group_lines_.data() + inst_begin_[ni];
+    CacheRecipe::FetchGroup* const fetch_groups = fetch_groups_.data() + inst_begin_[ni];
+    CacheRecipe::Data* const data = data_.data() + access_begin_[ni];
+    std::uint32_t* const op_lines = op_lines_.data() + line_begin_[access_begin_[ni]];
+    CacheRecipe::DataSetOp* const ops = ops_.data() + op_begin_[ni];
+    CacheRecipe::DataGroup* const data_groups = data_groups_.data() + group_begin_[ni];
+    const std::uint32_t* const old_group_lines =
+        prev->fetch_group_lines_.data() + prev->inst_begin_[ni];
+    const std::uint32_t* const old_op_lines =
+        prev->op_lines_.data() + prev->line_begin_[prev->access_begin_[ni]];
+    const CacheRecipe::DataSetOp* const old_ops = prev->ops_.data() + prev->op_begin_[ni];
+
+    std::copy_n(old.fetch.data(), old.fetch.size(), fetch);
+    std::copy_n(old.fetch_apply.data(), old.fetch_apply.size(), apply);
+    std::copy_n(old_group_lines, old.fetch_apply.size(), group_lines);
+    for (std::size_t g = 0; g < old.fetch_groups.size(); ++g) {
+      const CacheRecipe::FetchGroup& group = old.fetch_groups[g];
+      fetch_groups[g] = {group.set,
+                         {group_lines + (group.lines.data() - old_group_lines),
+                          group.lines.size()}};
+    }
+    std::copy_n(old.data.data(), old.data.size(), data);
+    const std::size_t num_lines = line_begin_[access_begin_[ni + 1]] -
+                                  line_begin_[access_begin_[ni]];
+    std::copy_n(old_op_lines, num_lines, op_lines);
+    std::size_t num_ops = 0;
+    for (std::size_t g = 0; g < old.data_groups.size(); ++g) {
+      const CacheRecipe::DataGroup& group = old.data_groups[g];
+      for (const CacheRecipe::DataSetOp& op : group.ops) {
+        ops[num_ops++] = {op.age_all, op.outside,
+                          op.lines.empty()
+                              ? std::span<const std::uint32_t>{}
+                              : std::span<const std::uint32_t>{
+                                    op_lines + (op.lines.data() - old_op_lines),
+                                    op.lines.size()}};
+      }
+      data_groups[g] = {group.set, group.any_one_of,
+                        {ops + (group.ops.data() - old_ops), group.ops.size()}};
+    }
+    recipe.fetch = {fetch, old.fetch.size()};
+    recipe.data = {data, old.data.size()};
+    recipe.fetch_apply = {apply, old.fetch_apply.size()};
+    recipe.fetch_groups = {fetch_groups, old.fetch_groups.size()};
+    recipe.data_groups = {data_groups, old.data_groups.size()};
+    recipe_adopted_[ni] = 1;
+  };
+
   const auto build_node = [&](std::size_t ni) {
+    if (adopting && (*node_clean)[ni] != 0) {
+      adopt_node(ni);
+      return;
+    }
     const int node = static_cast<int>(ni);
     const cfg::SgNode& n = sg_.node(node);
     const auto& accesses = values_->accesses(node);

@@ -189,9 +189,22 @@ public:
   // build_data_lines for `dcache`). Built once per decode round;
   // rebuilding under different geometry is a contract violation and is
   // checked.
+  //
+  // A recipe is a function of the node's instructions and pcs, its
+  // access list, the memory map and the geometries. With `prev` (the
+  // recipes of a structurally identical supergraph, built under equal
+  // geometries and an equal memory map), every node flagged in
+  // `node_clean` — code and access list verified equal — copies its
+  // slices from `prev` instead of deriving them. `prev` is only read.
   void build_cache_recipes(const mem::MemoryMap& memmap, const mem::CacheConfig& icache,
-                           const mem::CacheConfig& dcache, ThreadPool* pool);
+                           const mem::CacheConfig& dcache, ThreadPool* pool,
+                           const TransferCache* prev = nullptr,
+                           const std::vector<char>* node_clean = nullptr);
   bool cache_recipes_ready() const { return recipes_ready_; }
+  // True when `node`'s recipe was copied from the previous tables.
+  bool recipe_adopted(int node) const {
+    return !recipe_adopted_.empty() && recipe_adopted_[static_cast<std::size_t>(node)] != 0;
+  }
   const CacheRecipe& cache_recipe(int node) const {
     return recipes_[static_cast<std::size_t>(node)];
   }
@@ -231,6 +244,7 @@ private:
   std::vector<CacheRecipe::DataSetOp> ops_;
   std::vector<CacheRecipe::DataGroup> data_groups_;
   std::vector<CacheRecipe> recipes_;
+  std::vector<char> recipe_adopted_; // per node; empty when nothing was adopted
   bool recipes_ready_ = false;
   mem::CacheConfig recipes_iconfig_;
   const mem::MemoryMap* recipes_memmap_ = nullptr; // identity of the map baked in

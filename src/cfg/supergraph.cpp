@@ -1,7 +1,9 @@
 #include "cfg/supergraph.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <sstream>
+#include <string_view>
 
 #include "support/diag.hpp"
 
@@ -200,21 +202,39 @@ std::vector<int> Supergraph::nodes_covering(std::uint32_t addr) const {
 }
 
 std::string Supergraph::context_of(int node_id) const {
+  // The call chain is walked callee first, so the text is sized in one
+  // pass and filled from the back in a second.
   const SgNode& node = nodes_[static_cast<std::size_t>(node_id)];
-  std::vector<std::string> names;
-  int instance = node.instance;
-  while (instance >= 0) {
-    const Instance& inst = instances_[static_cast<std::size_t>(instance)];
-    names.push_back(program_->function_at(inst.fn_entry).name);
-    instance = inst.caller_instance;
+  const auto name_of = [&](int instance) -> const std::string& {
+    return program_->function_at(instances_[static_cast<std::size_t>(instance)].fn_entry).name;
+  };
+  const auto caller_of = [&](int instance) {
+    return instances_[static_cast<std::size_t>(instance)].caller_instance;
+  };
+  char hex[8];
+  const auto [hex_end, ec] = std::to_chars(hex, hex + sizeof hex, node.block->begin, 16);
+  (void)ec;
+  const auto hex_len = static_cast<std::size_t>(hex_end - hex);
+  constexpr std::string_view arrow = " -> ";
+  std::size_t length = 4 + hex_len + 1; // " [0x" hex ")"
+  for (int i = node.instance; i >= 0; i = caller_of(i)) {
+    length += name_of(i).size() + (caller_of(i) >= 0 ? arrow.size() : 0);
   }
-  std::ostringstream os;
-  for (auto it = names.rbegin(); it != names.rend(); ++it) {
-    if (it != names.rbegin()) os << " -> ";
-    os << *it;
+  std::string text(length, ' ');
+  std::size_t at = length - 1 - hex_len - 4;
+  text.replace(at, 4, " [0x");
+  text.replace(at + 4, hex_len, hex, hex_len);
+  text.back() = ')';
+  for (int i = node.instance; i >= 0; i = caller_of(i)) {
+    const std::string& name = name_of(i);
+    at -= name.size();
+    text.replace(at, name.size(), name);
+    if (caller_of(i) >= 0) {
+      at -= arrow.size();
+      text.replace(at, arrow.size(), arrow);
+    }
   }
-  os << " [0x" << std::hex << node.block->begin << ')';
-  return os.str();
+  return text;
 }
 
 std::string Supergraph::dump() const {

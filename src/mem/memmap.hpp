@@ -26,6 +26,7 @@ struct Region {
 
   std::uint32_t end() const { return base + size; }
   bool contains(std::uint32_t addr) const { return addr >= base && addr - base < size; }
+  bool operator==(const Region&) const = default;
 };
 
 class MemoryMap {
@@ -54,6 +55,8 @@ public:
   bool all_cacheable(const Interval& addr) const;
   // True iff `addr` certainly lies in one single region; returns it.
   const Region* unique_region(const Interval& addr) const;
+
+  bool operator==(const MemoryMap&) const = default;
 
 private:
   std::pair<unsigned, unsigned> latency_bounds(const Interval& addr, bool write) const;

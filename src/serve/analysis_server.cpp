@@ -1,11 +1,9 @@
 #include "serve/analysis_server.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <new>
 #include <sstream>
 #include <utility>
-#include <vector>
 
 #include "support/diag.hpp"
 #include "support/fault_inject.hpp"
@@ -21,59 +19,6 @@ double ms_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(end - start).count();
 }
 
-// The warm handoff carries per-instance verdicts between two supergraph
-// expansions, so the expansions must agree on every structural index:
-// node <-> (instance, block) assignment, edge endpoints and kinds, and
-// the instance tree itself. Any mismatch (an edit that moved a block
-// boundary, added an edge, changed inlining depth) voids positional
-// reuse entirely — the request falls back to a plain cold run.
-bool structure_identical(const cfg::Supergraph& a, const cfg::Supergraph& b) {
-  if (a.entry_node() != b.entry_node()) return false;
-  if (a.nodes().size() != b.nodes().size() || a.edges().size() != b.edges().size() ||
-      a.instances().size() != b.instances().size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.nodes().size(); ++i) {
-    const cfg::SgNode& x = a.nodes()[i];
-    const cfg::SgNode& y = b.nodes()[i];
-    if (x.instance != y.instance || x.fn_entry != y.fn_entry ||
-        x.block->begin != y.block->begin || x.block->end != y.block->end ||
-        x.block->insts.size() != y.block->insts.size()) {
-      return false;
-    }
-  }
-  for (std::size_t i = 0; i < a.edges().size(); ++i) {
-    const cfg::SgEdge& x = a.edges()[i];
-    const cfg::SgEdge& y = b.edges()[i];
-    if (x.from != y.from || x.to != y.to || x.kind != y.kind) return false;
-  }
-  for (std::size_t i = 0; i < a.instances().size(); ++i) {
-    const cfg::Instance& x = a.instances()[i];
-    const cfg::Instance& y = b.instances()[i];
-    if (x.fn_entry != y.fn_entry || x.caller_instance != y.caller_instance ||
-        x.call_site_node != y.call_site_node) {
-      return false;
-    }
-  }
-  return true;
-}
-
-// Per-instance clean verdicts for a structurally identical re-decode
-// (same blocks on both sides): an instance is clean when every code
-// word of its blocks compares equal to the previous image's. A clean
-// verdict feeds the warm cache fixpoint, so it rests on the real words.
-std::vector<char> clean_instances(const cfg::Supergraph& sg, const isa::Image& image,
-                                  const isa::Image& prev_image) {
-  std::vector<char> clean(sg.instances().size(), 1);
-  for (const cfg::SgNode& n : sg.nodes()) {
-    char& flag = clean[static_cast<std::size_t>(n.instance)];
-    for (std::uint32_t pc = n.block->begin; flag != 0 && pc < n.block->end; pc += 4) {
-      if (image.read_word(pc) != prev_image.read_word(pc)) flag = 0;
-    }
-  }
-  return clean;
-}
-
 } // namespace
 
 std::string ServeStats::to_string() const {
@@ -84,6 +29,8 @@ std::string ServeStats::to_string() const {
      << warm_cache_starts << " warm cache starts, " << warm_fallbacks << " warm fallbacks, "
      << path_reuses << " sub-ILPs reused, "
      << dirty_instances << " dirty instances\n";
+  os << "adopted: " << loop_bounds_adopted << " loop bounds, " << node_rows_adopted
+     << " node rows, " << node_timings_adopted << " node timings\n";
   os << "report cache: " << evictions << " evictions\n";
   os << "degradations: " << degradations << '\n';
   return os.str();
@@ -172,28 +119,22 @@ WcetReport AnalysisServer::run_pipeline(std::unique_ptr<Converged> next) {
   // are fixed per server, so they are identical by construction), and
   // only when the fresh round-0 supergraph matches it structurally.
   const Converged* prev = current_.get();
-  const bool can_warm = prev != nullptr && prev->ok && !prev->degraded &&
-                        prev->ctx != nullptr && prev->annotation_text == next->annotation_text;
-  const auto install_warm = [&](AnalysisContext& c) {
-    if (!can_warm || !structure_identical(*prev->ctx->supergraph, *c.supergraph)) {
-      return;
-    }
-    auto warm = std::make_unique<AnalysisContext::WarmHandoff>();
-    warm->prev = prev->ctx.get();
-    warm->instance_clean = clean_instances(*c.supergraph, image, *prev->image);
-    warm->dirty_instances = static_cast<int>(
-        std::count(warm->instance_clean.begin(), warm->instance_clean.end(), 0));
-    c.warm = std::move(warm);
-  };
-  run_figure1(ctx, *pool_, install_warm);
+  if (prev != nullptr && prev->ok && !prev->degraded && prev->ctx != nullptr &&
+      prev->annotation_text == next->annotation_text) {
+    ctx.anchor = prev->ctx.get();
+  }
+  run_figure1(ctx, *pool_);
 
-  if (ctx.warm != nullptr) {
+  if (const AnalysisContext::WarmHandoff* warm = ctx.warm.get(); warm != nullptr) {
     ++stats_.warm_runs;
-    stats_.dirty_instances += static_cast<std::uint64_t>(ctx.warm->dirty_instances);
+    stats_.dirty_instances += static_cast<std::uint64_t>(warm->dirty_instances);
     using Start = analysis::CacheAnalysis::Start;
-    if (ctx.warm->cache_start == Start::warm) ++stats_.warm_cache_starts;
-    if (ctx.warm->cache_start == Start::fallback) ++stats_.warm_fallbacks;
+    if (warm->cache_start == Start::warm) ++stats_.warm_cache_starts;
+    if (warm->cache_start == Start::fallback) ++stats_.warm_fallbacks;
     stats_.path_reuses += static_cast<std::uint64_t>(ctx.wcet_result.sub_ilps_reused);
+    stats_.loop_bounds_adopted += warm->loop_bounds_adopted;
+    stats_.node_rows_adopted += warm->node_rows_adopted;
+    stats_.node_timings_adopted += warm->node_timings_adopted;
   } else {
     ++stats_.cold_runs;
   }

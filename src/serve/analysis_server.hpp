@@ -64,6 +64,12 @@ struct ServeStats {
   std::uint64_t warm_fallbacks = 0;     // warm cache attempt diverged -> cold fixpoint
   std::uint64_t path_reuses = 0;        // sub-ILPs adopted unsolved from the previous run
   std::uint64_t dirty_instances = 0;    // cumulative code-dirty instances of warm runs
+  // Items warm runs adopted from the previous run after verifying
+  // their inputs equal: loop-bound results, per-node cache
+  // classification rows and per-node pipeline timings.
+  std::uint64_t loop_bounds_adopted = 0;
+  std::uint64_t node_rows_adopted = 0;
+  std::uint64_t node_timings_adopted = 0;
   std::uint64_t evictions = 0;          // report-cache LRU evictions
   std::uint64_t degradations = 0;       // cumulative degradation-ledger entries
 

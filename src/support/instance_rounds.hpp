@@ -64,6 +64,7 @@
 #pragma once
 
 #include <algorithm>
+#include <compare>
 #include <vector>
 
 #include "cfg/domloop.hpp"
@@ -89,16 +90,26 @@ public:
       : sg_(sg) {
     const std::size_t num_nodes = sg.nodes().size();
     const std::size_t num_instances = sg.instances().size();
-    std::vector<std::vector<int>> key(num_nodes);
+    // All keys in one array: node v's key is key[key_begin[v],
+    // key_begin[v + 1]).
+    std::vector<std::size_t> key_begin(num_nodes + 1, 0);
+    for (std::size_t v = 0; v < num_nodes; ++v) {
+      std::size_t length = 1;
+      for (int l = loops.innermost_loop_of(static_cast<int>(v)); l >= 0;
+           l = loops.loop(l).parent) {
+        ++length;
+      }
+      key_begin[v + 1] = key_begin[v] + length;
+    }
+    std::vector<int> key(key_begin[num_nodes]);
     for (std::size_t v = 0; v < num_nodes; ++v) {
       const int inner = loops.innermost_loop_of(static_cast<int>(v));
+      std::size_t at = key_begin[v + 1] - 1;
+      key[at] = inner >= 0 && loops.loop(inner).header == static_cast<int>(v) ? -1
+                                                                              : priorities[v];
       for (int l = inner; l >= 0; l = loops.loop(l).parent) {
-        const auto header = static_cast<std::size_t>(loops.loop(l).header);
-        key[v].insert(key[v].begin(), priorities[header]);
+        key[--at] = priorities[static_cast<std::size_t>(loops.loop(l).header)];
       }
-      key[v].push_back(inner >= 0 && loops.loop(inner).header == static_cast<int>(v)
-                           ? -1
-                           : priorities[v]);
     }
     inst_nodes_.resize(num_instances);
     local_index_.assign(num_nodes, -1);
@@ -106,9 +117,12 @@ public:
     for (std::size_t i = 0; i < num_instances; ++i) {
       inst_nodes_[i] = sg.instance_nodes(static_cast<int>(i));
       std::sort(inst_nodes_[i].begin(), inst_nodes_[i].end(), [&](int a, int b) {
-        const auto& ka = key[static_cast<std::size_t>(a)];
-        const auto& kb = key[static_cast<std::size_t>(b)];
-        return ka != kb ? ka < kb : a < b;
+        const int* const k = key.data();
+        const auto ua = static_cast<std::size_t>(a);
+        const auto ub = static_cast<std::size_t>(b);
+        const auto order = std::lexicographical_compare_three_way(
+            k + key_begin[ua], k + key_begin[ua + 1], k + key_begin[ub], k + key_begin[ub + 1]);
+        return order != 0 ? order < 0 : a < b;
       });
       for (std::size_t k = 0; k < inst_nodes_[i].size(); ++k) {
         local_index_[static_cast<std::size_t>(inst_nodes_[i][k])] = static_cast<int>(k);

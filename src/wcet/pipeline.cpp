@@ -7,6 +7,7 @@
 #include <optional>
 #include <sstream>
 #include <tuple>
+#include <utility>
 
 #include "support/cow.hpp"
 #include "support/fault_inject.hpp"
@@ -47,6 +48,103 @@ void phase_boundary(const AnalysisContext& ctx, const char* site) {
   if (ctx.governor != nullptr) ctx.governor->check_cancel();
 }
 
+// ------------------------------------------------------------------ warm
+// The warm handoff carries per-node verdicts between two supergraph
+// expansions, so the expansions must agree on every structural index:
+// node <-> (instance, block) assignment, edge endpoints and kinds, and
+// the instance tree itself. Any mismatch (an edit that moved a block
+// boundary, added an edge, changed inlining depth) voids positional
+// reuse entirely — the request runs cold.
+bool structure_identical(const cfg::Supergraph& a, const cfg::Supergraph& b) {
+  if (a.entry_node() != b.entry_node()) return false;
+  if (a.nodes().size() != b.nodes().size() || a.edges().size() != b.edges().size() ||
+      a.instances().size() != b.instances().size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.nodes().size(); ++i) {
+    const cfg::SgNode& x = a.nodes()[i];
+    const cfg::SgNode& y = b.nodes()[i];
+    if (x.instance != y.instance || x.fn_entry != y.fn_entry ||
+        x.block->begin != y.block->begin || x.block->end != y.block->end ||
+        x.block->insts.size() != y.block->insts.size()) {
+      return false;
+    }
+  }
+  for (std::size_t i = 0; i < a.edges().size(); ++i) {
+    const cfg::SgEdge& x = a.edges()[i];
+    const cfg::SgEdge& y = b.edges()[i];
+    if (x.from != y.from || x.to != y.to || x.kind != y.kind) return false;
+  }
+  for (std::size_t i = 0; i < a.instances().size(); ++i) {
+    const cfg::Instance& x = a.instances()[i];
+    const cfg::Instance& y = b.instances()[i];
+    if (x.fn_entry != y.fn_entry || x.caller_instance != y.caller_instance ||
+        x.call_site_node != y.call_site_node) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// The word addresses whose bytes differ between two images, ascending;
+// nullopt when the section layouts (names, placement, sizes, flags)
+// differ.
+std::optional<std::vector<std::uint32_t>> changed_words(const isa::Image& image,
+                                                        const isa::Image& prev) {
+  if (image.sections().size() != prev.sections().size()) return std::nullopt;
+  std::vector<std::uint32_t> words;
+  for (std::size_t i = 0; i < image.sections().size(); ++i) {
+    const isa::Section& a = image.sections()[i];
+    const isa::Section& b = prev.sections()[i];
+    if (a.name != b.name || a.vaddr != b.vaddr || a.bytes.size() != b.bytes.size() ||
+        a.writable != b.writable || a.executable != b.executable) {
+      return std::nullopt;
+    }
+    if (a.bytes == b.bytes) continue;
+    for (std::size_t off = 0; off < a.bytes.size(); ++off) {
+      if (a.bytes[off] == b.bytes[off]) continue;
+      const std::uint32_t word = (a.vaddr + static_cast<std::uint32_t>(off)) & ~3u;
+      if (words.empty() || words.back() != word) words.push_back(word);
+    }
+  }
+  std::sort(words.begin(), words.end());
+  words.erase(std::unique(words.begin(), words.end()), words.end());
+  return words;
+}
+
+// True when a changed word lies in [lo, hi] (inclusive byte range).
+bool touches_changed_word(const std::vector<std::uint32_t>& words, std::int64_t lo,
+                          std::int64_t hi) {
+  const auto it = std::lower_bound(words.begin(), words.end(), lo,
+                                   [](std::uint32_t w, std::int64_t v) { return w < v; });
+  return it != words.end() && *it <= hi;
+}
+
+// Installs the warm handoff against `prev`, whose supergraph is
+// structurally identical to ctx's: a node is code-clean when none of
+// its block's words changed, an instance when all of its nodes are.
+void install_warm(AnalysisContext& ctx, const AnalysisContext& prev) {
+  std::optional<std::vector<std::uint32_t>> words = changed_words(ctx.image, prev.image);
+  if (!words) return;
+  auto warm = std::make_unique<AnalysisContext::WarmHandoff>();
+  warm->prev = &prev;
+  warm->changed_words = std::move(*words);
+  const cfg::Supergraph& sg = *ctx.supergraph;
+  warm->node_clean.assign(sg.nodes().size(), 1);
+  warm->instance_clean.assign(sg.instances().size(), 1);
+  for (const cfg::SgNode& n : sg.nodes()) {
+    if (!touches_changed_word(warm->changed_words, n.block->begin,
+                              static_cast<std::int64_t>(n.block->end) - 1)) {
+      continue;
+    }
+    warm->node_clean[static_cast<std::size_t>(n.id)] = 0;
+    warm->instance_clean[static_cast<std::size_t>(n.instance)] = 0;
+  }
+  warm->dirty_instances = static_cast<int>(
+      std::count(warm->instance_clean.begin(), warm->instance_clean.end(), 0));
+  ctx.warm = std::move(warm);
+}
+
 // ---------------------------------------------------------------- decode
 void decode_phase(AnalysisContext& ctx) {
   phase_boundary(ctx, "phase:decode");
@@ -54,9 +152,21 @@ void decode_phase(AnalysisContext& ctx) {
       cfg::Program::reconstruct(ctx.image, ctx.entry, ctx.hints));
   ctx.supergraph = std::make_unique<cfg::Supergraph>(
       cfg::Supergraph::expand(*ctx.program, ctx.sg_options));
-  ctx.forest = std::make_unique<cfg::LoopForest>(*ctx.supergraph);
-  ctx.dominators = std::make_unique<cfg::Dominators>(*ctx.supergraph);
-  ctx.schedule = cfg::rpo_priorities(*ctx.supergraph, ctx.dominators->rpo());
+  // The round-0 decode consumes the reuse anchor. On a structurally
+  // identical supergraph the loop forest, dominators and schedule
+  // priorities (pure functions of node and edge ids) are the anchor's.
+  const AnalysisContext* anchor = std::exchange(ctx.anchor, nullptr);
+  if (anchor != nullptr && structure_identical(*anchor->supergraph, *ctx.supergraph)) {
+    ctx.forest = anchor->forest;
+    ctx.dominators = anchor->dominators;
+    ctx.schedule = anchor->schedule;
+    install_warm(ctx, *anchor);
+  } else {
+    ctx.forest = std::make_shared<const cfg::LoopForest>(*ctx.supergraph);
+    auto dominators = std::make_shared<const cfg::Dominators>(*ctx.supergraph);
+    ctx.schedule = cfg::rpo_priorities(*ctx.supergraph, dominators->rpo());
+    ctx.dominators = std::move(dominators);
+  }
 
   // Report stats and decode obstructions are rebuilt from scratch each
   // round so the feedback loop stays idempotent (only the final round
@@ -83,29 +193,46 @@ void decode_phase(AnalysisContext& ctx) {
 }
 
 // ----------------------------------------------------------------- value
-// Incremental verification (src/serve): demote code-clean instances
-// whose fresh value-analysis results differ from the previous run's —
-// per-node in-states and access lists must compare equal and every
-// edge whose source lies in the instance must keep its feasibility
-// verdict. The access lists matter on their own: a load reads image
-// bytes, so a data-only edit can move an access to another cache line
-// while every in-state stays equal. The warm
-// cache fixpoint keys on these *verified* verdicts, never on code
-// equality alone (per-sub-ILP reuse in the path phase compares its
-// region inputs directly). Value analysis itself always re-runs cold
-// because its widening/coarsening policy is trajectory-dependent and
-// cannot be warm-started exactly.
+// Incremental verification (src/serve): narrow the code-clean verdicts
+// to what the fresh value analysis confirms. A node stays clean when
+// its in-state and access list compare equal to the previous run's
+// and none of its accesses may read a changed image word. Within one
+// node the value analysis derives everything (states before each
+// instruction, accesses, the out-state and the refinement along each
+// out-edge) from the in-state, the code words and the image words its
+// accesses read, so a clean node's value results are all equal. The
+// access lists matter on their own: a data-only edit can move an
+// access to another cache line while every in-state stays equal. An
+// instance stays clean when all of its nodes do and every edge leaving
+// one of them keeps its feasibility verdict. The later phases adopt
+// per item on these *verified* verdicts, never on code equality alone.
+// Value analysis itself always re-runs cold because its
+// widening/coarsening policy is trajectory-dependent and cannot be
+// warm-started exactly.
+bool value_results_equal(const AnalysisContext& ctx, const AnalysisContext& prev, int node) {
+  if (!(ctx.values->state_in(node) == prev.values->state_in(node))) return false;
+  const std::vector<analysis::AccessInfo>& accesses = ctx.values->accesses(node);
+  if (accesses != prev.values->accesses(node)) return false;
+  for (const analysis::AccessInfo& access : accesses) {
+    if (access.addr.is_bottom()) continue;
+    // Every word a load (or a sub-word store's merge) reads lies in
+    // [umin & ~3, umax + 3].
+    if (touches_changed_word(ctx.warm->changed_words, access.addr.umin() & ~std::int64_t{3},
+                             access.addr.umax() + 3)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 void verify_warm_value(AnalysisContext& ctx) {
   AnalysisContext::WarmHandoff& warm = *ctx.warm;
   const AnalysisContext& prev = *warm.prev;
   const cfg::Supergraph& sg = *ctx.supergraph;
   for (const cfg::SgNode& n : sg.nodes()) {
-    auto& flag = warm.instance_clean[static_cast<std::size_t>(n.instance)];
-    if (flag == 0) continue;
-    if (!(ctx.values->state_in(n.id) == prev.values->state_in(n.id)) ||
-        ctx.values->accesses(n.id) != prev.values->accesses(n.id)) {
-      flag = 0;
-    }
+    char& node_flag = warm.node_clean[static_cast<std::size_t>(n.id)];
+    if (node_flag != 0 && !value_results_equal(ctx, prev, n.id)) node_flag = 0;
+    if (node_flag == 0) warm.instance_clean[static_cast<std::size_t>(n.instance)] = 0;
   }
   for (const cfg::SgEdge& e : sg.edges()) {
     auto& flag = warm.instance_clean[static_cast<std::size_t>(sg.node(e.from).instance)];
@@ -122,10 +249,7 @@ void value_phase(AnalysisContext& ctx) {
   ctx.values = std::make_unique<analysis::ValueAnalysis>(
       *ctx.supergraph, *ctx.forest, ctx.hw.memory, va_options, ctx.schedule);
   ctx.values->run(ctx.pool, ctx.transfers.get(), ctx.governor);
-  if (ctx.warm != nullptr && ctx.warm->prev != nullptr &&
-      ctx.warm->prev->values != nullptr) {
-    verify_warm_value(ctx);
-  }
+  if (ctx.warm != nullptr) verify_warm_value(ctx);
 }
 
 // ------------------------------------------------------------ loop bounds
@@ -135,7 +259,14 @@ void loop_bounds_phase(AnalysisContext& ctx) {
   const cfg::LoopForest& forest = *ctx.forest;
   analysis::LoopBoundAnalysis loop_analysis(supergraph, forest, *ctx.dominators,
                                             *ctx.values, ctx.transfers.get());
-  ctx.loop_results = loop_analysis.run();
+  if (ctx.warm != nullptr) {
+    const AnalysisContext& prev = *ctx.warm->prev;
+    const analysis::LoopBoundAnalysis::Previous previous{
+        prev.loop_results, *prev.values, *prev.transfers, ctx.warm->node_clean};
+    ctx.loop_results = loop_analysis.run(&previous, &ctx.warm->loop_bounds_adopted);
+  } else {
+    ctx.loop_results = loop_analysis.run();
+  }
 
   WcetReport& report = ctx.report;
   report.loop_count = static_cast<int>(forest.loops().size());
@@ -211,17 +342,15 @@ void cache_phase(AnalysisContext& ctx) {
   cow_leaf_stats().reset_window();
   // A handoff that reached this phase had its clean verdicts verified
   // by value_phase (a re-decode drops the handoff).
-  const bool warm_ready = ctx.warm != nullptr && ctx.warm->prev != nullptr &&
-                          ctx.warm->prev->values != nullptr &&
-                          ctx.warm->prev->caches != nullptr;
   ctx.caches = std::make_unique<analysis::CacheAnalysis>(
       *ctx.supergraph, *ctx.forest, *ctx.values, ctx.hw.memory, ctx.hw.icache,
       ctx.hw.dcache, analysis::CacheAnalysis::Schedule::priority, ctx.schedule,
       ctx.transfers.get(), ctx.pool);
   ctx.caches->set_governor(ctx.governor);
-  if (warm_ready) {
-    ctx.warm->cache_start =
-        ctx.caches->run(ctx.warm->prev->caches.get(), &ctx.warm->instance_clean);
+  if (ctx.warm != nullptr) {
+    ctx.warm->cache_start = ctx.caches->run(ctx.warm->prev->caches.get(),
+                                            &ctx.warm->instance_clean, &ctx.warm->node_clean);
+    ctx.warm->node_rows_adopted = ctx.caches->adopted_rows();
   } else {
     ctx.caches->run();
   }
@@ -240,7 +369,12 @@ void pipeline_phase(AnalysisContext& ctx) {
   phase_boundary(ctx, "phase:pipeline");
   ctx.pipeline = std::make_unique<analysis::PipelineAnalysis>(*ctx.supergraph, *ctx.values,
                                                               *ctx.caches, ctx.hw);
-  ctx.pipeline->run();
+  if (ctx.warm != nullptr) {
+    ctx.pipeline->run(ctx.warm->prev->pipeline.get(), &ctx.warm->node_clean);
+    ctx.warm->node_timings_adopted = ctx.pipeline->adopted_timings();
+  } else {
+    ctx.pipeline->run();
+  }
 }
 
 // The exact option set path analysis solves with — shared with the
@@ -270,7 +404,7 @@ void path_phase(AnalysisContext& ctx) {
   // A warm run hands back the previous run's solve: every sub-ILP whose
   // region inputs compare equal adopts its previous results unsolved.
   std::optional<analysis::Ipet::Previous> previous;
-  if (ctx.warm != nullptr && ctx.warm->prev != nullptr && ctx.warm->prev->pipeline != nullptr) {
+  if (ctx.warm != nullptr) {
     const AnalysisContext& prev = *ctx.warm->prev;
     previous.emplace(analysis::Ipet::Previous{prev.ipet_plan, *prev.values, *prev.pipeline,
                                               prev.merged_bounds});
@@ -458,15 +592,13 @@ void timed(void (*phase)(AnalysisContext&), AnalysisContext& ctx, double& bucket
   bucket += ms_since(start);
 }
 
-void run_phases(AnalysisContext& ctx,
-                const std::function<void(AnalysisContext&)>& after_first_decode) {
+void run_phases(AnalysisContext& ctx) {
   PhaseTimings& t = ctx.report.timings;
   // Front half (decode + value) with the Figure-1 feedback edge: value
   // analysis resolves indirect branches and triggers a re-decode,
   // bounded by max_decode_rounds.
   for (int round = 0; round < AnalysisOptions::max_decode_rounds; ++round) {
     timed(decode_phase, ctx, t.decode_ms);
-    if (round == 0 && after_first_decode) after_first_decode(ctx);
     timed(value_phase, ctx, t.value_ms);
     if (ctx.program->fully_resolved()) break;
     if (!ctx.absorb_resolved_indirect_targets()) break;
@@ -483,8 +615,7 @@ void run_phases(AnalysisContext& ctx,
 
 } // namespace
 
-void run_figure1(AnalysisContext& ctx, ThreadPool& pool,
-                 const std::function<void(AnalysisContext&)>& after_first_decode) {
+void run_figure1(AnalysisContext& ctx, ThreadPool& pool) {
   // Reject a malformed entry up front: an entry point outside every
   // section (or past a truncated section's end) is an input defect,
   // not an analysis obstruction.
@@ -516,7 +647,7 @@ void run_figure1(AnalysisContext& ctx, ThreadPool& pool,
   } release{ctx, pool};
 
   try {
-    run_phases(ctx, after_first_decode);
+    run_phases(ctx);
   } catch (const std::bad_alloc&) {
     // Classify allocation failure as an analysis-level outcome: the
     // caller (and the CLI error boundary) must never see a raw

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
@@ -59,8 +58,11 @@ struct AnalysisContext {
   cfg::Supergraph::Options sg_options;
   std::unique_ptr<cfg::Program> program;
   std::unique_ptr<cfg::Supergraph> supergraph;
-  std::unique_ptr<cfg::LoopForest> forest;
-  std::unique_ptr<cfg::Dominators> dominators;
+  // Pure functions of the supergraph's node and edge ids: shared with
+  // the previous run when the round-0 supergraph is structurally
+  // identical to its (see decode_phase).
+  std::shared_ptr<const cfg::LoopForest> forest;
+  std::shared_ptr<const cfg::Dominators> dominators;
   std::vector<int> schedule; // shared RPO priorities; the round engine nests loops
   std::unique_ptr<analysis::ValueAnalysis> values;
   std::unique_ptr<analysis::TransferCache> transfers;
@@ -76,25 +78,50 @@ struct AnalysisContext {
   // inputs are unchanged.
   analysis::Ipet::Plan ipet_plan;
 
-  // Incremental re-analysis handoff (src/serve): installed by the
-  // analysis server when a re-submitted image is structurally identical
-  // to the previous converged run, carrying per-instance code-equality
-  // verdicts. Every reuse below is verified, never trusted: the value
-  // phase always re-runs cold and demotes any code-clean instance whose
-  // states differ; the cache phase warm-starts only under those
-  // verified verdicts and falls back to a cold fixpoint on any boundary
-  // divergence; the path phase adopts a previous sub-ILP's results only
-  // when every input of its region compares equal (Ipet::solve_both)
-  // and always re-solves the outer region. A warm run is therefore
-  // bit-identical to a cold run by construction.
+  // Incremental re-analysis (src/serve). The analysis server offers
+  // the previous converged run of the same options, hardware and
+  // annotations as `anchor`. The round-0 decode consumes it: when the
+  // fresh supergraph is structurally identical to the anchor's and the
+  // images share one section layout, it installs `warm` with
+  // per-node and per-instance code-equality verdicts. Every reuse
+  // below is verified, never trusted, and nothing reads the anchor
+  // but through const access that leaves it as it was:
+  //   - the value phase always re-runs cold and narrows the verdicts
+  //     to nodes whose value results compare equal;
+  //   - loop bounds adopt a loop's previous result when its nodes are
+  //     clean and its entry-edge states compare equal;
+  //   - the cache phase adopts clean nodes' recipes, warm-starts the
+  //     fixpoint under the verified instance verdicts (falling back
+  //     to a cold fixpoint on any boundary divergence) and, once the
+  //     warm start committed, adopts the classification rows of clean
+  //     nodes whose in-states are the frozen snapshots;
+  //   - the pipeline phase adopts a clean node's timing when its rows
+  //     were adopted;
+  //   - the path phase adopts a previous sub-ILP's results only when
+  //     every input of its region compares equal (Ipet::solve_both)
+  //     and always re-solves the outer region.
+  // A warm run is therefore bit-identical to a cold run by
+  // construction.
+  const AnalysisContext* anchor = nullptr;
   struct WarmHandoff {
     const AnalysisContext* prev = nullptr; // previous converged context
-    // Per-instance: code words equal to the previous image's; the value
-    // phase narrows it to instances whose value results are unchanged.
+    // Word addresses whose image bytes differ from the previous
+    // image's, ascending.
+    std::vector<std::uint32_t> changed_words;
+    // Per node: code words equal to the previous image's; the value
+    // phase narrows it to nodes whose value results are unchanged (see
+    // verify_warm_value).
+    std::vector<char> node_clean;
+    // Per instance: every node clean; the value phase also requires
+    // that each edge leaving one of its nodes keeps its feasibility.
     std::vector<char> instance_clean;
     int dirty_instances = 0;               // code-dirty instance count
     // How the cache fixpoint started under this handoff.
     analysis::CacheAnalysis::Start cache_start = analysis::CacheAnalysis::Start::cold;
+    // Per-item adoptions of the back-half phases.
+    std::size_t loop_bounds_adopted = 0;
+    std::size_t node_rows_adopted = 0;
+    std::size_t node_timings_adopted = 0;
   };
   std::unique_ptr<WarmHandoff> warm; // null: cold request
 
@@ -110,12 +137,9 @@ struct AnalysisContext {
 // sequentially). Rejects an entry point with no instruction word
 // (InputError), seeds the decode hints from the annotations, owns the
 // run's AnalysisGovernor and copies its degradation ledger into
-// `ctx.report`, and maps allocation failure to AnalysisError.
-// `after_first_decode` runs once, between the round-0 decode and value
-// phases (the analysis server installs its WarmHandoff there); a
-// re-decode voids the handoff, so the remaining rounds run cold.
+// `ctx.report`, and maps allocation failure to AnalysisError. A
+// re-decode voids the warm handoff, so the remaining rounds run cold.
 // `timings.total_ms` is left to the caller.
-void run_figure1(AnalysisContext& ctx, ThreadPool& pool,
-                 const std::function<void(AnalysisContext&)>& after_first_decode = {});
+void run_figure1(AnalysisContext& ctx, ThreadPool& pool);
 
 } // namespace wcet
