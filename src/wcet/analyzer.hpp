@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -27,6 +26,7 @@
 #include "isa/image.hpp"
 #include "mem/hwmodel.hpp"
 #include "support/budget.hpp"
+#include "support/flat_map.hpp"
 
 namespace wcet {
 
@@ -160,8 +160,10 @@ struct WcetReport {
   std::uint64_t measured_cycles = 0;  // replayed cycles (true lower bound)
   std::uint64_t tightness_x1000 = 0;  // wcet_cycles * 1000 / measured_cycles
 
-  // Execution counts on the worst-case path, summed per block address.
-  std::map<std::uint32_t, std::uint64_t> wcet_block_counts;
+  // Execution counts on the worst-case path, summed per block address
+  // (ascending). A flat vector: reports are copied on every report-cache
+  // insert and hit.
+  FlatMap<std::uint32_t, std::uint64_t> wcet_block_counts;
 
   std::string to_string() const;
   bool operator==(const WcetReport&) const = default;

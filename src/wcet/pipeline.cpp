@@ -431,12 +431,28 @@ void path_phase(AnalysisContext& ctx) {
   report.crash_basis_rows = wcet_result.crash_basis_rows;
 
   switch (wcet_result.status) {
-  case analysis::IpetResult::Status::ok:
+  case analysis::IpetResult::Status::ok: {
     report.wcet_cycles = wcet_result.bound;
+    // Instances of one function share block addresses: sort the
+    // per-node counts by address and sum runs of equal addresses.
+    std::vector<std::pair<std::uint32_t, std::uint64_t>> counts;
+    counts.reserve(wcet_result.node_counts.size());
     for (const auto& [node, count] : wcet_result.node_counts) {
-      report.wcet_block_counts[supergraph.node(node).block->begin] += count;
+      counts.emplace_back(supergraph.node(node).block->begin, count);
     }
+    std::sort(counts.begin(), counts.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    std::size_t merged = 0;
+    for (const auto& [addr, count] : counts) {
+      if (merged > 0 && counts[merged - 1].first == addr) {
+        counts[merged - 1].second += count;
+      } else {
+        counts[merged++] = {addr, count};
+      }
+    }
+    report.wcet_block_counts.assign_range(counts.begin(), counts.begin() + merged);
     break;
+  }
   case analysis::IpetResult::Status::missing_loop_bounds:
     for (const int loop_id : wcet_result.loops_missing_bounds) {
       const cfg::Loop& loop = ctx.forest->loop(loop_id);
