@@ -10,16 +10,22 @@
 //     allocating.
 //   - TransferCache::build_cache_recipes writes a few flat tables, so
 //     its allocation count does not grow with the node count.
+//   - A warm one-function-edit submit on the serve workload's shape
+//     stays under a pinned number of heap blocks.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <sstream>
+#include <string>
 
 #include "analysis/transfer_cache.hpp"
 #include "analysis/value_analysis.hpp"
 #include "mcc/runtime.hpp"
+#include "mem/hwmodel.hpp"
+#include "serve/analysis_server.hpp"
 #include "tests/differential_shapes.hpp"
 #include "tests/front_half.hpp"
 
@@ -133,6 +139,49 @@ TEST(Allocations, RecipeBuildDoesNotGrowPerNode) {
       << " blocks (" << narrow.sg.nodes().size() << " vs " << wide.sg.nodes().size()
       << " nodes)";
   EXPECT_LT(wide_allocs, 40u) << "recipe build allocated per node or per access";
+}
+
+// The serve benchmark's shape: 64 functions with three counted loops
+// each, called in sequence. `bound` is the trip count of the second
+// loop of work17; changing it edits one comparison immediate.
+std::string serve_shape(int bound) {
+  std::ostringstream os;
+  os << "int data[16] = {1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16};\n";
+  for (int f = 0; f < 64; ++f) {
+    os << "int work" << f << "(int x) {\n  int s = x;\n";
+    for (int l = 0; l < 3; ++l) {
+      const int trips = f == 17 && l == 1 ? bound : 3 + (f + l) % 5;
+      os << "  { int i; for (i = 0; i < " << trips << "; i++) { s += data[(s + i) & 15]; } }\n";
+    }
+    os << "  return s;\n}\n";
+  }
+  os << "int main(void) {\n  int total = 0;\n";
+  for (int f = 0; f < 64; ++f) os << "  total += work" << f << "(total);\n";
+  os << "  return total;\n}\n";
+  return os.str();
+}
+
+// The heap blocks one warm submit allocates at threads 1: the request
+// edits one loop bound of one function, so the server re-analyzes
+// warm (the report cache is off). A rise past the pin means some layer
+// started allocating per node or per loop again on the warm path.
+TEST(Allocations, WarmOneFunctionEditSubmitIsPinned) {
+  const isa::Image base = mcc::compile_program(serve_shape(5)).image;
+  const isa::Image edited = mcc::compile_program(serve_shape(6)).image;
+  serve::ServeOptions options;
+  options.report_cache_capacity = 0;
+  serve::AnalysisServer server(mem::typical_hw(), options);
+  ASSERT_TRUE(server.submit(base).ok);
+  ASSERT_TRUE(server.submit(edited).ok); // warms the per-thread scratch
+  const std::uint64_t before = allocations();
+  const WcetReport warm = server.submit(base);
+  const std::uint64_t blocks = allocations() - before;
+  ASSERT_TRUE(warm.ok);
+  EXPECT_EQ(server.stats().warm_runs, 2u);
+  EXPECT_EQ(server.stats().warm_fallbacks, 0u);
+  // 34180 blocks before warm runs adopted per item, 17998 after.
+  EXPECT_LE(blocks, 20000u) << "a warm one-function-edit submit allocated " << blocks
+                            << " blocks";
 }
 
 } // namespace
