@@ -420,6 +420,83 @@ TEST(Serve, DataOnlyEditChangesAccessLines) {
   }
 }
 
+// A loop whose exit branch compares the counter with a limit it loads
+// from .rodata in the branch block itself. Only the limit word differs
+// between the two variants: the loop's in-state stays equal (the
+// counter is widened, the loaded register is unknown on entry) and so
+// does its access list, but the value the branch reads does not.
+std::string rodata_limit_program(int limit) {
+  return R"(
+        .global _start
+_start: movi s0, 0
+loop:   addi s0, s0, 1
+        la   t0, limit
+        lw   t1, 0(t0)
+        bne  s0, t1, loop
+        halt
+        .rodata
+limit:  .word )" + std::to_string(limit) + "\n";
+}
+
+// A node whose load reads a changed image word is not clean, so the
+// loop's bound is re-derived rather than adopted.
+TEST(Serve, DataOnlyEditChangesLoopLimit) {
+  const isa::Image base = isa::assemble(rodata_limit_program(40));
+  const isa::Image edited = isa::assemble(rodata_limit_program(41));
+  const WcetReport base_cold = Analyzer(base, mem::typical_hw()).analyze();
+  const WcetReport edited_cold = Analyzer(edited, mem::typical_hw()).analyze();
+  ASSERT_TRUE(base_cold.ok) << base_cold.to_string();
+  ASSERT_NE(base_cold.wcet_cycles, edited_cold.wcet_cycles);
+  serve::ServeOptions options;
+  options.report_cache_capacity = 0;
+  serve::AnalysisServer server(mem::typical_hw(), options);
+  expect_same_report(server.submit(base), base_cold, "first");
+  expect_same_report(server.submit(edited), edited_cold, "edit");
+  expect_same_report(server.submit(base), base_cold, "undone");
+  EXPECT_EQ(server.stats().warm_runs, 2u);
+  EXPECT_EQ(server.stats().dirty_instances, 0u);
+}
+
+// g's loop has two entry edges: i starts at 0 or at K. The back edge
+// already brings every value from 1 up, so the loop header's in-state
+// is the same for K = 3 and K = 4, but the counter's initial value
+// (and with it the loop row's derivation) is not. The warm run must
+// compare the entry-edge states, not just the loop's clean nodes.
+std::string two_entry_loop_program(int k) {
+  return program_around("int g(int x) { int i; int s = x;\n"
+                        "  if (x & 1) { i = 0; } else { i = " +
+                        std::to_string(k) +
+                        "; }\n"
+                        "  while (i < 10) { s += data[(s + i) & 15]; i++; }\n"
+                        "  return s; }\n");
+}
+
+TEST(Serve, WarmLoopBoundComparesEntryEdgeStates) {
+  const isa::Image base = compile(two_entry_loop_program(3));
+  const isa::Image edited = compile(two_entry_loop_program(4));
+  const WcetReport base_cold = Analyzer(base, mem::typical_hw()).analyze();
+  const WcetReport edited_cold = Analyzer(edited, mem::typical_hw()).analyze();
+  ASSERT_TRUE(base_cold.ok) << base_cold.to_string();
+  ASSERT_EQ(base_cold.loops.size(), edited_cold.loops.size());
+  bool row_differs = false;
+  for (std::size_t l = 0; l < base_cold.loops.size(); ++l) {
+    row_differs |= base_cold.loops[l].detail != edited_cold.loops[l].detail;
+  }
+  ASSERT_TRUE(row_differs);
+  for (const int threads : {1, 4}) {
+    const std::string label = "threads=" + std::to_string(threads);
+    serve::ServeOptions options;
+    options.report_cache_capacity = 0;
+    options.analysis.threads = threads;
+    serve::AnalysisServer server(mem::typical_hw(), options);
+    expect_same_report(server.submit(base), base_cold, label + " first");
+    expect_same_report(server.submit(edited), edited_cold, label + " edit");
+    expect_same_report(server.submit(base), base_cold, label + " undone");
+    EXPECT_EQ(server.stats().warm_runs, 2u) << label;
+    EXPECT_GT(server.stats().loop_bounds_adopted, 0u) << label;
+  }
+}
+
 // Resubmitting byte-identical input is served from the report cache:
 // no pipeline run, hits counted in the server stats.
 TEST(Serve, RepeatSubmissionHitsFingerprintCache) {
