@@ -478,8 +478,25 @@ CacheAnalysis::CacheAnalysis(const cfg::Supergraph& sg, const cfg::LoopForest& l
   in_i_.assign(n, CachePair{AbsCache::cold(iconfig_, true), AbsCache::cold(iconfig_, false)});
   in_d_.assign(n, CachePair{AbsCache::cold(dconfig_, true), AbsCache::cold(dconfig_, false)});
   has_state_.assign(n, 0);
-  fetch_.resize(n);
-  data_.resize(n);
+  fetch_begin_.assign(n + 1, 0);
+  data_begin_.assign(n + 1, 0);
+  data_count_.assign(n, 0);
+  for (std::size_t v = 0; v < n; ++v) {
+    const cfg::CfgBlock& block = *sg.nodes()[v].block;
+    const auto accesses = std::count_if(block.insts.begin(), block.insts.end(),
+                                        [](const isa::Inst& inst) { return inst.is_mem_access(); });
+    fetch_begin_[v + 1] = fetch_begin_[v] + static_cast<std::uint32_t>(block.insts.size());
+    data_begin_[v + 1] = data_begin_[v] + static_cast<std::uint32_t>(accesses);
+  }
+  fetch_rows_.resize(fetch_begin_[n]);
+  data_rows_.resize(data_begin_[n]);
+}
+
+void CacheAnalysis::push_data_row(std::size_t node, const DataClass& dc) {
+  std::uint32_t& count = data_count_[node];
+  WCET_CHECK(data_begin_[node] + count < data_begin_[node + 1],
+             "more data rows than memory-access instructions");
+  data_rows_[data_begin_[node] + count++] = dc;
 }
 
 std::span<const std::uint32_t> CacheAnalysis::lines_for(int node, std::size_t index) const {
@@ -541,10 +558,10 @@ void CacheAnalysis::transfer(int node, CachePair& icache, CachePair& dcache, boo
     return;
   }
 
-  auto& fetch_out = fetch_[static_cast<std::size_t>(node)];
-  auto& data_out = data_[static_cast<std::size_t>(node)];
-  fetch_out.assign(recipe.fetch.size(), FetchClass{});
-  data_out.clear();
+  const auto id = static_cast<std::size_t>(node);
+  const std::span<FetchClass> fetch_out = fetch_row(id);
+  std::fill(fetch_out.begin(), fetch_out.end(), FetchClass{});
+  data_count_[id] = 0;
   for (std::size_t i = 0; i < recipe.fetch.size(); ++i) {
     switch (recipe.fetch[i].kind) {
     case Recipe::FetchKind::uncached:
@@ -589,7 +606,7 @@ void CacheAnalysis::transfer(int node, CachePair& icache, CachePair& dcache, boo
       break;
     }
     }
-    data_out.push_back(dc);
+    push_data_row(id, dc);
   }
 }
 
@@ -1104,10 +1121,9 @@ void CacheAnalysis::record_node_lazy(int node) {
   sc.d_must.attach(in_d.must);
   sc.d_may.attach(in_d.may);
 
-  auto& fetch_out = fetch_[id];
-  auto& data_out = data_[id];
-  fetch_out.assign(recipe.fetch.size(), FetchClass{});
-  data_out.clear();
+  const std::span<FetchClass> fetch_out = fetch_row(id);
+  std::fill(fetch_out.begin(), fetch_out.end(), FetchClass{});
+  data_count_[id] = 0;
 
   for (std::size_t i = 0; i < recipe.fetch.size(); ++i) {
     switch (recipe.fetch[i].kind) {
@@ -1184,7 +1200,7 @@ void CacheAnalysis::record_node_lazy(int node) {
       break;
     }
     }
-    data_out.push_back(dc);
+    push_data_row(id, dc);
   }
 }
 
@@ -1192,10 +1208,9 @@ void CacheAnalysis::record_node_conservative(int node) {
   using Recipe = TransferCache::CacheRecipe;
   const Recipe& recipe = transfers_->cache_recipe(node);
   const auto id = static_cast<std::size_t>(node);
-  auto& fetch_out = fetch_[id];
-  auto& data_out = data_[id];
-  fetch_out.assign(recipe.fetch.size(), FetchClass{});
-  data_out.clear();
+  const std::span<FetchClass> fetch_out = fetch_row(id);
+  std::fill(fetch_out.begin(), fetch_out.end(), FetchClass{});
+  data_count_[id] = 0;
   for (std::size_t i = 0; i < recipe.fetch.size(); ++i) {
     switch (recipe.fetch[i].kind) {
     case Recipe::FetchKind::uncached:
@@ -1229,7 +1244,7 @@ void CacheAnalysis::record_node_conservative(int node) {
       break;
     }
     }
-    data_out.push_back(dc);
+    push_data_row(id, dc);
   }
 }
 
@@ -1264,9 +1279,12 @@ void CacheAnalysis::persistence(const CacheAnalysis* prev) {
       // and stop counting as adopted (their final rows may differ).
       for (const int node : loops_.loop(trees[t].front()).nodes) {
         if (!rows_adopted(node)) continue;
-        for (FetchClass& fc : fetch_[static_cast<std::size_t>(node)]) fc.persistent_loop = -1;
-        for (DataClass& dc : data_[static_cast<std::size_t>(node)]) dc.persistent_loop = -1;
-        rows_adopted_[static_cast<std::size_t>(node)] = 0;
+        const auto id = static_cast<std::size_t>(node);
+        for (FetchClass& fc : fetch_row(id)) fc.persistent_loop = -1;
+        for (std::uint32_t k = 0; k < data_count_[id]; ++k) {
+          data_rows_[data_begin_[id] + k].persistent_loop = -1;
+        }
+        rows_adopted_[id] = 0;
       }
     }
     persistence_tree(trees[t]);
@@ -1349,7 +1367,7 @@ void CacheAnalysis::persistence_tree(const std::vector<int>& loop_ids) {
     // Assign: outermost qualifying loop wins (fewer entries = tighter).
     for (const int node_id : loop.nodes) {
       const Recipe& recipe = transfers_->cache_recipe(node_id);
-      auto& fetch_out = fetch_[static_cast<std::size_t>(node_id)];
+      const std::span<FetchClass> fetch_out = fetch_row(static_cast<std::size_t>(node_id));
       for (std::size_t i = 0; i < fetch_out.size(); ++i) {
         if (!i_precise) break;
         if (fetch_out[i].cls != AccessClass::not_classified &&
@@ -1363,7 +1381,9 @@ void CacheAnalysis::persistence_tree(const std::vector<int>& loop_ids) {
           }
         }
       }
-      auto& data_out = data_[static_cast<std::size_t>(node_id)];
+      const std::span<DataClass> data_out{
+          data_rows_.data() + data_begin_[static_cast<std::size_t>(node_id)],
+          data_count_[static_cast<std::size_t>(node_id)]};
       const auto& accesses = values_.accesses(node_id);
       for (std::size_t i = 0; i < data_out.size() && i < accesses.size(); ++i) {
         if (!d_precise) break;
@@ -1443,8 +1463,12 @@ CacheAnalysis::Start CacheAnalysis::run(const CacheAnalysis* prev,
     if (rows_from != nullptr && (*node_clean)[id] != 0 &&
         transfers_->recipe_adopted(node.id) && has_state_[id] == rows_from->has_state_[id] &&
         in_i_[id].same_as(rows_from->in_i_[id]) && in_d_[id].same_as(rows_from->in_d_[id])) {
-      fetch_[id] = rows_from->fetch_[id];
-      data_[id] = rows_from->data_[id];
+      // Same instructions and accesses: the slices have equal sizes.
+      const std::span<const FetchClass> fetch = rows_from->fetch_classes(node.id);
+      std::copy(fetch.begin(), fetch.end(), fetch_row(id).begin());
+      const std::span<const DataClass> data = rows_from->data_classes(node.id);
+      std::copy(data.begin(), data.end(), data_rows_.begin() + data_begin_[id]);
+      data_count_[id] = static_cast<std::uint32_t>(data.size());
       rows_adopted_[id] = 1;
       return;
     }
@@ -1458,8 +1482,9 @@ CacheAnalysis::Start CacheAnalysis::run(const CacheAnalysis* prev,
       return;
     }
     if (!has_state_[id]) {
-      fetch_[id].assign(node.block->insts.size(), FetchClass{});
-      data_[id].clear();
+      const std::span<FetchClass> fetch_out = fetch_row(id);
+      std::fill(fetch_out.begin(), fetch_out.end(), FetchClass{});
+      data_count_[id] = 0;
       return;
     }
     if (schedule_ == Schedule::priority) {
@@ -1477,9 +1502,9 @@ CacheAnalysis::Start CacheAnalysis::run(const CacheAnalysis* prev,
 
 CacheAnalysis::Stats CacheAnalysis::stats() const {
   Stats s;
-  for (std::size_t n = 0; n < fetch_.size(); ++n) {
+  for (std::size_t n = 0; n < data_count_.size(); ++n) {
     if (!values_.node_reachable(static_cast<int>(n))) continue;
-    for (const FetchClass& fc : fetch_[n]) {
+    for (const FetchClass& fc : fetch_classes(static_cast<int>(n))) {
       switch (fc.cls) {
       case AccessClass::always_hit: ++s.fetch_hit; break;
       case AccessClass::always_miss: ++s.fetch_miss; break;
@@ -1488,7 +1513,7 @@ CacheAnalysis::Stats CacheAnalysis::stats() const {
       }
       if (fc.persistent_loop >= 0) ++s.persistent;
     }
-    for (const DataClass& dc : data_[n]) {
+    for (const DataClass& dc : data_classes(static_cast<int>(n))) {
       switch (dc.cls) {
       case AccessClass::always_hit: ++s.data_hit; break;
       case AccessClass::always_miss: ++s.data_miss; break;

@@ -301,13 +301,15 @@ public:
 
   // Per node: classification of each instruction fetch (index-aligned
   // with the block's instruction list).
-  const std::vector<FetchClass>& fetch_classes(int node) const {
-    return fetch_[static_cast<std::size_t>(node)];
+  std::span<const FetchClass> fetch_classes(int node) const {
+    const auto n = static_cast<std::size_t>(node);
+    return {fetch_rows_.data() + fetch_begin_[n], fetch_begin_[n + 1] - fetch_begin_[n]};
   }
   // Per node: classification of each data access (index-aligned with
   // ValueAnalysis::accesses(node)).
-  const std::vector<DataClass>& data_classes(int node) const {
-    return data_[static_cast<std::size_t>(node)];
+  std::span<const DataClass> data_classes(int node) const {
+    const auto n = static_cast<std::size_t>(node);
+    return {data_rows_.data() + data_begin_[n], data_count_[n]};
   }
 
   // True when `node`'s final classification rows (persistence
@@ -393,6 +395,11 @@ private:
   // same-line fetches stay always-hit — and every state-dependent
   // access is not-classified.
   void record_node_conservative(int node);
+  // The node's fetch rows, and the next free slot of its data rows.
+  std::span<FetchClass> fetch_row(std::size_t node) {
+    return {fetch_rows_.data() + fetch_begin_[node], fetch_begin_[node + 1] - fetch_begin_[node]};
+  }
+  void push_data_row(std::size_t node, const DataClass& dc);
   // `prev` non-null: adopt per tree as described at run().
   void persistence(const CacheAnalysis* prev);
   void persistence_tree(const std::vector<int>& loop_ids);
@@ -415,8 +422,15 @@ private:
   // disjoint intra-instance targets concurrently, and vector<bool>
   // packs bits into shared words.
   std::vector<unsigned char> has_state_;
-  std::vector<std::vector<FetchClass>> fetch_;
-  std::vector<std::vector<DataClass>> data_;
+  // Classification rows in two flat tables. Node n owns the fetch rows
+  // [fetch_begin_[n], fetch_begin_[n + 1]), one per instruction, and
+  // the first data_count_[n] of the data rows [data_begin_[n],
+  // data_begin_[n + 1]), one slot per memory-access instruction.
+  std::vector<std::uint32_t> fetch_begin_;
+  std::vector<std::uint32_t> data_begin_;
+  std::vector<std::uint32_t> data_count_;
+  std::vector<FetchClass> fetch_rows_;
+  std::vector<DataClass> data_rows_;
   // Per node: rows adopted from the previous run (empty: none were).
   std::vector<char> rows_adopted_;
 };

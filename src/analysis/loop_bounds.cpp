@@ -334,10 +334,12 @@ std::optional<std::uint64_t> LoopBoundAnalysis::analyze_loop(const cfg::Loop& lo
       }
     }
   }
-  std::stable_sort(slot_stores.begin(), slot_stores.end(),
-                   [](const Scratch::SlotStore& a, const Scratch::SlotStore& b) {
-                     return a.addr < b.addr;
-                   });
+  // Only the size of each address's group matters, and the store of a
+  // group of one, so the order within a group does not.
+  std::sort(slot_stores.begin(), slot_stores.end(),
+            [](const Scratch::SlotStore& a, const Scratch::SlotStore& b) {
+              return a.addr < b.addr;
+            });
   for (std::size_t first = 0, last = 0; first < slot_stores.size(); first = last) {
     const std::uint32_t addr = slot_stores[first].addr;
     for (last = first + 1; last < slot_stores.size() && slot_stores[last].addr == addr;) {

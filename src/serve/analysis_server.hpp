@@ -2,17 +2,19 @@
 // service instead of a one-shot Analyzer call.
 //
 // The server keeps the converged artifacts of the last successful run
-// (image, AnalysisContext) alive across requests. When a re-submitted
-// image decodes to a supergraph structurally identical to the previous
-// run's, each function instance is compared word by word against the
-// previous image, and the pipeline receives a WarmHandoff
-// (wcet/pipeline.hpp) with the per-instance clean verdicts: the cache
-// fixpoint warm-starts from the previous states of clean instances, and
-// the path phase adopts the previous results of every sub-ILP whose
-// region inputs compare equal, re-solving only the sub-ILPs an edit
-// touches (and their ancestors) plus the outer region. Every reuse is
-// *verified, never trusted*: a warm bound is bit-identical to the cold
-// bound by construction (the phases demote any verdict the fresh run
+// (image, AnalysisContext) alive across requests and offers the context
+// to the next run as its reuse anchor. When a re-submitted image
+// decodes to a supergraph structurally identical to the anchor's, the
+// pipeline installs a WarmHandoff (wcet/pipeline.hpp) with per-node and
+// per-instance clean verdicts, and each later layer adopts the
+// previous result of every item whose inputs compare equal: loop
+// bounds, cache recipes and classification rows (on top of a cache
+// fixpoint warm-started from the previous states of clean instances),
+// block timings, and the results of every sub-ILP whose region inputs
+// compare equal, re-solving only the sub-ILPs an edit touches (and
+// their ancestors) plus the outer region. Every reuse is *verified,
+// never trusted*: a warm report is bit-identical to a cold one by
+// construction (the phases demote any verdict the fresh run
 // contradicts and fall back to a full cold re-run on any divergence).
 //
 // On top of the incremental path sits a request-level report LRU keyed
